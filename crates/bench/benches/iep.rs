@@ -74,7 +74,7 @@ fn bench_op_stream(c: &mut Criterion) {
     let ops = sampler.stream(&inst, &plan, 50);
     let planner = IncrementalPlanner;
     c.bench_function("iep/op-stream-50", |b| {
-        b.iter(|| planner.apply_batch(&inst, &plan, &ops))
+        b.iter(|| planner.try_apply_batch(&inst, &plan, &ops).ok())
     });
 }
 

@@ -7,7 +7,9 @@ use epplan_core::analysis::InstanceAnalysis;
 use epplan_core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan_core::model::Instance;
 use epplan_core::plan::Plan;
-use epplan_core::solver::{ExactSolver, GapBasedSolver, GepcSolver, GreedySolver, LnsSolver};
+use epplan_core::solver::{
+    ExactSolver, GapBasedSolver, GepcSolver, GreedySolver, LnsSolver, SolveBudget,
+};
 use epplan_datagen::{generate, paper_example, City, GeneratorConfig};
 use epplan_gap::{FractionalMethod, GapConfig};
 use rand::prelude::*;
@@ -453,7 +455,8 @@ pub fn ablation_approx(opts: &HarnessOptions) -> Table {
             max_users: 8,
             max_events: 6,
         }
-        .solve_optimal(&inst) else {
+        .try_solve(&inst, SolveBudget::UNLIMITED)
+        .ok() else {
             continue;
         };
         if exact.utility <= 0.0 {
@@ -831,7 +834,12 @@ fn serve_cell(
     config: epplan_serve::ServeConfig,
 ) -> ServeCell {
     epplan_par::set_threads(threads);
-    let state_dir = std::env::temp_dir().join(format!("epplan-bench-serve-{tag}-{threads}"));
+    // The process id keeps concurrent `paper bench` runs from sharing
+    // (and clobbering) one WAL.
+    let state_dir = std::env::temp_dir().join(format!(
+        "epplan-bench-serve-{}-{tag}-{threads}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&state_dir);
     let mut daemon =
         match epplan_serve::Daemon::start(inst.clone(), config, Some(&state_dir)) {

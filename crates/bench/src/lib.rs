@@ -20,6 +20,7 @@
 //! | Step-2 filler ablation | §III framework | [`experiments::ablation_filler`] |
 //! | Local-search gain ablation | extension | [`experiments::ablation_local_search`] |
 //! | Geography ablation | extension | [`experiments::ablation_geography`] |
+//! | Benchmark (batch solve and serving workloads) | — | `perfbench/` package, declared in `BENCHMARK.json` |
 
 // Solver-adjacent code must not panic (uniform workspace gate; the
 // epplan-lint `robustness/unwrap` rule enforces the same contract).

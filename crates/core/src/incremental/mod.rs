@@ -11,10 +11,10 @@
 //!
 //! with every other operation reducible to them (Section IV's opening
 //! discussion: "solving for all other atomic operations can be reduced
-//! to one of these"). [`IncrementalPlanner::apply`] performs the
-//! dispatch, mutating a **clone** of the instance and the plan, and
-//! reports the negative impact `dif(P, P′)` together with the new
-//! global utility.
+//! to one of these"). [`IncrementalPlanner::try_apply_budgeted`]
+//! performs the dispatch, mutating a **clone** of the instance and the
+//! plan, and reports the negative impact `dif(P, P′)` together with the
+//! new global utility.
 
 mod eta_decrease;
 mod exact_iep;
@@ -385,40 +385,22 @@ impl IncrementalPlanner {
         }
     }
 
-    /// Fallible variant of [`IncrementalPlanner::apply`]: rejects
-    /// malformed operations with a typed `BadInput` error instead of
-    /// panicking deep inside the model layer. The error carries the
-    /// unchanged `(instance, plan)` as a partial outcome, so callers
-    /// that prefer degradation over failure can keep planning.
-    pub fn try_apply(
-        &self,
-        instance: &Instance,
-        plan: &Plan,
-        op: &AtomicOp,
-    ) -> Result<IncrementalOutcome, SolveError<IncrementalOutcome>> {
-        if let Err(e) = Self::validate_op(instance, op) {
-            return Err(e
-                .discard_partial()
-                .with_partial(Self::unchanged_outcome(instance, plan)));
-        }
-        // Deterministic fault injection in front of the repair dispatch
-        // (serial entry point, hit count thread-invariant). The error
-        // degrades to the unchanged plan like any other IEP failure.
-        if let Some(action) = epplan_fault::point("core.iep.apply") {
-            return Err(SolveError::from_fault(STAGE, "core.iep.apply", action)
-                .with_partial(Self::unchanged_outcome(instance, plan)));
-        }
-        Ok(self.apply_validated(instance, plan, op))
-    }
-
-    /// [`IncrementalPlanner::try_apply`] under a per-operation
-    /// [`SolveBudget`]: the serving layer's entry point. The budget is
+    /// Applies `op` to `(instance, plan)` under a per-operation
+    /// [`SolveBudget`] and repairs the plan with the appropriate
+    /// algorithm. Neither input is modified; the updated copies are
+    /// returned in the outcome. This is the fallible entry point, and
+    /// the serving layer's.
+    ///
+    /// Malformed operations are rejected with a typed `BadInput` error
+    /// instead of panicking deep inside the model layer. The budget is
     /// enforced at the operation granularity — one guard tick up front
     /// (so iteration caps and pre-expired zero allowances trip
     /// deterministically before any work) and a deadline check after
-    /// the repair. A tripped budget returns the usual retryable
-    /// `BudgetExhausted` error carrying the **unchanged** state as the
-    /// partial, never a half-repaired plan.
+    /// the repair; a tripped budget is the usual retryable
+    /// `BudgetExhausted` error. Every error carries the **unchanged**
+    /// `(instance, plan)` as its partial outcome, never a half-repaired
+    /// plan, so callers that prefer degradation over failure can keep
+    /// planning.
     pub fn try_apply_budgeted(
         &self,
         instance: &Instance,
@@ -426,21 +408,29 @@ impl IncrementalPlanner {
         op: &AtomicOp,
         budget: SolveBudget,
     ) -> Result<IncrementalOutcome, SolveError<IncrementalOutcome>> {
+        let reject = |e: SolveError<()>| {
+            Err(e
+                .discard_partial()
+                .with_partial(Self::unchanged_outcome(instance, plan)))
+        };
         let mut guard = BudgetGuard::new(budget);
         if let Err(e) = guard.tick(STAGE) {
-            return Err(e
-                .discard_partial()
-                .with_partial(Self::unchanged_outcome(instance, plan)));
+            return reject(e);
         }
-        let out = self.try_apply(instance, plan, op)?;
+        if let Err(e) = Self::validate_op(instance, op) {
+            return reject(e);
+        }
+        // Deterministic fault injection in front of the repair dispatch
+        // (serial entry point, hit count thread-invariant).
+        if let Some(action) = epplan_fault::point("core.iep.apply") {
+            return reject(SolveError::from_fault(STAGE, "core.iep.apply", action));
+        }
+        let out = self.apply_validated(instance, plan, op);
         match guard.check_deadline(STAGE) {
             Ok(()) => Ok(out),
-            // The repair finished but blew the deadline: report the
-            // exhaustion, offer the unchanged pre-op state — the repair
+            // The repair finished but blew the deadline: the repair
             // result must not leak past a broken budget contract.
-            Err(e) => Err(e
-                .discard_partial()
-                .with_partial(Self::unchanged_outcome(instance, plan))),
+            Err(e) => reject(e),
         }
     }
 
@@ -503,23 +493,15 @@ impl IncrementalPlanner {
         }
     }
 
-    /// Applies `op` to `(instance, plan)` and repairs the plan with the
-    /// appropriate algorithm. Neither input is modified; the updated
-    /// copies are returned in the outcome. Malformed operations degrade
-    /// to the unchanged plan (see [`IncrementalPlanner::try_apply`] for
-    /// the typed rejection).
-    pub fn apply(
-        &self,
-        instance: &Instance,
-        plan: &Plan,
-        op: &AtomicOp,
-    ) -> IncrementalOutcome {
-        match self.try_apply(instance, plan, op) {
-            Ok(out) => out,
-            Err(e) => e
-                .partial
-                .unwrap_or_else(|| Self::unchanged_outcome(instance, plan)),
-        }
+    /// Total variant of [`IncrementalPlanner::try_apply_budgeted`]
+    /// without a budget: a rejected operation degrades to the unchanged
+    /// plan.
+    pub fn apply(&self, instance: &Instance, plan: &Plan, op: &AtomicOp) -> IncrementalOutcome {
+        self.try_apply_budgeted(instance, plan, op, SolveBudget::UNLIMITED)
+            .unwrap_or_else(|e| {
+                e.partial
+                    .unwrap_or_else(|| Self::unchanged_outcome(instance, plan))
+            })
     }
 
     fn apply_validated(
@@ -649,43 +631,11 @@ impl IncrementalPlanner {
     /// [`BatchOutcome::step_difs`] holds each run's individual `dif`;
     /// [`BatchOutcome::net_dif`] compares the final plan against the
     /// *original* one, which is what users ultimately experience.
-    pub fn apply_batch(
-        &self,
-        instance: &Instance,
-        plan: &Plan,
-        ops: &[AtomicOp],
-    ) -> BatchOutcome {
-        let mut inst = instance.clone();
-        let mut cur = plan.clone();
-        let mut step_difs = Vec::with_capacity(ops.len());
-        for op in ops {
-            let out = self.apply(&inst, &cur, op);
-            step_difs.push(out.dif);
-            inst = out.instance;
-            cur = out.plan;
-        }
-        let utility = cur.total_utility(&inst);
-        let shortfall = inst
-            .event_ids()
-            .filter(|&e| cur.attendance(e) < inst.event(e).lower)
-            .collect();
-        // The original plan may cover fewer events than the final one
-        // (NewEvent ops); `dif` handles that asymmetry.
-        let net_dif = dif(plan, &cur);
-        BatchOutcome {
-            instance: inst,
-            plan: cur,
-            net_dif,
-            step_difs,
-            utility,
-            shortfall,
-        }
-    }
-
-    /// Fallible variant of [`IncrementalPlanner::apply_batch`]: stops at
-    /// the first malformed operation with a typed `BadInput` error. The
+    ///
+    /// Stops at the first rejected operation with its typed error. The
     /// error's partial carries the batch outcome of every operation
-    /// applied *before* the bad one, so the valid prefix is not lost.
+    /// applied *before* the rejected one, so the valid prefix is not
+    /// lost.
     pub fn try_apply_batch(
         &self,
         instance: &Instance,
@@ -697,7 +647,7 @@ impl IncrementalPlanner {
         let mut step_difs = Vec::with_capacity(ops.len());
         let mut failure: Option<SolveError<()>> = None;
         for (k, op) in ops.iter().enumerate() {
-            match self.try_apply(&inst, &cur, op) {
+            match self.try_apply_budgeted(&inst, &cur, op, SolveBudget::UNLIMITED) {
                 Ok(out) => {
                     step_difs.push(out.dif);
                     inst = out.instance;
@@ -718,6 +668,8 @@ impl IncrementalPlanner {
             .event_ids()
             .filter(|&e| cur.attendance(e) < inst.event(e).lower)
             .collect();
+        // The original plan may cover fewer events than the final one
+        // (NewEvent ops); `dif` handles that asymmetry.
         let net_dif = dif(plan, &cur);
         let outcome = BatchOutcome {
             instance: inst,
@@ -950,7 +902,7 @@ mod tests {
             },
         ];
         let planner = IncrementalPlanner;
-        let batch = planner.apply_batch(&instance, &plan, &ops);
+        let batch = planner.try_apply_batch(&instance, &plan, &ops).unwrap();
         // Manual sequential application must agree.
         let mut inst = instance.clone();
         let mut cur = plan.clone();
@@ -970,7 +922,9 @@ mod tests {
     #[test]
     fn empty_batch_is_identity() {
         let (instance, plan) = setup();
-        let batch = IncrementalPlanner.apply_batch(&instance, &plan, &[]);
+        let batch = IncrementalPlanner
+            .try_apply_batch(&instance, &plan, &[])
+            .unwrap();
         assert_eq!(batch.plan, plan);
         assert_eq!(batch.net_dif, 0);
         assert!(batch.step_difs.is_empty());
@@ -1069,7 +1023,9 @@ mod tests {
             },
         ];
         for op in bad_ops {
-            let err = planner.try_apply(&instance, &plan, &op).unwrap_err();
+            let err = planner
+                .try_apply_budgeted(&instance, &plan, &op, SolveBudget::UNLIMITED)
+                .unwrap_err();
             assert_eq!(
                 err.kind,
                 epplan_solve::FailureKind::BadInput,
@@ -1083,6 +1039,21 @@ mod tests {
             let out = planner.apply(&instance, &plan, &op);
             assert_eq!(out.plan, plan);
         }
+    }
+
+    #[test]
+    fn budget_tick_comes_before_op_validation() {
+        let (instance, plan) = setup();
+        let bad = AtomicOp::EtaDecrease {
+            event: EventId(99),
+            new_upper: 1,
+        };
+        let err = IncrementalPlanner
+            .try_apply_budgeted(&instance, &plan, &bad, SolveBudget::from_iteration_cap(0))
+            .unwrap_err();
+        assert_eq!(err.kind, epplan_solve::FailureKind::BudgetExhausted);
+        let partial = err.partial.expect("unchanged outcome travels as partial");
+        assert_eq!(partial.plan, plan);
     }
 
     #[test]

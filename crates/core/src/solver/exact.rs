@@ -67,15 +67,9 @@ impl ExactSolver {
         }
         out
     }
+}
 
-    /// Finds the optimal fully feasible plan, or `None` when no plan
-    /// satisfies every constraint including the lower bounds — or when
-    /// the instance exceeds the configured size limits (see
-    /// [`ExactSolver::try_solve_optimal`] for the typed distinction).
-    pub fn solve_optimal(&self, instance: &Instance) -> Option<Solution> {
-        self.try_solve_optimal(instance, SolveBudget::UNLIMITED).ok()
-    }
-
+impl GepcSolver for ExactSolver {
     /// Finds the optimal fully feasible plan under `budget`.
     ///
     /// Errors are typed: `BadInput` when the instance exceeds the
@@ -83,7 +77,7 @@ impl ExactSolver {
     /// a partial) when no plan satisfies every constraint, and
     /// `BudgetExhausted` (carrying the best incumbent found, if any)
     /// when the search runs out of budget.
-    pub fn try_solve_optimal(
+    fn try_solve(
         &self,
         instance: &Instance,
         budget: SolveBudget,
@@ -229,23 +223,6 @@ impl ExactSolver {
             }
         }
     }
-}
-
-impl GepcSolver for ExactSolver {
-    /// Returns the optimal fully feasible plan when one exists, and the
-    /// empty plan (with its shortfall report) otherwise.
-    fn solve(&self, instance: &Instance) -> Solution {
-        self.solve_optimal(instance)
-            .unwrap_or_else(|| Solution::from_plan(instance, Plan::for_instance(instance)))
-    }
-
-    fn try_solve(
-        &self,
-        instance: &Instance,
-        budget: SolveBudget,
-    ) -> Result<Solution, SolveError<Solution>> {
-        self.try_solve_optimal(instance, budget)
-    }
 
     fn name(&self) -> &'static str {
         "exact"
@@ -275,7 +252,9 @@ mod tests {
     #[test]
     fn finds_optimum() {
         let instance = inst();
-        let sol = ExactSolver::default().solve_optimal(&instance).unwrap();
+        let sol = ExactSolver::default()
+            .try_solve(&instance, SolveBudget::UNLIMITED)
+            .unwrap();
         // Best: u0 {e0, e1} = 1.4, u1 {e0} = 0.6 — e1 capacity 1 so only
         // one of them gets it; u0 values it more… check: u1 {e0,e1} =
         // 1.4 and u0 {e0,e1} = 1.4; both want e1 (cap 1). Optimum:
@@ -292,7 +271,9 @@ mod tests {
         instance.set_event_bounds(EventId(1), 2, 2); // η=2 now, ξ=2
         instance.set_utility(UserId(0), EventId(1), 0.0);
         // Only u1 can attend e1 → ξ=2 unreachable.
-        assert!(ExactSolver::default().solve_optimal(&instance).is_none());
+        assert!(ExactSolver::default()
+            .try_solve(&instance, SolveBudget::UNLIMITED)
+            .is_err());
     }
 
     #[test]
@@ -308,7 +289,9 @@ mod tests {
     #[test]
     fn exact_dominates_both_approximations() {
         let instance = inst();
-        let exact = ExactSolver::default().solve_optimal(&instance).unwrap();
+        let exact = ExactSolver::default()
+            .try_solve(&instance, SolveBudget::UNLIMITED)
+            .unwrap();
         let greedy = crate::solver::GreedySolver::seeded(3).solve(&instance);
         let gap = crate::solver::GapBasedSolver::default().solve(&instance);
         assert!(exact.utility >= greedy.utility - 1e-9);
@@ -322,12 +305,19 @@ mod tests {
         let events = vec![];
         let instance = Instance::new(users, events, UtilityMatrix::zeros(n, 0)).unwrap();
         let err = ExactSolver::default()
-            .try_solve_optimal(&instance, SolveBudget::UNLIMITED)
+            .try_solve(&instance, SolveBudget::UNLIMITED)
             .unwrap_err();
         assert_eq!(err.kind, epplan_solve::FailureKind::BadInput);
         assert!(err.message.contains("exact solver limited"));
-        // The lossy entry point degrades to `None` instead of panicking.
-        assert!(ExactSolver::default().solve_optimal(&instance).is_none());
+        // The total entry point degrades to the empty plan instead of
+        // panicking.
+        assert_eq!(
+            ExactSolver::default()
+                .solve(&instance)
+                .plan
+                .total_assignments(),
+            0
+        );
     }
 
     #[test]
@@ -336,7 +326,7 @@ mod tests {
         instance.set_event_bounds(EventId(1), 2, 2);
         instance.set_utility(UserId(0), EventId(1), 0.0);
         let err = ExactSolver::default()
-            .try_solve_optimal(&instance, SolveBudget::UNLIMITED)
+            .try_solve(&instance, SolveBudget::UNLIMITED)
             .unwrap_err();
         assert_eq!(err.kind, epplan_solve::FailureKind::Infeasible);
         let partial = err.partial.expect("empty plan travels as partial");
@@ -347,7 +337,7 @@ mod tests {
     fn budget_exhaustion_is_typed() {
         let instance = inst();
         let err = ExactSolver::default()
-            .try_solve_optimal(&instance, SolveBudget::from_iteration_cap(1))
+            .try_solve(&instance, SolveBudget::from_iteration_cap(1))
             .unwrap_err();
         assert_eq!(err.kind, epplan_solve::FailureKind::BudgetExhausted);
     }
@@ -357,7 +347,9 @@ mod tests {
         let mut instance = inst();
         instance.set_budget(UserId(0), 2.0); // only e0 reachable (cost 2)
         instance.set_event_time(EventId(1), TimeInterval::new(0, 59)); // conflicts e0
-        let sol = ExactSolver::default().solve_optimal(&instance).unwrap();
+        let sol = ExactSolver::default()
+            .try_solve(&instance, SolveBudget::UNLIMITED)
+            .unwrap();
         assert!(sol.plan.validate(&instance).is_feasible());
         // u0 can only do e0; u1 must pick one of e0/e1 (conflict).
         for u in instance.user_ids() {

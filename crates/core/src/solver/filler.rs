@@ -65,11 +65,8 @@ impl Ord for Candidate {
 /// budget, less capacity), so a candidate that fails once can be
 /// discarded permanently.
 pub fn fill_to_upper(instance: &Instance, plan: &mut Plan, users: Option<&[UserId]>) -> usize {
-    match fill_impl(instance, plan, users, None) {
-        Ok(added) => added,
-        // No deadline was supplied, so no poll can ever trip.
-        Err(DeadlineExceeded) => unreachable!("fill without a deadline cannot trip"),
-    }
+    try_fill_to_upper(instance, plan, users, &DeadlineFlag::unlimited())
+        .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
 }
 
 /// [`fill_to_upper`] under a wall-clock deadline: the budget-governed
@@ -86,15 +83,6 @@ pub fn try_fill_to_upper(
     plan: &mut Plan,
     users: Option<&[UserId]>,
     deadline: &DeadlineFlag,
-) -> Result<usize, DeadlineExceeded> {
-    fill_impl(instance, plan, users, Some(deadline))
-}
-
-fn fill_impl(
-    instance: &Instance,
-    plan: &mut Plan,
-    users: Option<&[UserId]>,
-    deadline: Option<&DeadlineFlag>,
 ) -> Result<usize, DeadlineExceeded> {
     let user_iter: Vec<UserId> = match users {
         Some(us) => us.to_vec(),
@@ -125,9 +113,7 @@ fn fill_impl(
     let mut heap: BinaryHeap<Candidate> = if users.is_some() {
         let mut out: Vec<Candidate> = Vec::new();
         for &u in &user_iter {
-            if let Some(d) = deadline {
-                d.poll()?;
-            }
+            deadline.poll()?;
             instance.utilities().for_each_positive_in_row(u, |e, mu| {
                 if !crate::model::candidates::is_candidate(instance, u, e, mu) {
                     return;
@@ -152,9 +138,7 @@ fn fill_impl(
         // whole parallel scan drains promptly (see `gap.packing`).
         let parts: Vec<Result<Vec<Candidate>, DeadlineExceeded>> =
             epplan_par::par_chunks_map(&user_iter, SCAN_MIN_CHUNK, |_, chunk| {
-                if let Some(d) = deadline {
-                    d.poll()?;
-                }
+                deadline.poll()?;
                 let mut out: Vec<Candidate> = Vec::new();
                 for &u in chunk {
                     let (events, utils) = cands.row(u);
@@ -187,9 +171,7 @@ fn fill_impl(
     while let Some(c) = heap.pop() {
         pops += 1;
         if pops.is_multiple_of(POLL_STRIDE) {
-            if let Some(d) = deadline {
-                d.poll()?;
-            }
+            deadline.poll()?;
         }
         if plan.attendance(c.event) >= instance.event(c.event).upper {
             continue;

@@ -209,7 +209,7 @@ impl GapBasedSolver {
     /// failure, a partial GAP assignment (when one exists) is post-
     /// processed into a hard-feasible partial [`Solution`] and attached
     /// to the error.
-    pub fn try_solve_gap(
+    fn try_solve_gap(
         &self,
         instance: &Instance,
         budget: SolveBudget,
@@ -255,88 +255,6 @@ impl GapBasedSolver {
                 Err(out)
             }
         }
-    }
-
-    /// The degradation chain of the GEPC facade: GAP-based solve first;
-    /// on any failure (budget exhaustion, numerical trouble, bad GAP
-    /// reduction) fall back to the total [`GreedySolver`]; if even the
-    /// greedy plan fails hard validation, degrade to an empty (trivially
-    /// hard-feasible) plan. The chain of attempts is recorded in the
-    /// returned solution's [`SolveReport`].
-    ///
-    /// Failures still surface as `Err` with the *original* failure kind,
-    /// but the error always carries the validated fallback solution in
-    /// [`SolveError::partial`], so callers choose between strictness and
-    /// graceful degradation.
-    pub fn solve_robust(
-        &self,
-        instance: &Instance,
-        budget: SolveBudget,
-    ) -> Result<Solution, SolveError<Solution>> {
-        // Baseline for the per-stage cost delta attached to the report
-        // (only when metrics collection is on — StageMark clones the
-        // aggregate map, which we won't pay for by default).
-        let mark = epplan_obs::metrics_enabled().then(epplan_obs::StageMark::now);
-        let mut report = SolveReport::new();
-        // epplan-lint: allow(determinism/wall-clock) — stage wall time feeds the SolveReport only; it never steers solver decisions
-        let start = Instant::now();
-        let gap_result = {
-            let _sp = epplan_obs::span("solve.gap_based");
-            self.try_solve_gap(instance, budget)
-        };
-        // Tier 1: the GAP pipeline. A success still escalates when
-        // independent certification rejects the plan.
-        let failure: SolveError<Solution> = match gap_result {
-            Ok(mut sol) => {
-                let seed = sol.report.certificate.take();
-                if self.certify {
-                    let mut cert = crate::certify::certify(instance, &sol.plan);
-                    if let Some(seed) = seed {
-                        cert.optimality.extend(seed.optimality);
-                    }
-                    if cert.hard_ok() {
-                        report.record_success("gap_based", SolveStatus::Optimal, start.elapsed());
-                        report.certificate = Some(cert);
-                        if let Some(mark) = &mark {
-                            report.stages = mark.delta();
-                        }
-                        sol.report = report;
-                        return Ok(sol);
-                    }
-                    let msg = format!(
-                        "certification rejected the gap_based plan: {}",
-                        cert.violated_constraints().join(", ")
-                    );
-                    report.record_failure(
-                        "gap_based",
-                        FailureKind::NumericalInstability,
-                        msg.clone(),
-                        start.elapsed(),
-                    );
-                    SolveError::numerical("gap_based", msg)
-                } else {
-                    report.record_success("gap_based", SolveStatus::Optimal, start.elapsed());
-                    if let Some(mark) = &mark {
-                        report.stages = mark.delta();
-                    }
-                    sol.report = report;
-                    return Ok(sol);
-                }
-            }
-            Err(e) => {
-                report.record_failure("gap_based", e.kind, e.message.clone(), start.elapsed());
-                e.discard_partial()
-            }
-        };
-
-        // Tiers 2–3: greedy, then the empty plan.
-        let (mut fallback, certificate) = self.fallback_tiers(instance, &mut report);
-        report.certificate = certificate;
-        if let Some(mark) = &mark {
-            report.stages = mark.delta();
-        }
-        fallback.report = report;
-        Err(failure.with_partial(fallback))
     }
 
     /// Runs the fallback tiers of the degradation chain — the total
@@ -437,24 +355,86 @@ impl GapBasedSolver {
 }
 
 impl GepcSolver for GapBasedSolver {
-    fn solve(&self, instance: &Instance) -> Solution {
-        match self.solve_robust(instance, SolveBudget::UNLIMITED) {
-            Ok(sol) => sol,
-            Err(e) => e.partial.unwrap_or_else(|| {
-                Solution::from_plan(
-                    instance,
-                    Plan::empty(instance.n_users(), instance.n_events()),
-                )
-            }),
-        }
-    }
-
+    /// The degradation chain of the GEPC facade: GAP-based solve first;
+    /// on any failure (budget exhaustion, numerical trouble, bad GAP
+    /// reduction) fall back to the total [`GreedySolver`]; if even the
+    /// greedy plan fails hard validation, degrade to an empty (trivially
+    /// hard-feasible) plan. The chain of attempts is recorded in the
+    /// returned solution's [`SolveReport`].
+    ///
+    /// Failures still surface as `Err` with the *original* failure kind,
+    /// but the error always carries the validated fallback solution in
+    /// [`SolveError::partial`], so callers choose between strictness and
+    /// graceful degradation.
     fn try_solve(
         &self,
         instance: &Instance,
         budget: SolveBudget,
     ) -> Result<Solution, SolveError<Solution>> {
-        self.solve_robust(instance, budget)
+        // Baseline for the per-stage cost delta attached to the report
+        // (only when metrics collection is on — StageMark clones the
+        // aggregate map, which we won't pay for by default).
+        let mark = epplan_obs::metrics_enabled().then(epplan_obs::StageMark::now);
+        let mut report = SolveReport::new();
+        // epplan-lint: allow(determinism/wall-clock) — stage wall time feeds the SolveReport only; it never steers solver decisions
+        let start = Instant::now();
+        let gap_result = {
+            let _sp = epplan_obs::span("solve.gap_based");
+            self.try_solve_gap(instance, budget)
+        };
+        // Tier 1: the GAP pipeline. A success still escalates when
+        // independent certification rejects the plan.
+        let failure: SolveError<Solution> = match gap_result {
+            Ok(mut sol) => {
+                let seed = sol.report.certificate.take();
+                if self.certify {
+                    let mut cert = crate::certify::certify(instance, &sol.plan);
+                    if let Some(seed) = seed {
+                        cert.optimality.extend(seed.optimality);
+                    }
+                    if cert.hard_ok() {
+                        report.record_success("gap_based", SolveStatus::Optimal, start.elapsed());
+                        report.certificate = Some(cert);
+                        if let Some(mark) = &mark {
+                            report.stages = mark.delta();
+                        }
+                        sol.report = report;
+                        return Ok(sol);
+                    }
+                    let msg = format!(
+                        "certification rejected the gap_based plan: {}",
+                        cert.violated_constraints().join(", ")
+                    );
+                    report.record_failure(
+                        "gap_based",
+                        FailureKind::NumericalInstability,
+                        msg.clone(),
+                        start.elapsed(),
+                    );
+                    SolveError::numerical("gap_based", msg)
+                } else {
+                    report.record_success("gap_based", SolveStatus::Optimal, start.elapsed());
+                    if let Some(mark) = &mark {
+                        report.stages = mark.delta();
+                    }
+                    sol.report = report;
+                    return Ok(sol);
+                }
+            }
+            Err(e) => {
+                report.record_failure("gap_based", e.kind, e.message.clone(), start.elapsed());
+                e.discard_partial()
+            }
+        };
+
+        // Tiers 2–3: greedy, then the empty plan.
+        let (mut fallback, certificate) = self.fallback_tiers(instance, &mut report);
+        report.certificate = certificate;
+        if let Some(mark) = &mark {
+            report.stages = mark.delta();
+        }
+        fallback.report = report;
+        Err(failure.with_partial(fallback))
     }
 
     fn name(&self) -> &'static str {
@@ -567,7 +547,7 @@ mod tests {
     fn successful_solve_records_single_attempt() {
         let inst = small();
         let sol = GapBasedSolver::default()
-            .solve_robust(&inst, SolveBudget::UNLIMITED)
+            .try_solve(&inst, SolveBudget::UNLIMITED)
             .unwrap();
         assert_eq!(sol.report.winner(), Some("gap_based"));
         assert!(!sol.report.degraded());
@@ -579,7 +559,7 @@ mod tests {
         let inst = small();
         let budget = SolveBudget::from_iteration_cap(1);
         let err = GapBasedSolver::default()
-            .solve_robust(&inst, budget)
+            .try_solve(&inst, budget)
             .unwrap_err();
         assert_eq!(err.kind, epplan_solve::FailureKind::BudgetExhausted);
         let fallback = err.partial.expect("fallback plan travels as partial");
@@ -611,12 +591,4 @@ mod tests {
         assert!(sol.report.degraded());
     }
 
-    #[test]
-    fn try_solve_trait_entry_matches_solve_robust() {
-        let inst = small();
-        let solver = GapBasedSolver::default();
-        let via_trait = GepcSolver::try_solve(&solver, &inst, SolveBudget::UNLIMITED).unwrap();
-        assert!(via_trait.plan.validate(&inst).hard_ok());
-        assert_eq!(via_trait.report.winner(), Some("gap_based"));
-    }
 }

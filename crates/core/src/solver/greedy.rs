@@ -15,6 +15,7 @@
 use crate::model::Instance;
 use crate::plan::Plan;
 use crate::solver::{filler, GepcSolver, Solution};
+use epplan_solve::{SolveBudget, SolveError};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -79,7 +80,13 @@ impl GreedySolver {
 }
 
 impl GepcSolver for GreedySolver {
-    fn solve(&self, instance: &Instance) -> Solution {
+    /// Algorithm 2 is one bounded pass over the users, so it never
+    /// exhausts `budget` and always returns `Ok`.
+    fn try_solve(
+        &self,
+        instance: &Instance,
+        _budget: SolveBudget,
+    ) -> Result<Solution, SolveError<Solution>> {
         let mut plan = Plan::for_instance(instance);
         // Remaining copies of each event: ξ_j (Algorithm 2's E′ after
         // the copy transformation).
@@ -168,7 +175,7 @@ impl GepcSolver for GreedySolver {
         if self.two_step {
             filler::fill_to_upper(instance, &mut plan, None);
         }
-        Solution::from_plan(instance, plan)
+        Ok(Solution::from_plan(instance, plan))
     }
 
     fn name(&self) -> &'static str {

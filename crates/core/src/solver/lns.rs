@@ -87,7 +87,7 @@ impl LnsSolver {
         instance: &Instance,
         plan: &mut Plan,
         rng: &mut StdRng,
-        deadline: Option<&DeadlineFlag>,
+        deadline: &DeadlineFlag,
     ) -> Result<(), DeadlineExceeded> {
         let n = instance.n_users();
         if n == 0 {
@@ -110,36 +110,27 @@ impl LnsSolver {
         for e in instance.event_ids() {
             let lower = instance.event(e).lower;
             if plan.attendance(e) < lower {
-                if let Some(d) = deadline {
-                    d.poll()?;
-                }
+                deadline.poll()?;
                 let _ = transfer_users_to(instance, plan, e, lower);
             }
         }
         // Repair 2: refill the victims (and any capacity the transfers
         // opened) with the utility-aware filler.
-        match deadline {
-            Some(d) => {
-                filler::try_fill_to_upper(instance, plan, Some(&victims), d)?;
-                filler::try_fill_to_upper(instance, plan, None, d)?;
-            }
-            None => {
-                filler::fill_to_upper(instance, plan, Some(&victims));
-                filler::fill_to_upper(instance, plan, None);
-            }
-        }
+        filler::try_fill_to_upper(instance, plan, Some(&victims), deadline)?;
+        filler::try_fill_to_upper(instance, plan, None, deadline)?;
         Ok(())
     }
+}
 
-    /// [`GepcSolver::solve`] under a per-call [`SolveBudget`]: the
-    /// anytime LNS. One guard tick per destroy/repair iteration
+impl GepcSolver for LnsSolver {
+    /// The anytime LNS. One guard tick per destroy/repair iteration
     /// enforces the iteration cap; the wall-clock deadline is shared
     /// into the repair machinery via a [`DeadlineFlag`], so a trip cuts
     /// a fill mid-flight instead of waiting the iteration out. On
     /// exhaustion the best plan seen so far travels as the error's
     /// partial — always hard-feasible, never the half-repaired working
     /// copy.
-    pub fn solve_budgeted(
+    fn try_solve(
         &self,
         instance: &Instance,
         budget: SolveBudget,
@@ -147,6 +138,7 @@ impl LnsSolver {
         let mut guard = BudgetGuard::new(budget);
         let deadline = guard.deadline_flag();
         let mut rng = StdRng::seed_from_u64(self.seed);
+        // Seed with the paper's greedy two-step solution.
         let mut best = GreedySolver::seeded(self.seed).solve(instance).plan;
         let mut best_utility = plan_utility(instance, &best);
         let mut best_shortfall = count_shortfall(instance, &best);
@@ -159,7 +151,7 @@ impl LnsSolver {
                     .with_partial(Solution::from_plan(instance, best)));
             }
             if self
-                .destroy_and_repair(instance, &mut current, &mut rng, Some(&deadline))
+                .destroy_and_repair(instance, &mut current, &mut rng, &deadline)
                 .is_err()
             {
                 // The flag only latches once the monotonic clock passed
@@ -179,6 +171,8 @@ impl LnsSolver {
             }
             let utility = plan_utility(instance, &current);
             let shortfall = count_shortfall(instance, &current);
+            // Accept lexicographically: fewer shortfalls first, then
+            // higher utility.
             if shortfall < best_shortfall
                 || (shortfall == best_shortfall && utility > best_utility + 1e-12)
             {
@@ -186,6 +180,8 @@ impl LnsSolver {
                 best_utility = utility;
                 best_shortfall = shortfall;
             } else {
+                // Restart from the incumbent to avoid drifting into
+                // poor regions.
                 current = best.clone();
             }
         }
@@ -201,41 +197,6 @@ impl LnsSolver {
             LocalSearch::default().improve(instance, &mut best);
         }
         Ok(Solution::from_plan(instance, best))
-    }
-}
-
-impl GepcSolver for LnsSolver {
-    fn solve(&self, instance: &Instance) -> Solution {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // Seed with the paper's greedy two-step solution.
-        let mut best = GreedySolver::seeded(self.seed).solve(instance).plan;
-        let mut best_utility = plan_utility(instance, &best);
-        let mut best_shortfall = count_shortfall(instance, &best);
-
-        let mut current = best.clone();
-        for _ in 0..self.iterations {
-            // Infallible without a deadline.
-            let _ = self.destroy_and_repair(instance, &mut current, &mut rng, None);
-            let utility = plan_utility(instance, &current);
-            let shortfall = count_shortfall(instance, &current);
-            // Accept lexicographically: fewer shortfalls first, then
-            // higher utility.
-            if shortfall < best_shortfall
-                || (shortfall == best_shortfall && utility > best_utility + 1e-12)
-            {
-                best = current.clone();
-                best_utility = utility;
-                best_shortfall = shortfall;
-            } else {
-                // Restart from the incumbent to avoid drifting into
-                // poor regions.
-                current = best.clone();
-            }
-        }
-        if self.polish {
-            LocalSearch::default().improve(instance, &mut best);
-        }
-        Solution::from_plan(instance, best)
     }
 
     fn name(&self) -> &'static str {
@@ -350,20 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_matches_unbudgeted_solve() {
-        let inst = random_instance(11, 20, 6);
-        let plain = LnsSolver::seeded(2).solve(&inst);
-        let budgeted = LnsSolver::seeded(2)
-            .solve_budgeted(&inst, SolveBudget::UNLIMITED)
-            .unwrap();
-        assert_eq!(plain.plan, budgeted.plan);
-    }
-
-    #[test]
     fn zero_deadline_returns_feasible_partial() {
         let inst = random_instance(12, 25, 7);
         let err = LnsSolver::seeded(4)
-            .solve_budgeted(
+            .try_solve(
                 &inst,
                 SolveBudget::from_time_limit(std::time::Duration::ZERO),
             )
@@ -380,7 +331,7 @@ mod tests {
     fn iteration_cap_trips_with_partial() {
         let inst = random_instance(13, 20, 6);
         let err = LnsSolver::seeded(5)
-            .solve_budgeted(&inst, SolveBudget::from_iteration_cap(3))
+            .try_solve(&inst, SolveBudget::from_iteration_cap(3))
             .unwrap_err();
         assert_eq!(err.kind, FailureKind::BudgetExhausted);
         assert!(err.partial.unwrap().plan.validate(&inst).hard_ok());

@@ -13,7 +13,14 @@
 //!    utility-aware greedy of reference \[4\] ([`filler::fill_to_upper`]).
 //!
 //! [`ExactSolver`] provides a brute-force optimum for small instances,
-//! used by tests and the approximation-ratio ablation.
+//! used by tests and the approximation-ratio ablation, and
+//! [`LnsSolver`] an anytime large-neighbourhood search.
+//!
+//! Each solver implements one budgeted, fallible body,
+//! [`GepcSolver::try_solve`]; the provided [`GepcSolver::solve`] is
+//! its total wrapper. The filler likewise has one body,
+//! [`filler::try_fill_to_upper`], which [`filler::fill_to_upper`] runs
+//! without a deadline.
 
 pub mod conflict_adjust;
 pub mod exact;
@@ -78,25 +85,27 @@ impl Solution {
 
 /// A GEPC solving strategy.
 pub trait GepcSolver {
-    /// Produces a plan for `instance`. Implementations must return
-    /// plans without hard violations; lower-bound shortfalls are
-    /// reported in [`Solution::shortfall`]. This entry point is total:
-    /// solvers degrade to a best-effort plan rather than fail.
-    fn solve(&self, instance: &Instance) -> Solution;
-
-    /// Fallible entry point: produces a plan under `budget`, returning
-    /// a typed [`SolveError`] on bad input, infeasibility, or budget
+    /// Produces a plan for `instance` under `budget`, returning a typed
+    /// [`SolveError`] on bad input, infeasibility, or budget
     /// exhaustion. Where a partial or fallback plan exists it travels
-    /// in [`SolveError::partial`]. The default implementation ignores
-    /// the budget and delegates to the total [`GepcSolver::solve`] —
-    /// solvers with internal iteration structure override it.
+    /// in [`SolveError::partial`]. Every plan, returned or partial, is
+    /// free of hard violations; lower-bound shortfalls are reported in
+    /// [`Solution::shortfall`].
     fn try_solve(
         &self,
         instance: &Instance,
         budget: SolveBudget,
-    ) -> Result<Solution, SolveError<Solution>> {
-        let _ = budget;
-        Ok(self.solve(instance))
+    ) -> Result<Solution, SolveError<Solution>>;
+
+    /// Total entry point: [`GepcSolver::try_solve`] without a budget,
+    /// degrading to the error's partial plan, or to the empty plan when
+    /// the error carries none.
+    fn solve(&self, instance: &Instance) -> Solution {
+        self.try_solve(instance, SolveBudget::UNLIMITED)
+            .unwrap_or_else(|e| {
+                e.partial
+                    .unwrap_or_else(|| Solution::from_plan(instance, Plan::for_instance(instance)))
+            })
     }
 
     /// Short name for logs and benchmark tables.

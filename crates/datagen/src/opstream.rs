@@ -6,7 +6,7 @@
 //! instance and plan (so, e.g., an `η` decrease targets an event that
 //! actually has attendees, and a `NewEvent` op is consistent with the
 //! current user count). Drive it in a loop with
-//! `IncrementalPlanner::apply`, or feed a batch to `apply_batch`.
+//! `IncrementalPlanner::apply`, or feed a batch to `try_apply_batch`.
 
 use epplan_core::incremental::{AtomicOp, SequencedOp};
 use epplan_core::model::{Event, EventId, Instance, TimeInterval, UserId};
@@ -453,7 +453,9 @@ mod tests {
     fn stream_is_replayable_via_batch() {
         let (inst, plan) = setup();
         let ops = OpStreamSampler::new(9).stream(&inst, &plan, 15);
-        let out = IncrementalPlanner.apply_batch(&inst, &plan, &ops);
+        let out = IncrementalPlanner
+            .try_apply_batch(&inst, &plan, &ops)
+            .unwrap();
         assert!(out.plan.validate(&out.instance).hard_ok());
         assert_eq!(out.step_difs.len(), 15);
     }
@@ -513,7 +515,9 @@ mod tests {
             .count();
         assert!(n_new >= 2, "expected several NewEvent ops, got {n_new}");
         // Replay must succeed even with the growing event set.
-        let out = IncrementalPlanner.apply_batch(&inst, &plan, &ops);
+        let out = IncrementalPlanner
+            .try_apply_batch(&inst, &plan, &ops)
+            .unwrap();
         assert_eq!(out.instance.n_events(), inst.n_events() + n_new);
     }
 

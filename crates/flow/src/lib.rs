@@ -7,8 +7,9 @@
 //! provides the two pieces needed for that:
 //!
 //! * [`MinCostFlow`] — successive-shortest-path min-cost max-flow with
-//!   SPFA path search (handles the negative-cost arcs that appear when
-//!   utilities are converted to costs `1 − μ`);
+//!   Dijkstra path search over Johnson potentials (one Bellman–Ford
+//!   pass absorbs the negative-cost arcs that appear when utilities are
+//!   converted to costs `1 − μ`);
 //! * [`min_cost_assignment`] — a job→slot assignment layer on top,
 //!   with per-slot capacities, requiring every left vertex be matched.
 //!
@@ -16,7 +17,7 @@
 //! graphs are `BadInput` errors rather than panics, an incomplete
 //! matching is an `Infeasible` error carrying the partial assignment,
 //! and the augmentation loops spend an [`epplan_solve::SolveBudget`]
-//! (one iteration per augmentation) when one is supplied.
+//! (one iteration per augmentation).
 //!
 //! Capacities are `f64` but all callers use integral capacities, for
 //! which successive shortest paths provably returns integral flows.

@@ -115,7 +115,7 @@ pub fn min_cost_assignment_with_budget(
         }
         Assignment { left_to_right, cost }
     };
-    let res = match g.max_flow_min_cost_fast_with_budget(s, t, budget) {
+    let res = match g.max_flow_min_cost(s, t, budget) {
         Ok(res) => res,
         Err(e) => {
             let partial_cost = e.partial.map_or(0.0, |f| f.cost);

@@ -28,10 +28,12 @@ const STAGE: &str = "flow.mcmf";
 
 /// A directed flow network solved with successive shortest paths.
 ///
-/// Shortest paths are found with SPFA (queue-based Bellman–Ford), which
-/// tolerates negative edge costs as long as the network has no
-/// negative-cost *cycle* — true for every graph built in this workspace
-/// (bipartite source→left→right→sink layerings).
+/// One Bellman–Ford pass computes Johnson potentials that absorb the
+/// negative arc costs, after which every augmentation runs Dijkstra on
+/// non-negative reduced costs. That tolerates negative edge costs as
+/// long as the network has no negative-cost *cycle* — true for every
+/// graph built in this workspace (bipartite source→left→right→sink
+/// layerings).
 ///
 /// Malformed edges (out-of-range endpoints, negative or non-finite
 /// capacities, non-finite costs) do not panic at build time; they mark
@@ -41,6 +43,7 @@ const STAGE: &str = "flow.mcmf";
 /// # Example
 /// ```
 /// use epplan_flow::MinCostFlow;
+/// use epplan_solve::SolveBudget;
 /// let mut g = MinCostFlow::new(4);
 /// let s = 0; let t = 3;
 /// g.add_edge(s, 1, 2.0, 1.0);
@@ -48,7 +51,7 @@ const STAGE: &str = "flow.mcmf";
 /// g.add_edge(1, t, 1.0, 1.0);
 /// g.add_edge(1, 2, 1.0, 0.0);
 /// g.add_edge(2, t, 2.0, 1.0);
-/// let r = g.max_flow_min_cost(s, t).expect("well-formed graph");
+/// let r = g.max_flow_min_cost(s, t, SolveBudget::UNLIMITED).expect("well-formed graph");
 /// assert_eq!(r.flow, 3.0);
 /// assert_eq!(r.cost, 7.0);
 /// ```
@@ -137,52 +140,12 @@ impl MinCostFlow {
 
     /// Sends as much flow as possible from `s` to `t`, minimizing cost
     /// among all maximum flows. Can be called once per graph.
-    pub fn max_flow_min_cost(&mut self, s: usize, t: usize) -> Result<FlowResult, SolveError<FlowResult>> {
-        self.run(s, t, f64::INFINITY, SolveBudget::UNLIMITED)
-    }
-
-    /// Sends up to `limit` units of flow from `s` to `t` at minimum cost.
-    pub fn flow_with_limit(
-        &mut self,
-        s: usize,
-        t: usize,
-        limit: f64,
-    ) -> Result<FlowResult, SolveError<FlowResult>> {
-        self.run(s, t, limit, SolveBudget::UNLIMITED)
-    }
-
-    /// Like [`flow_with_limit`](Self::flow_with_limit) under `budget`:
-    /// the guard ticks once per augmentation, and exhaustion returns a
-    /// `BudgetExhausted` error carrying the flow routed so far as its
-    /// partial artifact (a valid, possibly non-maximum flow).
-    pub fn flow_with_limit_and_budget(
-        &mut self,
-        s: usize,
-        t: usize,
-        limit: f64,
-        budget: SolveBudget,
-    ) -> Result<FlowResult, SolveError<FlowResult>> {
-        self.run(s, t, limit, budget)
-    }
-
-    /// Like [`max_flow_min_cost`](Self::max_flow_min_cost) but with
-    /// Johnson potentials: one Bellman–Ford pass absorbs the negative
-    /// arc costs, after which every augmentation runs Dijkstra on
-    /// non-negative reduced costs. Asymptotically much faster on the
-    /// large slot graphs of the Shmoys–Tardos rounding (thousands of
-    /// unit augmentations), and exactly equivalent in its result.
-    pub fn max_flow_min_cost_fast(
-        &mut self,
-        s: usize,
-        t: usize,
-    ) -> Result<FlowResult, SolveError<FlowResult>> {
-        self.max_flow_min_cost_fast_with_budget(s, t, SolveBudget::UNLIMITED)
-    }
-
-    /// [`max_flow_min_cost_fast`](Self::max_flow_min_cost_fast) under
-    /// `budget`; the guard ticks once per augmentation, and exhaustion
-    /// returns the flow routed so far as the error's partial artifact.
-    pub fn max_flow_min_cost_fast_with_budget(
+    ///
+    /// The guard over `budget` ticks once per augmentation, and
+    /// exhaustion returns a `BudgetExhausted` error carrying the flow
+    /// routed so far as its partial artifact (a valid, possibly
+    /// non-maximum flow that is cost-optimal for its value).
+    pub fn max_flow_min_cost(
         &mut self,
         s: usize,
         t: usize,
@@ -310,89 +273,6 @@ impl MinCostFlow {
         Ok(total)
     }
 
-    fn run(
-        &mut self,
-        s: usize,
-        t: usize,
-        limit: f64,
-        budget: SolveBudget,
-    ) -> Result<FlowResult, SolveError<FlowResult>> {
-        self.check_inputs(s, t)?;
-        if limit.is_nan() || limit < 0.0 {
-            return Err(SolveError::bad_input(STAGE, format!("invalid flow limit {limit}")));
-        }
-        let mut sp = epplan_obs::span("flow.mcmf");
-        let mut guard = BudgetGuard::new(budget);
-        let mut total = FlowResult { flow: 0.0, cost: 0.0 };
-        if s == t {
-            return Ok(total);
-        }
-        let mut dist = vec![0.0f64; self.n];
-        let mut in_queue = vec![false; self.n];
-        let mut pre_edge = vec![u32::MAX; self.n];
-        while total.flow < limit - EPS {
-            // SPFA from s.
-            dist.iter_mut().for_each(|d| *d = f64::INFINITY);
-            pre_edge.iter_mut().for_each(|p| *p = u32::MAX);
-            dist[s] = 0.0;
-            let mut queue = VecDeque::new();
-            queue.push_back(s);
-            in_queue[s] = true;
-            while let Some(u) = queue.pop_front() {
-                in_queue[u] = false;
-                let du = dist[u];
-                for &eid in &self.adj[u] {
-                    let e = &self.edges[eid as usize];
-                    if e.cap > EPS && du + e.cost < dist[e.to] - EPS {
-                        dist[e.to] = du + e.cost;
-                        pre_edge[e.to] = eid;
-                        if !in_queue[e.to] {
-                            in_queue[e.to] = true;
-                            queue.push_back(e.to);
-                        }
-                    }
-                }
-            }
-            if pre_edge[t] == u32::MAX {
-                break; // no augmenting path
-            }
-            // Deterministic fault injection mirrors the fast variant.
-            if let Some(action) = epplan_fault::point("flow.mcmf.augment") {
-                sp.add_iters(guard.iterations());
-                epplan_obs::counter_add("flow.augmentations", guard.iterations());
-                return Err(SolveError::from_fault(STAGE, "flow.mcmf.augment", action)
-                    .with_partial(total));
-            }
-            // Budget is spent per augmentation (see the fast variant).
-            if let Err(e) = guard.tick(STAGE) {
-                sp.add_iters(guard.iterations());
-                epplan_obs::counter_add("flow.augmentations", guard.iterations());
-                return Err(e.discard_partial().with_partial(total));
-            }
-            // Bottleneck along the path.
-            let mut push = limit - total.flow;
-            let mut v = t;
-            while v != s {
-                let eid = pre_edge[v] as usize;
-                push = push.min(self.edges[eid].cap);
-                v = self.edges[eid ^ 1].to;
-            }
-            // Apply.
-            let mut v = t;
-            while v != s {
-                let eid = pre_edge[v] as usize;
-                self.edges[eid].cap -= push;
-                self.edges[eid ^ 1].cap += push;
-                v = self.edges[eid ^ 1].to;
-            }
-            total.flow += push;
-            total.cost += push * dist[t];
-        }
-        sp.add_iters(guard.iterations());
-        epplan_obs::counter_add("flow.augmentations", guard.iterations());
-        Ok(total)
-    }
-
     /// Reduced-cost optimality certificate: `true` when the residual
     /// graph (arcs with remaining capacity) contains no negative-cost
     /// cycle, which proves the current flow is cost-minimal among all
@@ -457,40 +337,7 @@ mod tests {
     use super::*;
     use epplan_solve::FailureKind;
 
-    #[test]
-    fn fast_path_matches_spfa_on_examples() {
-        let build = || {
-            let mut g = MinCostFlow::new(4);
-            g.add_edge(0, 1, 1.0, 2.0);
-            g.add_edge(1, 2, 1.0, -1.5);
-            g.add_edge(2, 3, 1.0, 0.5);
-            g.add_edge(0, 3, 1.0, 3.0);
-            g.add_edge(0, 2, 1.0, 4.0);
-            g.add_edge(1, 3, 1.0, 6.0);
-            g
-        };
-        let slow = build().max_flow_min_cost(0, 3).unwrap();
-        let fast = build().max_flow_min_cost_fast(0, 3).unwrap();
-        assert_eq!(slow.flow, fast.flow);
-        assert!((slow.cost - fast.cost).abs() < 1e-9, "{slow:?} vs {fast:?}");
-    }
-
-    #[test]
-    fn fast_path_source_equals_sink() {
-        let mut g = MinCostFlow::new(2);
-        g.add_edge(0, 1, 1.0, 1.0);
-        let r = g.max_flow_min_cost_fast(0, 0).unwrap();
-        assert_eq!(r.flow, 0.0);
-    }
-
-    #[test]
-    fn fast_path_disconnected() {
-        let mut g = MinCostFlow::new(3);
-        g.add_edge(0, 1, 1.0, 1.0);
-        let r = g.max_flow_min_cost_fast(0, 2).unwrap();
-        assert_eq!(r.flow, 0.0);
-        assert_eq!(r.cost, 0.0);
-    }
+    const UNLIMITED: SolveBudget = SolveBudget::UNLIMITED;
 
     #[test]
     fn simple_two_path_network() {
@@ -499,7 +346,7 @@ mod tests {
         g.add_edge(1, 3, 1.0, 1.0);
         let e_dear = g.add_edge(0, 2, 1.0, 5.0);
         g.add_edge(2, 3, 1.0, 5.0);
-        let r = g.max_flow_min_cost(0, 3).unwrap();
+        let r = g.max_flow_min_cost(0, 3, UNLIMITED).unwrap();
         assert_eq!(r.flow, 2.0);
         assert_eq!(r.cost, 1.0 + 1.0 + 5.0 + 5.0);
         assert_eq!(g.flow_on(e_cheap), 1.0);
@@ -507,40 +354,19 @@ mod tests {
     }
 
     #[test]
-    fn prefers_cheap_path_when_capacity_suffices() {
-        let mut g = MinCostFlow::new(3);
-        let cheap = g.add_edge(0, 1, 5.0, 1.0);
-        g.add_edge(1, 2, 5.0, 0.0);
-        let dear = g.add_edge(0, 2, 5.0, 10.0);
-        let r = g.flow_with_limit(0, 2, 3.0).unwrap();
-        assert_eq!(r.flow, 3.0);
-        assert_eq!(r.cost, 3.0);
-        assert_eq!(g.flow_on(cheap), 3.0);
-        assert_eq!(g.flow_on(dear), 0.0);
-    }
-
-    #[test]
-    fn respects_limit() {
-        let mut g = MinCostFlow::new(2);
-        g.add_edge(0, 1, 10.0, 2.0);
-        let r = g.flow_with_limit(0, 1, 4.0).unwrap();
-        assert_eq!(r.flow, 4.0);
-        assert_eq!(r.cost, 8.0);
-    }
-
-    #[test]
     fn disconnected_yields_zero() {
         let mut g = MinCostFlow::new(3);
         g.add_edge(0, 1, 1.0, 1.0);
-        let r = g.max_flow_min_cost(0, 2).unwrap();
+        let r = g.max_flow_min_cost(0, 2, UNLIMITED).unwrap();
         assert_eq!(r.flow, 0.0);
         assert_eq!(r.cost, 0.0);
     }
 
     #[test]
     fn source_equals_sink() {
-        let mut g = MinCostFlow::new(1);
-        let r = g.max_flow_min_cost(0, 0).unwrap();
+        let mut g = MinCostFlow::new(2);
+        g.add_edge(0, 1, 1.0, 1.0);
+        let r = g.max_flow_min_cost(0, 0, UNLIMITED).unwrap();
         assert_eq!(r.flow, 0.0);
     }
 
@@ -552,9 +378,9 @@ mod tests {
         let neg = g.add_edge(1, 2, 1.0, -1.5);
         g.add_edge(2, 3, 1.0, 0.5);
         g.add_edge(0, 3, 1.0, 3.0);
-        let r = g.flow_with_limit(0, 3, 1.0).unwrap();
-        assert_eq!(r.flow, 1.0);
-        assert!((r.cost - 1.0).abs() < 1e-9);
+        let r = g.max_flow_min_cost(0, 3, UNLIMITED).unwrap();
+        assert_eq!(r.flow, 2.0);
+        assert!((r.cost - 4.0).abs() < 1e-9);
         assert_eq!(g.flow_on(neg), 1.0);
     }
 
@@ -568,7 +394,7 @@ mod tests {
         g.add_edge(1, 2, 1.0, 1.0);
         g.add_edge(1, 3, 1.0, 6.0);
         g.add_edge(2, 3, 2.0, 1.0);
-        let r = g.max_flow_min_cost(0, 3).unwrap();
+        let r = g.max_flow_min_cost(0, 3, UNLIMITED).unwrap();
         assert_eq!(r.flow, 2.0);
         // Best: 0→1→2→3 (3) and 0→2→3 (5) = 8.
         assert!((r.cost - 8.0).abs() < 1e-9);
@@ -589,7 +415,7 @@ mod tests {
                 ids.push(g.add_edge(l, r, 1.0, (l * r) as f64));
             }
         }
-        let res = g.max_flow_min_cost(0, 5).unwrap();
+        let res = g.max_flow_min_cost(0, 5, UNLIMITED).unwrap();
         assert_eq!(res.flow, 2.0);
         for id in ids {
             let f = g.flow_on(id);
@@ -601,7 +427,7 @@ mod tests {
     fn bad_edge_poisons_graph_instead_of_panicking() {
         let mut g = MinCostFlow::new(2);
         g.add_edge(0, 5, 1.0, 0.0);
-        let e = g.max_flow_min_cost(0, 1).unwrap_err();
+        let e = g.max_flow_min_cost(0, 1, UNLIMITED).unwrap_err();
         assert_eq!(e.kind, FailureKind::BadInput);
     }
 
@@ -609,32 +435,39 @@ mod tests {
     fn nan_capacity_and_negative_capacity_rejected() {
         let mut g = MinCostFlow::new(2);
         g.add_edge(0, 1, f64::NAN, 0.0);
-        assert_eq!(g.max_flow_min_cost(0, 1).unwrap_err().kind, FailureKind::BadInput);
+        let e = g.max_flow_min_cost(0, 1, UNLIMITED).unwrap_err();
+        assert_eq!(e.kind, FailureKind::BadInput);
 
         let mut g = MinCostFlow::new(2);
         g.add_edge(0, 1, -1.0, 0.0);
-        assert_eq!(g.max_flow_min_cost(0, 1).unwrap_err().kind, FailureKind::BadInput);
+        let e = g.max_flow_min_cost(0, 1, UNLIMITED).unwrap_err();
+        assert_eq!(e.kind, FailureKind::BadInput);
     }
 
     #[test]
     fn terminal_out_of_range_rejected() {
         let mut g = MinCostFlow::new(2);
         g.add_edge(0, 1, 1.0, 0.0);
-        let e = g.max_flow_min_cost(0, 9).unwrap_err();
+        let e = g.max_flow_min_cost(0, 9, UNLIMITED).unwrap_err();
         assert_eq!(e.kind, FailureKind::BadInput);
     }
 
-    #[test]
-    fn augmentation_budget_returns_partial_flow() {
-        // Two disjoint unit paths; a 1-augmentation budget routes only
-        // the cheaper one and reports exhaustion with that partial.
+    /// Two disjoint unit paths of costs 1 and 5.
+    fn two_unit_paths() -> MinCostFlow {
         let mut g = MinCostFlow::new(4);
         g.add_edge(0, 1, 1.0, 1.0);
         g.add_edge(1, 3, 1.0, 0.0);
         g.add_edge(0, 2, 1.0, 5.0);
         g.add_edge(2, 3, 1.0, 0.0);
-        let e = g
-            .flow_with_limit_and_budget(0, 3, f64::INFINITY, SolveBudget::from_iteration_cap(1))
+        g
+    }
+
+    #[test]
+    fn augmentation_budget_returns_partial_flow() {
+        // A 1-augmentation budget routes only the cheaper path and
+        // reports exhaustion with that partial.
+        let e = two_unit_paths()
+            .max_flow_min_cost(0, 3, SolveBudget::from_iteration_cap(1))
             .unwrap_err();
         assert_eq!(e.kind, FailureKind::BudgetExhausted);
         let partial = e.partial.expect("augmentation budget keeps partial flow");
@@ -644,23 +477,15 @@ mod tests {
 
     #[test]
     fn completed_and_partial_flows_certify_reduced_cost_optimality() {
-        let mut g = MinCostFlow::new(4);
-        g.add_edge(0, 1, 1.0, 1.0);
-        g.add_edge(1, 3, 1.0, 0.0);
-        g.add_edge(0, 2, 1.0, 5.0);
-        g.add_edge(2, 3, 1.0, 0.0);
-        g.max_flow_min_cost_fast(0, 3).unwrap();
+        let mut g = two_unit_paths();
+        g.max_flow_min_cost(0, 3, UNLIMITED).unwrap();
         assert!(g.verify_reduced_cost_optimality(), "complete flow certifies");
 
         // Successive shortest paths keeps even a truncated flow
         // cost-optimal for its value, so the partial certifies too.
-        let mut g = MinCostFlow::new(4);
-        g.add_edge(0, 1, 1.0, 1.0);
-        g.add_edge(1, 3, 1.0, 0.0);
-        g.add_edge(0, 2, 1.0, 5.0);
-        g.add_edge(2, 3, 1.0, 0.0);
+        let mut g = two_unit_paths();
         let e = g
-            .flow_with_limit_and_budget(0, 3, f64::INFINITY, SolveBudget::from_iteration_cap(1))
+            .max_flow_min_cost(0, 3, SolveBudget::from_iteration_cap(1))
             .unwrap_err();
         assert_eq!(e.kind, FailureKind::BudgetExhausted);
         assert!(g.verify_reduced_cost_optimality(), "SSP partial certifies");
@@ -679,20 +504,5 @@ mod tests {
         let mut g = MinCostFlow::new(2);
         g.add_edge(0, 5, 1.0, 0.0);
         assert!(!g.verify_reduced_cost_optimality());
-    }
-
-    #[test]
-    fn fast_augmentation_budget_returns_partial_flow() {
-        let mut g = MinCostFlow::new(4);
-        g.add_edge(0, 1, 1.0, 1.0);
-        g.add_edge(1, 3, 1.0, 0.0);
-        g.add_edge(0, 2, 1.0, 5.0);
-        g.add_edge(2, 3, 1.0, 0.0);
-        let e = g
-            .max_flow_min_cost_fast_with_budget(0, 3, SolveBudget::from_iteration_cap(1))
-            .unwrap_err();
-        assert_eq!(e.kind, FailureKind::BudgetExhausted);
-        let partial = e.partial.expect("partial flow");
-        assert_eq!(partial.flow, 1.0);
     }
 }

@@ -1,7 +1,9 @@
 //! Property tests: min-cost assignment must match a brute-force search
-//! on small instances and always respect capacities.
+//! on small instances and always respect capacities, and min-cost flow
+//! must match an SPFA successive-shortest-paths oracle.
 
-use epplan_flow::min_cost_assignment;
+use epplan_flow::{min_cost_assignment, MinCostFlow};
+use epplan_solve::SolveBudget;
 use proptest::prelude::*;
 
 /// Brute force: try every assignment of lefts to adjacent rights.
@@ -97,17 +99,83 @@ proptest! {
     }
 }
 
+/// Reference min-cost max-flow: successive shortest paths with SPFA
+/// (queue-based Bellman–Ford) path search on the plain residual costs.
+/// Slower than the library's Dijkstra-over-potentials search, but
+/// simple enough to trust as an oracle. Returns `(flow, cost)`.
+fn spfa_max_flow_min_cost(
+    n: usize,
+    edges: &[(usize, usize, f64, f64)],
+    s: usize,
+    t: usize,
+) -> (f64, f64) {
+    const EPS: f64 = 1e-9;
+    // Arcs in pairs: forward at even index, residual at odd.
+    let mut to = Vec::new();
+    let mut cap = Vec::new();
+    let mut cost = Vec::new();
+    let mut adj = vec![Vec::new(); n];
+    for &(u, v, c, w) in edges {
+        adj[u].push(to.len());
+        to.push(v);
+        cap.push(c);
+        cost.push(w);
+        adj[v].push(to.len());
+        to.push(u);
+        cap.push(0.0);
+        cost.push(-w);
+    }
+    let (mut flow, mut total) = (0.0, 0.0);
+    loop {
+        let mut dist = vec![f64::INFINITY; n];
+        let mut pre = vec![usize::MAX; n];
+        let mut in_queue = vec![false; n];
+        let mut queue = std::collections::VecDeque::from([s]);
+        dist[s] = 0.0;
+        while let Some(u) = queue.pop_front() {
+            in_queue[u] = false;
+            for &a in &adj[u] {
+                if cap[a] > EPS && dist[u] + cost[a] < dist[to[a]] - EPS {
+                    dist[to[a]] = dist[u] + cost[a];
+                    pre[to[a]] = a;
+                    if !in_queue[to[a]] {
+                        in_queue[to[a]] = true;
+                        queue.push_back(to[a]);
+                    }
+                }
+            }
+        }
+        if pre[t] == usize::MAX {
+            return (flow, total);
+        }
+        let mut push = f64::INFINITY;
+        let mut v = t;
+        while v != s {
+            push = push.min(cap[pre[v]]);
+            v = to[pre[v] ^ 1];
+        }
+        let mut v = t;
+        while v != s {
+            cap[pre[v]] -= push;
+            cap[pre[v] ^ 1] += push;
+            v = to[pre[v] ^ 1];
+        }
+        flow += push;
+        total += push * dist[t];
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
-    /// The potential-based Dijkstra solver and the SPFA solver must
-    /// agree on max flow and min cost for arbitrary layered networks.
+    /// The potential-based Dijkstra solver must agree with the SPFA
+    /// oracle on max flow and min cost for arbitrary layered networks,
+    /// and its result must pass the reduced-cost certificate.
     #[test]
-    fn fast_and_slow_mcmf_agree(
+    fn mcmf_matches_spfa_oracle(
         n_mid in 1usize..6,
         seed in 0u64..20_000,
     ) {
-        use epplan_flow::MinCostFlow;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         // Layered s → mid → t network (no negative cycles by shape),
@@ -115,38 +183,35 @@ proptest! {
         let n = n_mid + 2;
         let s = 0;
         let t = n - 1;
-        let build = |rng: &mut rand::rngs::StdRng| {
-            let mut g = MinCostFlow::new(n);
-            let mut edges = Vec::new();
-            for v in 1..=n_mid {
-                if rng.gen_bool(0.8) {
-                    edges.push((s, v, rng.gen_range(1..4) as f64,
-                                rng.gen_range(0.0..3.0)));
-                }
-                if rng.gen_bool(0.8) {
-                    edges.push((v, t, rng.gen_range(1..4) as f64,
-                                rng.gen_range(-2.0..3.0)));
-                }
+        let mut edges = Vec::new();
+        for v in 1..=n_mid {
+            if rng.gen_bool(0.8) {
+                edges.push((s, v, rng.gen_range(1..4) as f64,
+                            rng.gen_range(0.0..3.0)));
             }
-            for a in 1..=n_mid {
-                for b in (a + 1)..=n_mid {
-                    if rng.gen_bool(0.3) {
-                        edges.push((a, b, rng.gen_range(1..3) as f64,
-                                    rng.gen_range(-1.0..2.0)));
-                    }
+            if rng.gen_bool(0.8) {
+                edges.push((v, t, rng.gen_range(1..4) as f64,
+                            rng.gen_range(-2.0..3.0)));
+            }
+        }
+        for a in 1..=n_mid {
+            for b in (a + 1)..=n_mid {
+                if rng.gen_bool(0.3) {
+                    edges.push((a, b, rng.gen_range(1..3) as f64,
+                                rng.gen_range(-1.0..2.0)));
                 }
             }
-            for &(u, v, c, w) in &edges {
-                g.add_edge(u, v, c, w);
-            }
-            g
-        };
-        let mut rng2 = rng.clone();
-        let slow = build(&mut rng).max_flow_min_cost(s, t).unwrap();
-        let fast = build(&mut rng2).max_flow_min_cost_fast(s, t).unwrap();
-        prop_assert!((slow.flow - fast.flow).abs() < 1e-9,
-            "flow {} vs {}", slow.flow, fast.flow);
-        prop_assert!((slow.cost - fast.cost).abs() < 1e-6,
-            "cost {} vs {}", slow.cost, fast.cost);
+        }
+        let mut g = MinCostFlow::new(n);
+        for &(u, v, c, w) in &edges {
+            g.add_edge(u, v, c, w);
+        }
+        let got = g.max_flow_min_cost(s, t, SolveBudget::UNLIMITED).unwrap();
+        prop_assert!(g.verify_reduced_cost_optimality());
+        let (flow, cost) = spfa_max_flow_min_cost(n, &edges, s, t);
+        prop_assert!((got.flow - flow).abs() < 1e-9,
+            "flow {} vs {}", got.flow, flow);
+        prop_assert!((got.cost - cost).abs() < 1e-6,
+            "cost {} vs {}", got.cost, cost);
     }
 }

@@ -204,7 +204,8 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let g = GapInstance::new(2, 0, vec![1.0, 1.0]);
+        let g =
+            GapInstance::from_matrices(vec![vec![], vec![]], vec![vec![], vec![]], vec![1.0, 1.0]);
         let s = branch_and_bound(&g).unwrap();
         assert!(s.assignment.is_empty());
         assert_eq!(s.cost, 0.0);
@@ -212,19 +213,19 @@ mod tests {
 
     #[test]
     fn forbidden_pairs_block_assignment() {
-        let mut g = GapInstance::from_matrices(
-            vec![vec![1.0], vec![0.5]],
+        let g = GapInstance::from_matrices(
+            vec![vec![1.0], vec![f64::INFINITY]],
             vec![vec![1.0], vec![1.0]],
             vec![2.0, 2.0],
         );
-        g.forbid(1, 0);
         let s = branch_and_bound(&g).unwrap();
         assert_eq!(s.assignment, vec![Some(0)]);
     }
 
     #[test]
     fn too_many_jobs_is_bad_input() {
-        let g = GapInstance::new(1, MAX_EXACT_JOBS + 1, vec![1.0]);
+        let zeros = vec![vec![0.0; MAX_EXACT_JOBS + 1]];
+        let g = GapInstance::from_matrices(zeros.clone(), zeros, vec![1.0]);
         let err = branch_and_bound(&g).unwrap_err();
         assert_eq!(err.kind, FailureKind::BadInput);
         assert!(err.message.contains("exact solver limited"));

@@ -249,8 +249,11 @@ mod tests {
 
     #[test]
     fn check_rejects_forbidden_mass() {
-        let mut g = inst();
-        g.forbid(0, 0);
+        let g = GapInstance::from_matrices(
+            vec![vec![f64::INFINITY, 2.0], vec![3.0, 4.0]],
+            vec![vec![1.0, 2.0], vec![2.0, 1.0]],
+            vec![10.0, 10.0],
+        );
         let mut x = FractionalSolution::zero(2, 2);
         x.set(0, 0, 1.0);
         x.set(0, 1, 1.0);

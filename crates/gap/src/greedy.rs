@@ -83,12 +83,11 @@ mod tests {
     fn regret_fixes_constrained_job_first() {
         // Job 1 can only go to machine 0 (regret ∞); job 0 has both.
         // If job 0 were assigned to machine 0 first, job 1 would fail.
-        let mut g = GapInstance::from_matrices(
-            vec![vec![0.0, 1.0], vec![1.0, 2.0]],
+        let g = GapInstance::from_matrices(
+            vec![vec![0.0, 1.0], vec![1.0, f64::INFINITY]], // job 1 not allowed on machine 1
             vec![vec![1.0, 1.0], vec![1.0, 1.0]],
             vec![1.0, 1.0],
         );
-        g.forbid(1, 1); // job 1 not allowed on machine 1
         let s = greedy_assign(&g);
         assert!(s.is_complete());
         assert_eq!(s.assignment[1], Some(0));
@@ -121,7 +120,7 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let g = GapInstance::new(0, 0, vec![]);
+        let g = GapInstance::from_matrices(vec![], vec![], vec![]);
         let s = greedy_assign(&g);
         assert!(s.assignment.is_empty());
     }

@@ -1,13 +1,34 @@
-/// Compressed candidate storage shared by groups of identical jobs.
+/// A Generalized Assignment Problem instance.
 ///
-/// The GEPC reduction creates `ξ_j` *identical* copies of every event,
-/// so a dense machine-major matrix stores each event's candidate column
-/// `ξ_j` times — and stores every non-candidate pair besides. This
-/// layout keeps one machine-ascending candidate row per *group* (event)
-/// in a flat CSR arena, with `job_group` mapping each job (copy) to its
-/// row. Pairs absent from a row are forbidden.
+/// `n_machines` machines (users, in the GEPC reduction) and `n_jobs`
+/// jobs (event copies). Assigning job `j` to machine `i` incurs cost
+/// `cost(i, j)` and consumes `time(i, j)` of machine `i`'s capacity
+/// `capacity(i)`. The objective is to assign **every** job to exactly
+/// one machine, minimizing total cost, with every machine's consumed
+/// time within its capacity.
+///
+/// Storage is a per-group candidate-list CSR arena. The ξ-GEPC
+/// reduction creates `ξ_j` *identical* copies of every event, so one
+/// machine-ascending candidate row per *group* (event) serves all its
+/// copies, with `job_group` mapping each job (copy) to its row. Pairs
+/// absent from a row are *forbidden* (the user cannot attend the event
+/// at all, e.g. zero utility or unaffordable travel): they have
+/// infinite cost and are excluded from every solver's search space.
+/// Memory and solver work are O(candidates), not O(machines × jobs).
+/// [`GapInstance::from_group_candidates`] is what the reduction emits;
+/// [`GapInstance::from_matrices`] builds small instances from dense
+/// matrices, one candidate row per job. Instances are immutable.
+///
+/// Malformed construction (wrong capacity count, negative or NaN
+/// values, out-of-range indices) does not panic: the offending value is
+/// neutralized and the first defect is recorded. Every solver entry
+/// point checks [`GapInstance::defect`] and refuses a poisoned instance
+/// with a `BadInput` error, so a bad instance fails loudly at solve
+/// time instead of aborting the process at build time.
 #[derive(Debug, Clone)]
-struct SparseLayout {
+pub struct GapInstance {
+    n_machines: usize,
+    capacity: Vec<f64>,
     /// Job → candidate row (group) index; copies share a row.
     job_group: Vec<u32>,
     /// Row offsets into the arenas, `n_groups + 1` entries.
@@ -18,9 +39,165 @@ struct SparseLayout {
     costs: Vec<f64>,
     /// Parallel to `machines`: processing times (finite, ≥ 0).
     times: Vec<f64>,
+    /// First construction defect observed, if any.
+    defect: Option<String>,
 }
 
-impl SparseLayout {
+/// Returns `capacity` with one finite, non-negative entry per machine,
+/// and the first defect found (a wrong length, or a negative or
+/// non-finite entry, which is replaced by 0).
+fn checked_capacity(n_machines: usize, mut capacity: Vec<f64>) -> (Vec<f64>, Option<String>) {
+    let mut defect = None;
+    if capacity.len() != n_machines {
+        defect = Some(format!(
+            "expected one capacity per machine ({n_machines}), got {}",
+            capacity.len()
+        ));
+        capacity.resize(n_machines, 0.0);
+    }
+    for (i, c) in capacity.iter_mut().enumerate() {
+        if !c.is_finite() || *c < 0.0 {
+            defect.get_or_insert_with(|| format!("machine {i} has invalid capacity {c}"));
+            *c = 0.0;
+        }
+    }
+    (capacity, defect)
+}
+
+impl GapInstance {
+    /// Builds an instance from per-group candidate rows.
+    ///
+    /// `job_group[j]` names the row of `rows` job `j` draws candidates
+    /// from; jobs sharing a group (the ξ copies of one event) share one
+    /// row. Each row lists `(machine, cost, time)` triples with
+    /// strictly ascending machine ids; every pair *not* listed is
+    /// forbidden. Malformed input — a capacity vector of the wrong
+    /// length or with negative/non-finite entries, an out-of-range
+    /// group or machine, a non-ascending row, a NaN/infinite cost, a
+    /// negative or non-finite time, or an arena larger than `u32::MAX`
+    /// entries — poisons the instance (see [`GapInstance::defect`]);
+    /// offending entries are dropped so the stored arena stays
+    /// structurally consistent.
+    pub fn from_group_candidates(
+        n_machines: usize,
+        capacity: Vec<f64>,
+        job_group: Vec<u32>,
+        rows: &[Vec<(u32, f64, f64)>],
+    ) -> Self {
+        let (capacity, defect) = checked_capacity(n_machines, capacity);
+        let mut inst = GapInstance {
+            n_machines,
+            capacity,
+            job_group,
+            offsets: Vec::with_capacity(rows.len() + 1),
+            machines: Vec::new(),
+            costs: Vec::new(),
+            times: Vec::new(),
+            defect,
+        };
+        for g in inst.job_group.iter_mut() {
+            if *g as usize >= rows.len() {
+                inst.defect.get_or_insert(format!(
+                    "job group {g} out of range ({} candidate rows)",
+                    rows.len()
+                ));
+                *g = 0;
+            }
+        }
+        let nnz: usize = rows.iter().map(Vec::len).sum();
+        if nnz > u32::MAX as usize {
+            inst.poison(format!("candidate arena has {nnz} entries (u32 offsets)"));
+        }
+        let nnz = nnz.min(u32::MAX as usize);
+        inst.machines.reserve_exact(nnz);
+        inst.costs.reserve_exact(nnz);
+        inst.times.reserve_exact(nnz);
+        inst.offsets.push(0u32);
+        for (r, row) in rows.iter().enumerate() {
+            let mut prev: Option<u32> = None;
+            for &(i, c, t) in row {
+                if i as usize >= n_machines {
+                    inst.poison(format!("row {r}: machine {i} out of range ({n_machines})"));
+                    continue;
+                }
+                if prev.is_some_and(|p| i <= p) {
+                    inst.poison(format!("row {r}: machine ids not strictly ascending"));
+                    continue;
+                }
+                if !c.is_finite() {
+                    inst.poison(format!("row {r}: machine {i} has non-finite cost {c}"));
+                    continue;
+                }
+                if !t.is_finite() || t < 0.0 {
+                    inst.poison(format!("row {r}: machine {i} has invalid time {t}"));
+                    continue;
+                }
+                if inst.machines.len() == u32::MAX as usize {
+                    break;
+                }
+                prev = Some(i);
+                inst.machines.push(i);
+                inst.costs.push(c);
+                inst.times.push(t);
+            }
+            inst.offsets.push(inst.machines.len() as u32);
+        }
+        if rows.is_empty() && !inst.job_group.is_empty() {
+            // Every job's group was clamped to row 0 (and the instance
+            // poisoned); give them an empty row to stay panic-free.
+            inst.offsets.push(0);
+        }
+        inst
+    }
+
+    /// Builds a small instance from dense machine-major matrices, one
+    /// candidate row per job. `f64::INFINITY` costs mark forbidden
+    /// pairs, which are left out of the rows. Ragged matrices, NaN
+    /// costs, invalid times and bad capacities poison the instance.
+    pub fn from_matrices(costs: Vec<Vec<f64>>, times: Vec<Vec<f64>>, capacity: Vec<f64>) -> Self {
+        let n_machines = costs.len();
+        let n_jobs = costs.first().map_or(0, Vec::len);
+        let rows: Vec<Vec<(u32, f64, f64)>> = (0..n_jobs)
+            .map(|j| {
+                (0..n_machines)
+                    .filter_map(|i| {
+                        let c = costs[i].get(j).copied().unwrap_or(f64::INFINITY);
+                        let t = times.get(i).and_then(|row| row.get(j)).copied();
+                        (c != f64::INFINITY).then_some((i as u32, c, t.unwrap_or(0.0)))
+                    })
+                    .collect()
+            })
+            .collect();
+        let job_group = (0..n_jobs as u32).collect();
+        let mut inst = GapInstance::from_group_candidates(n_machines, capacity, job_group, &rows);
+        if times.len() != n_machines {
+            inst.poison(format!(
+                "time matrix has {} rows for {n_machines} machines",
+                times.len()
+            ));
+        }
+        for (i, cost_row) in costs.iter().enumerate() {
+            if cost_row.len() != n_jobs {
+                inst.poison(format!("ragged cost matrix at machine {i}"));
+            }
+            if times.get(i).is_some_and(|row| row.len() != n_jobs) {
+                inst.poison(format!("ragged time matrix at machine {i}"));
+            }
+        }
+        inst
+    }
+
+    /// Records the first construction defect; later ones are dropped.
+    fn poison(&mut self, message: String) {
+        self.defect.get_or_insert(message);
+    }
+
+    /// The first construction defect, if the instance is malformed.
+    /// Solvers reject poisoned instances with a `BadInput` error.
+    pub fn defect(&self) -> Option<&str> {
+        self.defect.as_deref()
+    }
+
     /// Arena slice of candidate row `r` as `(machines, costs, times)`.
     #[inline]
     fn row(&self, r: usize) -> (&[u32], &[f64], &[f64]) {
@@ -44,271 +221,6 @@ impl SparseLayout {
             .ok()
             .map(|k| lo + k)
     }
-}
-
-/// A Generalized Assignment Problem instance.
-///
-/// `n_machines` machines (users, in the GEPC reduction) and `n_jobs`
-/// jobs (event copies). Assigning job `j` to machine `i` incurs cost
-/// `cost(i, j)` and consumes `time(i, j)` of machine `i`'s capacity
-/// `capacity(i)`. The objective is to assign **every** job to exactly
-/// one machine, minimizing total cost, with every machine's consumed
-/// time within its capacity.
-///
-/// A pair may be *forbidden* (the user cannot attend the event at all,
-/// e.g. zero utility or unaffordable travel): forbidden pairs have
-/// infinite cost and are excluded from every solver's search space.
-///
-/// Storage is either a dense machine-major matrix (the small-instance
-/// constructors [`GapInstance::new`] / [`GapInstance::from_matrices`])
-/// or a per-group candidate-list CSR arena
-/// ([`GapInstance::from_group_candidates`]), which is what the ξ-GEPC
-/// reduction emits at scale: memory and solver work become
-/// O(candidates) instead of O(machines × jobs). Accessors dispatch on
-/// the layout; sparse instances are immutable after construction
-/// (`set`/`forbid` poison them).
-///
-/// Malformed construction (wrong capacity count, negative or NaN
-/// values, out-of-range indices) does not panic: the offending value is
-/// neutralized and the first defect is recorded. Every solver entry
-/// point checks [`GapInstance::defect`] and refuses a poisoned instance
-/// with a `BadInput` error, so a bad instance fails loudly at solve
-/// time instead of aborting the process at build time.
-#[derive(Debug, Clone)]
-pub struct GapInstance {
-    n_machines: usize,
-    n_jobs: usize,
-    /// Machine-major `n_machines × n_jobs`; `f64::INFINITY` = forbidden.
-    /// Empty when `sparse` carries the candidate arena.
-    costs: Vec<f64>,
-    times: Vec<f64>,
-    capacity: Vec<f64>,
-    /// Candidate-list storage, when built sparsely.
-    sparse: Option<SparseLayout>,
-    /// First construction defect observed, if any.
-    defect: Option<String>,
-}
-
-impl GapInstance {
-    /// Creates an instance with all costs/times zero and the given
-    /// capacities. A capacity vector of the wrong length, or one with
-    /// negative/non-finite entries, poisons the instance (see
-    /// [`GapInstance::defect`]).
-    pub fn new(n_machines: usize, n_jobs: usize, mut capacity: Vec<f64>) -> Self {
-        let mut defect = None;
-        if capacity.len() != n_machines {
-            defect = Some(format!(
-                "expected one capacity per machine ({n_machines}), got {}",
-                capacity.len()
-            ));
-            capacity.resize(n_machines, 0.0);
-        }
-        for (i, c) in capacity.iter_mut().enumerate() {
-            if !c.is_finite() || *c < 0.0 {
-                defect.get_or_insert_with(|| format!("machine {i} has invalid capacity {c}"));
-                *c = 0.0;
-            }
-        }
-        GapInstance {
-            n_machines,
-            n_jobs,
-            costs: vec![0.0; n_machines * n_jobs],
-            times: vec![0.0; n_machines * n_jobs],
-            capacity,
-            sparse: None,
-            defect,
-        }
-    }
-
-    /// Builds a sparse instance from per-group candidate rows.
-    ///
-    /// `job_group[j]` names the row of `rows` job `j` draws candidates
-    /// from; jobs sharing a group (the ξ copies of one event) share one
-    /// row. Each row lists `(machine, cost, time)` triples with
-    /// strictly ascending machine ids; every pair *not* listed is
-    /// forbidden. Malformed input — an out-of-range group or machine, a
-    /// non-ascending row, a NaN/infinite cost, a negative or non-finite
-    /// time, or an arena larger than `u32::MAX` entries — poisons the
-    /// instance (see [`GapInstance::defect`]); offending entries are
-    /// dropped so the stored arena stays structurally consistent.
-    pub fn from_group_candidates(
-        n_machines: usize,
-        capacity: Vec<f64>,
-        job_group: Vec<u32>,
-        rows: &[Vec<(u32, f64, f64)>],
-    ) -> Self {
-        let n_jobs = job_group.len();
-        // Validate capacities via the dense constructor with zero jobs:
-        // allocating the machines × jobs matrices just to discard them
-        // would make the sparse path's peak memory O(machines × jobs)
-        // at construction (tens of GiB at |U| = 10^6).
-        let mut inst = GapInstance::new(n_machines, 0, capacity);
-        inst.n_jobs = n_jobs;
-        let mut job_group = job_group;
-        for g in job_group.iter_mut() {
-            if *g as usize >= rows.len() {
-                inst.poison(format!(
-                    "job group {g} out of range ({} candidate rows)",
-                    rows.len()
-                ));
-                *g = 0;
-            }
-        }
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        if nnz > u32::MAX as usize {
-            inst.poison(format!("candidate arena has {nnz} entries (u32 offsets)"));
-        }
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut machines = Vec::with_capacity(nnz.min(u32::MAX as usize));
-        let mut costs = Vec::with_capacity(machines.capacity());
-        let mut times = Vec::with_capacity(machines.capacity());
-        offsets.push(0u32);
-        for (r, row) in rows.iter().enumerate() {
-            let mut prev: Option<u32> = None;
-            for &(i, c, t) in row {
-                if i as usize >= n_machines {
-                    inst.poison(format!("row {r}: machine {i} out of range ({n_machines})"));
-                    continue;
-                }
-                if prev.is_some_and(|p| i <= p) {
-                    inst.poison(format!("row {r}: machine ids not strictly ascending"));
-                    continue;
-                }
-                if !c.is_finite() {
-                    inst.poison(format!("row {r}: machine {i} has non-finite cost {c}"));
-                    continue;
-                }
-                if !t.is_finite() || t < 0.0 {
-                    inst.poison(format!("row {r}: machine {i} has invalid time {t}"));
-                    continue;
-                }
-                if machines.len() == u32::MAX as usize {
-                    break;
-                }
-                prev = Some(i);
-                machines.push(i);
-                costs.push(c);
-                times.push(t);
-            }
-            offsets.push(machines.len() as u32);
-        }
-        if rows.is_empty() && n_jobs > 0 {
-            // Every job's group was clamped to row 0 (and the instance
-            // poisoned); give them an empty row to stay panic-free.
-            offsets.push(0);
-        }
-        inst.sparse = Some(SparseLayout {
-            job_group,
-            offsets,
-            machines,
-            costs,
-            times,
-        });
-        inst
-    }
-
-    /// Whether this instance uses the candidate-list (CSR) layout.
-    pub fn is_sparse(&self) -> bool {
-        self.sparse.is_some()
-    }
-
-    /// Builds an instance from dense matrices (machine-major rows).
-    /// Ragged matrices poison the instance.
-    pub fn from_matrices(costs: Vec<Vec<f64>>, times: Vec<Vec<f64>>, capacity: Vec<f64>) -> Self {
-        let n_machines = costs.len();
-        let n_jobs = costs.first().map_or(0, Vec::len);
-        let mut inst = GapInstance::new(n_machines, n_jobs, capacity);
-        if times.len() != n_machines {
-            inst.poison(format!(
-                "time matrix has {} rows for {n_machines} machines",
-                times.len()
-            ));
-        }
-        for (i, cost_row) in costs.iter().enumerate() {
-            if cost_row.len() != n_jobs {
-                inst.poison(format!("ragged cost matrix at machine {i}"));
-            }
-            if times.get(i).is_some_and(|row| row.len() != n_jobs) {
-                inst.poison(format!("ragged time matrix at machine {i}"));
-            }
-            for j in 0..n_jobs {
-                let c = cost_row.get(j).copied().unwrap_or(f64::INFINITY);
-                let t = times.get(i).and_then(|row| row.get(j)).copied().unwrap_or(0.0);
-                inst.set(i, j, c, t);
-            }
-        }
-        inst
-    }
-
-    /// Records the first construction defect; later ones are dropped.
-    fn poison(&mut self, message: String) {
-        self.defect.get_or_insert(message);
-    }
-
-    /// The first construction defect, if the instance is malformed.
-    /// Solvers reject poisoned instances with a `BadInput` error.
-    pub fn defect(&self) -> Option<&str> {
-        self.defect.as_deref()
-    }
-
-    #[inline]
-    fn idx(&self, machine: usize, job: usize) -> usize {
-        debug_assert!(machine < self.n_machines && job < self.n_jobs);
-        machine * self.n_jobs + job
-    }
-
-    /// Sets the cost and time of a machine–job pair. Out-of-range
-    /// indices, NaN costs, and negative or non-finite times poison the
-    /// instance instead of panicking. Sparse instances are immutable:
-    /// copies share candidate rows, so a per-pair write is ill-defined
-    /// and poisons the instance.
-    pub fn set(&mut self, machine: usize, job: usize, cost: f64, mut time: f64) {
-        if self.sparse.is_some() {
-            self.poison(format!(
-                "set ({machine}, {job}) on an immutable sparse instance"
-            ));
-            return;
-        }
-        if machine >= self.n_machines || job >= self.n_jobs {
-            self.poison(format!(
-                "pair ({machine}, {job}) out of range ({} × {})",
-                self.n_machines, self.n_jobs
-            ));
-            return;
-        }
-        if cost.is_nan() {
-            self.poison(format!("pair ({machine}, {job}) has NaN cost"));
-            return;
-        }
-        if !time.is_finite() || time < 0.0 {
-            self.poison(format!("pair ({machine}, {job}) has invalid time {time}"));
-            time = 0.0;
-        }
-        let k = self.idx(machine, job);
-        self.costs[k] = cost;
-        self.times[k] = time;
-    }
-
-    /// Marks a pair as forbidden (never assignable). Out-of-range
-    /// indices poison the instance, as does a sparse instance (whose
-    /// forbidden pairs are fixed at construction).
-    pub fn forbid(&mut self, machine: usize, job: usize) {
-        if self.sparse.is_some() {
-            self.poison(format!(
-                "forbid ({machine}, {job}) on an immutable sparse instance"
-            ));
-            return;
-        }
-        if machine >= self.n_machines || job >= self.n_jobs {
-            self.poison(format!(
-                "forbid ({machine}, {job}) out of range ({} × {})",
-                self.n_machines, self.n_jobs
-            ));
-            return;
-        }
-        let k = self.idx(machine, job);
-        self.costs[k] = f64::INFINITY;
-    }
 
     /// Number of machines.
     pub fn n_machines(&self) -> usize {
@@ -317,26 +229,21 @@ impl GapInstance {
 
     /// Number of jobs.
     pub fn n_jobs(&self) -> usize {
-        self.n_jobs
+        self.job_group.len()
     }
 
     /// Cost of assigning `job` to `machine` (infinite if forbidden).
     #[inline]
     pub fn cost(&self, machine: usize, job: usize) -> f64 {
-        match &self.sparse {
-            Some(s) => s.find(machine, job).map_or(f64::INFINITY, |k| s.costs[k]),
-            None => self.costs[self.idx(machine, job)],
-        }
+        self.find(machine, job)
+            .map_or(f64::INFINITY, |k| self.costs[k])
     }
 
-    /// Processing time of `job` on `machine` (0 for forbidden sparse
-    /// pairs, which no solver path consumes).
+    /// Processing time of `job` on `machine` (0 for forbidden pairs,
+    /// which no solver path consumes).
     #[inline]
     pub fn time(&self, machine: usize, job: usize) -> f64 {
-        match &self.sparse {
-            Some(s) => s.find(machine, job).map_or(0.0, |k| s.times[k]),
-            None => self.times[self.idx(machine, job)],
-        }
+        self.find(machine, job).map_or(0.0, |k| self.times[k])
     }
 
     /// Capacity of `machine`.
@@ -345,68 +252,42 @@ impl GapInstance {
         self.capacity[machine]
     }
 
-    /// Whether the pair may be used: present (sparse) with finite cost,
-    /// and the job fits the machine's capacity on its own (`p_{i,j} ≤
-    /// T_i`, the standard GAP preprocessing step that the Shmoys–Tardos
-    /// analysis requires).
+    /// Whether the pair may be used: present in the job's candidate
+    /// row, and the job fits the machine's capacity on its own (`p_{i,j}
+    /// ≤ T_i`, the standard GAP preprocessing step that the
+    /// Shmoys–Tardos analysis requires).
     #[inline]
     pub fn allowed(&self, machine: usize, job: usize) -> bool {
-        match &self.sparse {
-            Some(s) => s.find(machine, job).is_some_and(|k| {
-                s.times[k] <= self.capacity[machine] + 1e-12
-            }),
-            None => {
-                let k = self.idx(machine, job);
-                self.costs[k].is_finite() && self.times[k] <= self.capacity[machine] + 1e-12
-            }
-        }
+        self.find(machine, job)
+            .is_some_and(|k| self.times[k] <= self.capacity[machine] + 1e-12)
     }
 
-    /// Number of distinct candidate rows: one per job group for sparse
-    /// instances (copies share a row), one per job for dense ones.
+    /// Number of distinct candidate rows (copies share a row).
     pub fn n_candidate_rows(&self) -> usize {
-        match &self.sparse {
-            Some(s) => s.offsets.len() - 1,
-            None => self.n_jobs,
-        }
+        self.offsets.len() - 1
     }
 
     /// The candidate row `job` draws its machines from.
     #[inline]
     pub fn candidate_row_of(&self, job: usize) -> usize {
-        match &self.sparse {
-            Some(s) => s.job_group[job] as usize,
-            None => job,
-        }
+        self.job_group[job] as usize
     }
 
     /// Allowed `(machine, cost, time)` triples of candidate row `row`,
-    /// machine-ascending. The workhorse of every solver's inner loop:
-    /// O(row candidates) on sparse instances, one pass over the
-    /// machines on dense ones.
+    /// machine-ascending, in O(row candidates). The workhorse of every
+    /// solver's inner loop.
     pub fn row_allowed_triples(
         &self,
         row: usize,
     ) -> impl Iterator<Item = (usize, f64, f64)> + '_ {
-        let (machines, costs, times, dense_n) = match &self.sparse {
-            Some(s) => {
-                let (m, c, t) = s.row(row);
-                (m, c, t, 0)
-            }
-            None => (&[][..], &[][..], &[][..], self.n_machines),
-        };
-        let sparse_iter = machines
+        let (machines, costs, times) = self.row(row);
+        machines
             .iter()
             .zip(costs.iter())
             .zip(times.iter())
             .filter_map(move |((&i, &c), &t)| {
-                (c.is_finite() && t <= self.capacity[i as usize] + 1e-12)
-                    .then_some((i as usize, c, t))
-            });
-        let dense_iter = (0..dense_n)
-            .filter(move |&i| self.allowed(i, row))
-            .map(move |i| (i, self.cost(i, row), self.time(i, row)));
-        dense_iter.chain(sparse_iter)
+                (t <= self.capacity[i as usize] + 1e-12).then_some((i as usize, c, t))
+            })
     }
 
     /// Allowed `(machine, cost, time)` triples for `job`,
@@ -420,39 +301,24 @@ impl GapInstance {
         self.allowed_triples(job).map(|(i, _, _)| i)
     }
 
-    /// Number of allowed machine–job pairs (the LP variable count).
-    /// O(candidates) on sparse instances, O(machines × jobs) dense.
+    /// Number of allowed machine–job pairs (the LP variable count), in
+    /// O(candidates): the allowed count per row, summed over jobs via
+    /// the group map (copies multiply their row's count).
     pub fn allowed_pairs_count(&self) -> usize {
-        match &self.sparse {
-            Some(s) => {
-                // Allowed count per row, then sum over jobs via the
-                // group map (copies multiply their row's count).
-                let per_row: Vec<usize> = (0..s.offsets.len() - 1)
-                    .map(|r| self.row_allowed_triples(r).count())
-                    .collect();
-                s.job_group.iter().map(|&g| per_row[g as usize]).sum()
-            }
-            None => (0..self.n_jobs)
-                .map(|j| self.allowed_machines(j).count())
-                .sum(),
-        }
+        let per_row: Vec<usize> = (0..self.n_candidate_rows())
+            .map(|r| self.row_allowed_triples(r).count())
+            .collect();
+        self.job_group.iter().map(|&g| per_row[g as usize]).sum()
     }
 
     /// Jobs with no allowed machine (unassignable under any policy).
     pub fn unassignable_jobs(&self) -> Vec<usize> {
-        match &self.sparse {
-            Some(s) => {
-                let row_ok: Vec<bool> = (0..s.offsets.len() - 1)
-                    .map(|r| self.row_allowed_triples(r).next().is_some())
-                    .collect();
-                (0..self.n_jobs)
-                    .filter(|&j| !row_ok[s.job_group[j] as usize])
-                    .collect()
-            }
-            None => (0..self.n_jobs)
-                .filter(|&j| self.allowed_machines(j).next().is_none())
-                .collect(),
-        }
+        let row_ok: Vec<bool> = (0..self.n_candidate_rows())
+            .map(|r| self.row_allowed_triples(r).next().is_some())
+            .collect();
+        (0..self.n_jobs())
+            .filter(|&j| !row_ok[self.job_group[j] as usize])
+            .collect()
     }
 
     /// Total cost of an assignment (ignoring `None` entries).
@@ -550,26 +416,38 @@ mod tests {
     }
 
     #[test]
-    fn forbid_excludes_pair() {
-        let mut g = tiny();
-        assert!(g.allowed(0, 0));
-        g.forbid(0, 0);
+    fn infinite_cost_excludes_pair() {
+        assert!(tiny().allowed(0, 0));
+        let g = GapInstance::from_matrices(
+            vec![vec![f64::INFINITY, 2.0], vec![3.0, 0.5]],
+            vec![vec![1.0, 1.0], vec![1.0, 1.0]],
+            vec![2.0, 1.0],
+        );
         assert!(!g.allowed(0, 0));
+        assert_eq!(g.cost(0, 0), f64::INFINITY);
         assert_eq!(g.allowed_machines(0).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(g.n_candidate_rows(), 2);
+        assert_eq!(g.allowed_pairs_count(), 3);
     }
 
     #[test]
     fn oversized_job_not_allowed() {
-        let mut g = tiny();
-        g.set(1, 0, 1.0, 5.0); // exceeds capacity 1.0
+        let g = GapInstance::from_matrices(
+            vec![vec![1.0, 2.0], vec![1.0, 0.5]],
+            vec![vec![1.0, 1.0], vec![5.0, 1.0]], // (1, 0) exceeds capacity 1.0
+            vec![2.0, 1.0],
+        );
         assert!(!g.allowed(1, 0));
     }
 
     #[test]
     fn unassignable_detection() {
-        let mut g = tiny();
-        g.forbid(0, 1);
-        g.forbid(1, 1);
+        let inf = f64::INFINITY;
+        let g = GapInstance::from_matrices(
+            vec![vec![1.0, inf], vec![3.0, inf]],
+            vec![vec![1.0, 1.0], vec![1.0, 1.0]],
+            vec![2.0, 1.0],
+        );
         assert_eq!(g.unassignable_jobs(), vec![1]);
     }
 
@@ -595,7 +473,11 @@ mod tests {
 
     #[test]
     fn wrong_capacity_count_poisons() {
-        let g = GapInstance::new(2, 2, vec![1.0]);
+        let g = GapInstance::from_matrices(
+            vec![vec![1.0, 1.0], vec![1.0, 1.0]],
+            vec![vec![1.0, 1.0], vec![1.0, 1.0]],
+            vec![1.0],
+        );
         assert!(g.defect().is_some_and(|d| d.contains("capacity")));
         // The instance is still usable without panicking.
         assert_eq!(g.capacity(1), 0.0);
@@ -603,26 +485,34 @@ mod tests {
 
     #[test]
     fn invalid_values_poison() {
-        let mut g = tiny();
-        assert!(g.defect().is_none());
-        g.set(0, 0, f64::NAN, 1.0);
+        let matrices = |c: f64, t: f64| {
+            GapInstance::from_matrices(
+                vec![vec![c, 2.0], vec![3.0, 0.5]],
+                vec![vec![t, 1.0], vec![1.0, 1.0]],
+                vec![2.0, 1.0],
+            )
+        };
+        assert!(tiny().defect().is_none());
+        let g = matrices(f64::NAN, 1.0);
         assert!(g.defect().is_some_and(|d| d.contains("NaN")));
-        let mut g = tiny();
-        g.set(5, 0, 1.0, 1.0);
-        assert!(g.defect().is_some_and(|d| d.contains("out of range")));
-        let mut g = tiny();
-        g.set(0, 0, 1.0, -2.0);
+        let g = matrices(1.0, -2.0);
         assert!(g.defect().is_some_and(|d| d.contains("invalid time")));
-        let mut g = tiny();
-        g.forbid(0, 9);
-        assert!(g.defect().is_some());
-        let g = GapInstance::new(1, 1, vec![-3.0]);
+        // Only `+∞` marks a forbidden pair; `-∞` is a malformed cost.
+        let g = matrices(f64::NEG_INFINITY, 1.0);
+        assert!(g.defect().is_some_and(|d| d.contains("non-finite cost")));
+        let g = GapInstance::from_matrices(
+            vec![vec![1.0, 2.0], vec![3.0]],
+            vec![vec![1.0, 1.0], vec![1.0, 1.0]],
+            vec![2.0, 1.0],
+        );
+        assert!(g.defect().is_some_and(|d| d.contains("ragged")));
+        let g = GapInstance::from_matrices(vec![vec![1.0]], vec![vec![1.0]], vec![-3.0]);
         assert!(g.defect().is_some_and(|d| d.contains("invalid capacity")));
         assert_eq!(g.capacity(0), 0.0);
     }
 
-    /// Sparse twin of `tiny()`: two jobs sharing one candidate row plus
-    /// a third job with its own row.
+    /// Two jobs sharing one candidate row plus a third job with its own
+    /// row.
     fn sparse_tiny() -> GapInstance {
         GapInstance::from_group_candidates(
             3,
@@ -638,7 +528,6 @@ mod tests {
     #[test]
     fn sparse_accessors_match_candidate_rows() {
         let g = sparse_tiny();
-        assert!(g.is_sparse());
         assert!(g.defect().is_none());
         assert_eq!(g.n_machines(), 3);
         assert_eq!(g.n_jobs(), 3);
@@ -678,18 +567,23 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matches_dense_semantics() {
+    fn group_rows_match_matrix_rows() {
         // The same instance built both ways answers identically.
         let sparse = sparse_tiny();
-        let mut dense = GapInstance::new(3, 3, vec![2.0, 1.0, 4.0]);
-        for j in 0..2 {
-            dense.set(0, j, 1.0, 1.0);
-            dense.set(2, j, 0.5, 3.0);
-            dense.forbid(1, j);
-        }
-        dense.set(1, 2, 2.0, 1.0);
-        dense.forbid(0, 2);
-        dense.forbid(2, 2);
+        let inf = f64::INFINITY;
+        let dense = GapInstance::from_matrices(
+            vec![
+                vec![1.0, 1.0, inf],
+                vec![inf, inf, 2.0],
+                vec![0.5, 0.5, inf],
+            ],
+            vec![
+                vec![1.0, 1.0, 0.0],
+                vec![0.0, 0.0, 1.0],
+                vec![3.0, 3.0, 0.0],
+            ],
+            vec![2.0, 1.0, 4.0],
+        );
         for i in 0..3 {
             for j in 0..3 {
                 assert_eq!(sparse.allowed(i, j), dense.allowed(i, j), "({i},{j})");
@@ -712,16 +606,6 @@ mod tests {
             &[vec![(0, 0.3, 1.0)], vec![]],
         );
         assert_eq!(g.unassignable_jobs(), vec![1]);
-    }
-
-    #[test]
-    fn sparse_is_immutable() {
-        let mut g = sparse_tiny();
-        g.set(0, 0, 0.5, 1.0);
-        assert!(g.defect().is_some_and(|d| d.contains("immutable")));
-        let mut g = sparse_tiny();
-        g.forbid(0, 0);
-        assert!(g.defect().is_some_and(|d| d.contains("immutable")));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! This crate implements the whole pipeline from scratch:
 //!
-//! * [`GapInstance`] — costs, processing times, capacities, forbidden
-//!   pairs;
+//! * [`GapInstance`] — capacities and per-event candidate rows of
+//!   costs and processing times (absent pairs are forbidden);
 //! * [`lp_relaxation`] — exact fractional optimum via the `epplan-lp`
 //!   simplex (small/medium instances);
 //! * [`packing`] — a multiplicative-weights approximate fractional

@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn poisoned_instance_is_bad_input() {
-        let g = GapInstance::new(2, 2, vec![1.0]);
+        let g = GapInstance::from_matrices(vec![vec![0.0; 2]; 2], vec![vec![0.0; 2]; 2], vec![1.0]);
         let err = lp_relaxation(&g).unwrap_err();
         assert_eq!(err.kind, FailureKind::BadInput);
         assert_eq!(err.stage, "gap.lp_relax");

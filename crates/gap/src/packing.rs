@@ -26,15 +26,13 @@
 //! # The candidate arena
 //!
 //! The oracle never touches the instance's own storage on the hot
-//! path. At entry it compacts every *allowed* pair into a flat CSR
-//! arena — contiguous `(machine, cost, time)` triples per candidate
-//! row — so each round streams cache-line-dense slices instead of
-//! striding a machine-major matrix. Sparse instances contribute one
-//! row per job *group* (the ξ copies of an event share identical
-//! columns, so one argmin serves them all); dense instances one row
-//! per job. Rounds then cost O(candidates), not O(machines × jobs),
-//! and λ updates and width scans touch only machines that appear in
-//! some candidate row.
+//! path. At entry it compacts every *allowed* pair (capacity-gated)
+//! into a flat CSR arena — contiguous `(machine, cost, time)` triples
+//! per candidate row — so each round streams cache-line-dense slices.
+//! There is one row per job *group*: the ξ copies of an event share
+//! identical columns, so one argmin serves them all. Rounds then cost
+//! O(candidates), not O(machines × jobs), and λ updates and width scans
+//! touch only machines that appear in some candidate row.
 //!
 //! The parallel oracle chunks the arena on candidate mass with *fixed*
 //! boundaries (a pure function of the row offsets) and merges chunk
@@ -492,12 +490,11 @@ mod tests {
 
     #[test]
     fn unassignable_jobs_reported() {
-        let mut g = GapInstance::from_matrices(
-            vec![vec![1.0, 1.0]],
+        let g = GapInstance::from_matrices(
+            vec![vec![1.0, f64::INFINITY]],
             vec![vec![1.0, 1.0]],
             vec![5.0],
         );
-        g.forbid(0, 1);
         let x = mw_fractional(&g, &PackingConfig::default()).unwrap();
         assert_eq!(x.unassigned, vec![1]);
         assert!((x.job_mass(0) - 1.0).abs() < 1e-9);
@@ -506,7 +503,7 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let g = GapInstance::new(0, 0, vec![]);
+        let g = GapInstance::from_matrices(vec![], vec![], vec![]);
         let x = mw_fractional(&g, &PackingConfig::default()).unwrap();
         assert_eq!(x.n_jobs(), 0);
     }
@@ -525,10 +522,11 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_layouts_agree_bitwise() {
+    fn shared_and_per_job_rows_agree_bitwise() {
         // Two copies of one event (identical columns) plus one other
-        // job, built dense and as a shared-row sparse instance: the MW
-        // scheme must produce the exact same fractional solution.
+        // job, built with one row per job and with the copies sharing a
+        // row: the MW scheme must produce the exact same fractional
+        // solution.
         let dense = GapInstance::from_matrices(
             vec![vec![0.2, 0.2, 0.7], vec![0.5, 0.5, 0.1]],
             vec![vec![1.0, 1.0, 2.0], vec![1.5, 1.5, 1.0]],
@@ -625,7 +623,7 @@ mod tests {
     #[test]
     fn poisoned_instance_is_bad_input() {
         use epplan_solve::FailureKind;
-        let g = GapInstance::new(2, 2, vec![1.0]);
+        let g = GapInstance::from_matrices(vec![vec![0.0; 2]; 2], vec![vec![0.0; 2]; 2], vec![1.0]);
         let err = mw_fractional(&g, &PackingConfig::default()).unwrap_err();
         assert_eq!(err.kind, FailureKind::BadInput);
         assert_eq!(err.stage, "gap.packing");

@@ -313,12 +313,11 @@ mod tests {
 
     #[test]
     fn unassigned_jobs_stay_unassigned() {
-        let mut g = GapInstance::from_matrices(
-            vec![vec![1.0, 1.0]],
+        let g = GapInstance::from_matrices(
+            vec![vec![f64::INFINITY, 1.0]],
             vec![vec![1.0, 1.0]],
             vec![5.0],
         );
-        g.forbid(0, 0);
         let x = lp_relaxation(&g).unwrap();
         assert_eq!(x.unassigned, vec![0]);
         let s = round_shmoys_tardos(&g, &x).unwrap();
@@ -328,7 +327,7 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let g = GapInstance::new(1, 0, vec![1.0]);
+        let g = GapInstance::from_matrices(vec![vec![]], vec![vec![]], vec![1.0]);
         let x = lp_relaxation(&g).unwrap();
         let s = round_shmoys_tardos(&g, &x).unwrap();
         assert!(s.assignment.is_empty());
@@ -337,7 +336,11 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_is_bad_input() {
-        let g = GapInstance::new(2, 2, vec![1.0, 1.0]);
+        let g = GapInstance::from_matrices(
+            vec![vec![0.0; 2]; 2],
+            vec![vec![0.0; 2]; 2],
+            vec![1.0, 1.0],
+        );
         let x = FractionalSolution::zero(3, 2);
         let err = round_shmoys_tardos(&g, &x).unwrap_err();
         assert_eq!(err.kind, FailureKind::BadInput);
@@ -346,7 +349,11 @@ mod tests {
 
     #[test]
     fn poisoned_instance_is_bad_input() {
-        let g = GapInstance::new(2, 2, vec![-1.0, 1.0]);
+        let g = GapInstance::from_matrices(
+            vec![vec![0.0; 2]; 2],
+            vec![vec![0.0; 2]; 2],
+            vec![-1.0, 1.0],
+        );
         let x = FractionalSolution::zero(2, 2);
         let err = round_shmoys_tardos(&g, &x).unwrap_err();
         assert_eq!(err.kind, FailureKind::BadInput);

@@ -1,5 +1,6 @@
 //! Property tests for the end-to-end GAP pipeline against the exact
-//! branch-and-bound optimum on small random instances.
+//! branch-and-bound optimum on small random instances, and for the
+//! candidate-row storage against the dense matrices it is built from.
 //!
 //! Shmoys–Tardos guarantees: whenever the instance has *any* complete
 //! feasible assignment, (a) the pipeline also produces a complete
@@ -27,28 +28,66 @@ fn arb_instance() -> impl Strategy<Value = GapInstance> {
     (2usize..4, 2usize..7, 0u64..1_000_000).prop_map(|(m, n, seed)| {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let costs: Vec<Vec<f64>> = (0..m)
+        let mut costs: Vec<Vec<f64>> = (0..m)
             .map(|_| (0..n).map(|_| rng.gen_range(0.0..1.0)).collect())
             .collect();
         let times: Vec<Vec<f64>> = (0..m)
             .map(|_| (0..n).map(|_| rng.gen_range(0.2..2.0)).collect())
             .collect();
         let caps: Vec<f64> = (0..m).map(|_| rng.gen_range(0.5..4.0)).collect();
-        let mut inst = GapInstance::from_matrices(costs, times, caps);
         // Sprinkle forbidden pairs.
-        for i in 0..m {
-            for j in 0..n {
+        for row in costs.iter_mut() {
+            for c in row.iter_mut() {
                 if rng.gen_bool(0.15) {
-                    inst.forbid(i, j);
+                    *c = f64::INFINITY;
                 }
             }
         }
-        inst
+        GapInstance::from_matrices(costs, times, caps)
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The candidate-row storage answers exactly what the dense
+    /// matrices it was built from say: `+∞` forbids a pair, any other
+    /// pair is allowed iff its time fits the machine's capacity.
+    #[test]
+    fn candidate_rows_match_the_source_matrices(
+        m in 1usize..5,
+        n in 0usize..7,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let costs: Vec<Vec<f64>> = (0..m)
+            .map(|_| (0..n)
+                .map(|_| if rng.gen_bool(0.3) { f64::INFINITY } else { rng.gen_range(-1.0..1.0) })
+                .collect())
+            .collect();
+        let times: Vec<Vec<f64>> = (0..m)
+            .map(|_| (0..n).map(|_| rng.gen_range(0.0..2.0)).collect())
+            .collect();
+        let caps: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0..2.0)).collect();
+        let inst = GapInstance::from_matrices(costs.clone(), times.clone(), caps.clone());
+        prop_assert!(inst.defect().is_none());
+        let mut allowed_pairs = 0;
+        for j in 0..n {
+            for i in 0..m {
+                let allowed = costs[i][j].is_finite() && times[i][j] <= caps[i] + 1e-12;
+                prop_assert_eq!(inst.allowed(i, j), allowed, "pair ({}, {})", i, j);
+                prop_assert_eq!(inst.cost(i, j), costs[i][j]);
+                if costs[i][j].is_finite() {
+                    prop_assert_eq!(inst.time(i, j), times[i][j]);
+                }
+                allowed_pairs += usize::from(allowed);
+            }
+            let want: Vec<usize> = (0..m).filter(|&i| inst.allowed(i, j)).collect();
+            prop_assert_eq!(inst.allowed_machines(j).collect::<Vec<_>>(), want);
+        }
+        prop_assert_eq!(inst.allowed_pairs_count(), allowed_pairs);
+    }
 
     #[test]
     fn st_guarantees_hold(inst in arb_instance()) {

@@ -3,7 +3,7 @@
 pub struct GapBasedSolver;
 
 impl GapBasedSolver {
-    pub fn solve(&self, inst: &Instance) {
+    pub fn try_solve(&self, inst: &Instance) {
         helper(inst);
         vetted(inst);
         unvetted(inst);

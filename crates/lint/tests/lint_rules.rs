@@ -3,7 +3,9 @@
 //! must work only with a reason, the `--json` output must round-trip,
 //! and — the acceptance bar — the real workspace tree must lint clean.
 
-use epplan_lint::{lint_source, run_workspace, LintReport};
+use epplan_lint::semantic::unresolved_batch_entry_points;
+use epplan_lint::symbols::Workspace;
+use epplan_lint::{lint_source, run_workspace, workspace_files, LintReport};
 use serde::Deserialize;
 use std::path::Path;
 use std::process::Command;
@@ -353,6 +355,30 @@ fn the_real_workspace_lints_clean() {
     // Every suppression in the tree carries a reason (the parser
     // rejects reason-less allows, so this documents the invariant).
     assert!(report.allows.iter().all(|a| !a.reason.trim().is_empty()));
+}
+
+#[test]
+fn every_batch_entry_point_resolves_in_the_real_workspace() {
+    let root = workspace_root();
+    let files = workspace_files(root).unwrap_or_else(|e| panic!("walk failed: {e}"));
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|p| {
+            let rel = p
+                .strip_prefix(root)
+                .unwrap_or(p)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let src = std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {rel}: {e}"));
+            (rel, src)
+        })
+        .collect();
+    let ws = Workspace::build(&sources);
+    assert_eq!(
+        unresolved_batch_entry_points(&ws),
+        Vec::<(&str, &str)>::new(),
+        "stale BATCH_ENTRY_POINTS entries seed no sparse/dense-scan reachability"
+    );
 }
 
 #[test]

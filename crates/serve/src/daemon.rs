@@ -694,7 +694,7 @@ impl Daemon {
 
     fn replay_repair(&mut self, sop: &SequencedOp) -> Result<(), ServeError> {
         let out = IncrementalPlanner
-            .try_apply(&self.instance, &self.plan, &sop.op)
+            .try_apply_budgeted(&self.instance, &self.plan, &sop.op, SolveBudget::UNLIMITED)
             .map_err(|e| {
                 ServeError::solve(
                     e.kind,
@@ -742,7 +742,7 @@ impl Daemon {
                 polish: false,
                 ..LnsSolver::seeded(0)
             };
-            solver.solve_budgeted(instance, budget)
+            solver.try_solve(instance, budget)
         } else {
             GapBasedSolver::default()
                 .with_certify(false)

@@ -35,7 +35,7 @@ use crate::wal::{OutcomeMeta, OutcomeMode};
 /// * **1** — per-op repair budgets halved.
 /// * **2** — additionally, full re-solves switch from the gap-based
 ///   pipeline to budgeted LNS with the final `LocalSearch` polish
-///   skipped (`LnsSolver::solve_budgeted`, `polish: false`).
+///   skipped (`LnsSolver::try_solve`, `polish: false`).
 /// * **3** — additionally, the drift re-solve threshold is raised
 ///   4×, so background re-solves become rare.
 pub const MAX_BROWNOUT_LEVEL: u8 = 3;

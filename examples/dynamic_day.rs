@@ -125,7 +125,9 @@ fn main() {
     let mut sampler = epplan::datagen::OpStreamSampler::new(7);
     let ops = sampler.stream(&instance, &plan, 100);
     let t0 = Instant::now();
-    let outcome = planner.apply_batch(&instance, &plan, &ops);
+    let outcome = planner
+        .try_apply_batch(&instance, &plan, &ops)
+        .expect("sampled ops are consistent with the evolving state");
     println!(
         "\nstress phase: {} random operations in {:.3}s",
         ops.len(),

@@ -85,7 +85,7 @@ fn faulted_fallback(threads: usize) -> (String, Vec<(String, String, String)>) {
     let inst = instance();
     let err = GapBasedSolver::default()
         .with_certify(true)
-        .solve_robust(&inst, SolveBudget::UNLIMITED)
+        .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect_err("the injected flow fault must fail the gap tier");
     assert_eq!(err.kind, FailureKind::NumericalInstability);
     assert!(
@@ -121,7 +121,7 @@ fn flow_fault_during_rounding_lands_in_greedy_fallback_with_stages() {
     let inst = instance();
     let err = GapBasedSolver::default()
         .with_certify(true)
-        .solve_robust(&inst, SolveBudget::UNLIMITED)
+        .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect_err("the injected flow fault must fail the gap tier");
     let fallback = err.partial.expect("fallback plan travels as partial");
 
@@ -183,7 +183,7 @@ fn poison_escapes_without_certification_but_not_with_it() {
     {
         let _armed = arm("core.conflict_adjust.apply=nan");
         let sol = GapBasedSolver::default()
-            .solve_robust(&inst, SolveBudget::UNLIMITED)
+            .try_solve(&inst, SolveBudget::UNLIMITED)
             .unwrap_or_else(|e| panic!("uncertified poison run failed outright: {}", e.message));
         assert!(
             !sol.plan.validate(&inst).hard_ok(),
@@ -197,7 +197,7 @@ fn poison_escapes_without_certification_but_not_with_it() {
         let _armed = arm("core.conflict_adjust.apply=nan");
         let err = GapBasedSolver::default()
             .with_certify(true)
-            .solve_robust(&inst, SolveBudget::UNLIMITED)
+            .try_solve(&inst, SolveBudget::UNLIMITED)
             .expect_err("certification must reject the poisoned plan");
         assert!(
             err.message.contains("time-conflict"),
@@ -219,7 +219,7 @@ fn double_fault_escalates_to_certified_empty_plan() {
     let _armed = arm("core.reduction.build=error;core.greedy.fallback=nan");
     let err = GapBasedSolver::default()
         .with_certify(true)
-        .solve_robust(&inst, SolveBudget::UNLIMITED)
+        .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect_err("gap tier dies on the reduction fault");
     assert!(err.message.contains("core.reduction.build"));
     let fallback = err.partial.expect("fallback plan travels as partial");
@@ -238,7 +238,7 @@ fn deadline_fault_maps_to_budget_exhausted() {
     let _armed = arm("core.reduction.build=deadline");
     let inst = instance();
     let err = GapBasedSolver::default()
-        .solve_robust(&inst, SolveBudget::UNLIMITED)
+        .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect_err("deadline trip fails the gap tier");
     assert_eq!(err.kind, FailureKind::BudgetExhausted);
     let fallback = err.partial.expect("fallback plan travels as partial");

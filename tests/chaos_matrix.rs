@@ -1,6 +1,6 @@
 //! Chaos matrix: every registered fault-injection site crossed with
 //! every fault action and every solver entry point (lp, flow, gap,
-//! exact, greedy, gap_based, iep). The contract under test is the
+//! exact, greedy, lns, gap_based, iep). The contract under test is the
 //! robustness tentpole of the fault layer:
 //!
 //! * **never a panic** — every entry point stays total under injected
@@ -15,7 +15,7 @@
 use epplan::core::certify::certify;
 use epplan::core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan::core::model::{Event, Instance, TimeInterval, User, UtilityMatrix};
-use epplan::core::solver::SolveBudget;
+use epplan::core::solver::{FailureKind, LnsSolver, SolveBudget};
 use epplan::fault::{FaultAction, FaultPlan};
 use epplan::gap::{GapConfig, GapInstance, GapSolver as GapPipeline};
 use epplan::lp::{Problem, Relation};
@@ -173,7 +173,7 @@ fn every_site_and_action_yields_certified_plan_or_typed_error() {
                 {
                     let _armed = arm(plan_for(site, hit, action));
                     let solver = GapBasedSolver::default().with_certify(true);
-                    let result = solver.solve_robust(&inst, SolveBudget::UNLIMITED);
+                    let result = solver.try_solve(&inst, SolveBudget::UNLIMITED);
                     if let Ok(sol) = &result {
                         let cert = sol
                             .report
@@ -194,6 +194,11 @@ fn every_site_and_action_yields_certified_plan_or_typed_error() {
                     let result = ExactSolver::default().try_solve(&inst, SolveBudget::UNLIMITED);
                     assert_certified_or_typed(&format!("exact {label}"), &inst, result);
                 }
+                {
+                    let _armed = arm(plan_for(site, hit, action));
+                    let result = LnsSolver::seeded(7).try_solve(&inst, SolveBudget::UNLIMITED);
+                    assert_certified_or_typed(&format!("lns {label}"), &inst, result);
+                }
 
                 // IEP entry point (carries `core.iep.apply`).
                 {
@@ -203,7 +208,12 @@ fn every_site_and_action_yields_certified_plan_or_typed_error() {
                         user: UserId(0),
                         new_budget: 10.0,
                     };
-                    match IncrementalPlanner.try_apply(&inst, &plan, &op) {
+                    match IncrementalPlanner.try_apply_budgeted(
+                        &inst,
+                        &plan,
+                        &op,
+                        SolveBudget::UNLIMITED,
+                    ) {
                         Ok(out) => {
                             let cert = certify(&out.instance, &out.plan);
                             assert!(cert.hard_ok(), "iep {label}: uncertified outcome: {cert}");
@@ -231,11 +241,27 @@ fn unarmed_runs_are_unaffected_by_the_fault_layer() {
     let inst = instance();
     let sol = GapBasedSolver::default()
         .with_certify(true)
-        .solve_robust(&inst, SolveBudget::UNLIMITED)
+        .try_solve(&inst, SolveBudget::UNLIMITED)
         .unwrap_or_else(|e| panic!("clean certified solve failed: {}", e.message));
     let cert = sol.report.certificate.clone().expect("certificate requested");
     assert!(cert.hard_ok());
     assert!(!sol.report.degraded());
+}
+
+#[test]
+fn lns_try_solve_spends_its_iteration_budget() {
+    let _guard = exclusive();
+    epplan::fault::clear();
+    let inst = instance();
+    let err = LnsSolver::seeded(0)
+        .try_solve(&inst, SolveBudget::from_iteration_cap(1))
+        .expect_err("a 1-iteration cap cannot cover 30 LNS iterations");
+    assert_eq!(err.kind, FailureKind::BudgetExhausted);
+    let partial = err
+        .partial
+        .expect("best-so-far plan travels as the partial");
+    let cert = certify(&inst, &partial.plan);
+    assert!(cert.hard_ok(), "LNS partial is uncertified: {cert}");
 }
 
 proptest! {
@@ -256,7 +282,7 @@ proptest! {
         let _armed = arm(plan_for(site, hit, action));
         let result = GapBasedSolver::default()
             .with_certify(true)
-            .solve_robust(&inst, SolveBudget::UNLIMITED);
+            .try_solve(&inst, SolveBudget::UNLIMITED);
         match result {
             Ok(sol) => {
                 let cert = sol.report.certificate.clone()

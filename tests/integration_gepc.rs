@@ -3,6 +3,7 @@
 //! paper's structural claims are checked end to end.
 
 use epplan::core::analysis::InstanceAnalysis;
+use epplan::core::solver::SolveBudget;
 use epplan::datagen::{generate, City, GeneratorConfig};
 use epplan::prelude::*;
 
@@ -83,7 +84,8 @@ fn approximation_bounds_hold_vs_exact() {
             max_users: 6,
             max_events: 5,
         })
-        .solve_optimal(&inst) else {
+        .try_solve(&inst, SolveBudget::UNLIMITED)
+        .ok() else {
             continue;
         };
         if exact.utility <= 0.0 {

@@ -4,6 +4,7 @@
 use epplan::core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan::core::model::TimeInterval;
 use epplan::core::plan::Plan;
+use epplan::core::solver::SolveBudget;
 use epplan::datagen::paper_example;
 use epplan::prelude::*;
 
@@ -40,7 +41,9 @@ fn example_2_plan_feasible_with_utility_6_3() {
 fn example_2_plan_is_optimal() {
     // The exact solver confirms 6.3 is the optimum for Example 1.
     let inst = paper_example();
-    let exact = ExactSolver::default().solve_optimal(&inst).unwrap();
+    let exact = ExactSolver::default()
+        .try_solve(&inst, SolveBudget::UNLIMITED)
+        .unwrap();
     assert!((exact.utility - 6.3).abs() < 1e-9);
 }
 

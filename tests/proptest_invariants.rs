@@ -6,6 +6,7 @@
 use epplan::core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan::core::model::TimeInterval;
 use epplan::core::plan::dif;
+use epplan::core::solver::SolveBudget;
 use epplan::datagen::{generate, GeneratorConfig};
 use epplan::prelude::*;
 use proptest::prelude::*;
@@ -142,7 +143,9 @@ proptest! {
             n_tags: 6,
             ..Default::default()
         });
-        let exact = ExactSolver { max_users: 5, max_events: 5 }.solve_optimal(&inst);
+        let exact = ExactSolver { max_users: 5, max_events: 5 }
+            .try_solve(&inst, SolveBudget::UNLIMITED)
+            .ok();
         if let Some(exact) = exact {
             // Dominance only holds over the same feasible region: an
             // approximate plan that *fails* some lower bound is outside

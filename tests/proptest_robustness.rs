@@ -172,7 +172,7 @@ proptest! {
     #[test]
     fn gap_starved_budget_degrades_gracefully(inst in arb_adversarial()) {
         let budget = SolveBudget::from_iteration_cap(1);
-        match GapBasedSolver::default().solve_robust(&inst, budget) {
+        match GapBasedSolver::default().try_solve(&inst, budget) {
             Ok(sol) => {
                 prop_assert!(sol.plan.validate(&inst).hard_ok());
             }
@@ -191,7 +191,7 @@ proptest! {
         u in 0usize..6, e in 0usize..4, regime in 0usize..4, seed in 0u64..10_000,
     ) {
         let inst = adversarial_instance(u, e, regime, seed);
-        match ExactSolver::default().try_solve_optimal(&inst, SolveBudget::UNLIMITED) {
+        match ExactSolver::default().try_solve(&inst, SolveBudget::UNLIMITED) {
             Ok(sol) => {
                 prop_assert!(sol.plan.validate(&inst).hard_ok());
             }
@@ -221,7 +221,7 @@ proptest! {
         let inst = base_instance(seed);
         let plan = GreedySolver::seeded(seed).solve(&inst).plan;
         let op = adversarial_op(kind, ev, uv, raw, poison);
-        match IncrementalPlanner.try_apply(&inst, &plan, &op) {
+        match IncrementalPlanner.try_apply_budgeted(&inst, &plan, &op, SolveBudget::UNLIMITED) {
             Ok(out) => {
                 // A structurally valid op may still be unsatisfiable
                 // (e.g. ξ raised beyond the population). The planner
@@ -268,7 +268,7 @@ fn empty_instance_is_survivable_by_every_solver() {
     assert!(sol.plan.validate(&inst).hard_ok());
 
     let sol = ExactSolver::default()
-        .try_solve_optimal(&inst, SolveBudget::UNLIMITED)
+        .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect("empty instance is trivially optimal");
     assert!(sol.plan.validate(&inst).hard_ok());
 }
