@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! paper [--quick] [--reps N] [--obs] [--threads N] [--tolerance F] [--strict] <experiment>...
+//! paper [--quick] [--reps N] [--obs] [--threads N] [--csv DIR] <experiment>...
 //!
 //! experiments:
 //!   example   Paper Example 1 sanity run
@@ -13,25 +13,20 @@
 //!   table9    IEP ts-tt on city datasets
 //!   fig4      IEP utility/time scalability sweeps
 //!   fig5      IEP memory scalability sweeps
-//!   ablations A1 (approx ratios), A2 (LP vs MW), A3 (filler)
-//!   bench     serial-vs-parallel baseline, written to BENCH_gepc.json
-//!   serve     serving-daemon throughput/latency, written to BENCH_serve.json
-//!   gate      re-measure bench+serve, diff against the committed
-//!             BENCH_*.json within --tolerance (default 0.15); exits 1
-//!             on regression. Fresh rows land in BENCH_*.fresh.json.
-//!   all       everything above except bench, serve and gate
+//!   ablations A1 (approx ratios), A2 (LP vs MW), A3 (filler),
+//!             A4 (local search), A5 (geography)
+//!   all       everything above
 //! ```
 //!
-//! `gate` timing checks (wall_s / ops_per_sec) are enforced only when
-//! the committed baseline carries the same `machine_cores` fingerprint
-//! as this machine — cross-machine numbers downgrade to warnings
-//! unless `--strict`. Utility drift and lost certification always
-//! fail: those are machine-independent.
+//! `--quick` shrinks city sets, sweeps and repetitions; `--reps N` sets
+//! the IEP repetitions per (city, operation). `--threads N` pins the
+//! worker count for every solver stage (same knob as the
+//! `EPPLAN_THREADS` env var); the default is the machine's available
+//! parallelism. `--csv DIR` also writes each table to `DIR/<slug>.csv`.
 //!
-//! `--threads N` pins the worker count for every solver stage (same
-//! knob as the `EPPLAN_THREADS` env var); the default is the machine's
-//! available parallelism. `bench` compares `threads=1` against that
-//! resolved count.
+//! Performance is measured by the `perfbench/` benchmark, not here:
+//! `cargo run --release --offline --manifest-path perfbench/Cargo.toml
+//! --bin benchmark -- --workload all`.
 //!
 //! Memory numbers are live because this binary installs the
 //! `epplan-memtrack` counting allocator. `--obs` turns on the
@@ -49,50 +44,10 @@ static ALLOC: epplan_memtrack::Tracking = epplan_memtrack::Tracking;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper [--quick] [--reps N] [--obs] [--threads N] [--tolerance F] [--strict] \
-         <example|table6|fig2|fig3|table7|table8|table9|fig4|fig5|ablations|bench|serve|gate|all>..."
+        "usage: paper [--quick] [--reps N] [--obs] [--threads N] [--csv DIR] \
+         <example|table6|fig2|fig3|table7|table8|table9|fig4|fig5|ablations|all>..."
     );
     std::process::exit(2)
-}
-
-/// Runs one leg of the perf gate: re-measures `experiment`, diffs the
-/// fresh rows against the committed `<path>`, and writes the fresh
-/// document next to it as `<stem>.fresh.json` for CI artifact upload.
-fn gate_leg(
-    name: &str,
-    committed_path: &str,
-    fresh_json: &str,
-    tolerance: f64,
-    strict: bool,
-) -> bool {
-    let fresh_path = committed_path.replace(".json", ".fresh.json");
-    if let Err(e) = std::fs::write(&fresh_path, fresh_json) {
-        eprintln!("warning: cannot write {fresh_path}: {e}");
-    }
-    let committed = match std::fs::read_to_string(committed_path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("gate: cannot read committed {committed_path}: {e}");
-            return false;
-        }
-    };
-    let (base, fresh) = match (
-        epplan_bench::gate::parse_bench(&committed),
-        epplan_bench::gate::parse_bench(fresh_json),
-    ) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) => {
-            eprintln!("gate: cannot parse {committed_path}: {e}");
-            return false;
-        }
-        (_, Err(e)) => {
-            eprintln!("gate: cannot parse fresh {name} rows: {e}");
-            return false;
-        }
-    };
-    let outcome = epplan_bench::gate::compare(committed_path, &base, &fresh, tolerance, strict);
-    print!("{outcome}");
-    outcome.passed()
 }
 
 /// Prints a table and, when `csv_dir` is set, also writes
@@ -112,23 +67,10 @@ fn main() {
     let mut wanted: Vec<String> = Vec::new();
     let mut csv_dir: Option<PathBuf> = None;
     let mut obs = false;
-    let mut tolerance = 0.15;
-    let mut strict = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
-            "--strict" => strict = true,
-            "--tolerance" => {
-                let Some(f) = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|f| f.is_finite() && *f >= 0.0)
-                else {
-                    usage()
-                };
-                tolerance = f;
-            }
             "--obs" => {
                 obs = true;
                 epplan_obs::enable_metrics();
@@ -210,35 +152,6 @@ fn main() {
                     .get_or_insert_with(|| experiments::iep_scaling(&opts))
                     .clone();
                 fig5.iter().for_each(|t| emit(t, csv_dir.as_ref()));
-            }
-            "bench" => {
-                let json = experiments::bench_gepc(&opts, epplan_par::threads());
-                let path = "BENCH_gepc.json";
-                match std::fs::write(path, &json) {
-                    Ok(()) => println!("wrote {path}"),
-                    Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-                }
-                print!("{json}");
-            }
-            "serve" => {
-                let json = experiments::bench_serve(&opts, epplan_par::threads());
-                let path = "BENCH_serve.json";
-                match std::fs::write(path, &json) {
-                    Ok(()) => println!("wrote {path}"),
-                    Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-                }
-                print!("{json}");
-            }
-            "gate" => {
-                let gepc = experiments::bench_gepc(&opts, epplan_par::threads());
-                let gepc_ok = gate_leg("gepc", "BENCH_gepc.json", &gepc, tolerance, strict);
-                let serve = experiments::bench_serve(&opts, epplan_par::threads());
-                let serve_ok = gate_leg("serve", "BENCH_serve.json", &serve, tolerance, strict);
-                if !(gepc_ok && serve_ok) {
-                    eprintln!("gate: perf regression against committed BENCH files");
-                    std::process::exit(1);
-                }
-                println!("gate: ok (tolerance {tolerance})");
             }
             "ablations" => {
                 emit(&experiments::ablation_approx(&opts), csv_dir.as_ref());

@@ -3,7 +3,11 @@
 //!
 //! The `paper` binary drives the experiments; this library holds the
 //! shared machinery (measurement, table formatting, experiment
-//! runners) so the Criterion benches can reuse the same workloads.
+//! runners). Performance is measured elsewhere, by the `perfbench/`
+//! benchmark declared in `BENCHMARK.json`:
+//! `cargo run --release --offline --manifest-path perfbench/Cargo.toml
+//! --bin benchmark -- --workload all`, and
+//! `benchmark --compare a.json b.json` to judge two runs.
 //!
 //! | Experiment | Paper | Runner |
 //! |---|---|---|
@@ -29,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod gate;
 pub mod measure;
 pub mod ops;
 pub mod table;

@@ -1151,6 +1151,7 @@ mod tests {
         let mut statuses = Vec::new();
         for sop in &ops {
             statuses.push(reference.process(sop).unwrap().status);
+            assert!(reference.certificate().hard_ok(), "visible state must certify");
         }
         assert!(reference.stats().shed > 0, "overload must shed: {statuses:?}");
         assert!(reference.stats().resolved > 0);
@@ -1205,10 +1206,10 @@ mod tests {
             let ops = ops_for(d.instance(), d.plan(), 8);
             for sop in &ops {
                 d.process(sop).unwrap();
+                assert!(d.certificate().hard_ok(), "visible state must certify");
             }
             assert_eq!(d.overload_state().level, crate::overload::MAX_BROWNOUT_LEVEL);
             assert_eq!(d.stats().brownout_steps, 3);
-            assert!(d.certificate().hard_ok());
             live_state = d.overload_state().clone();
         }
         // Replay folds the recorded burn flags and levels — no clock,
