@@ -1,27 +1,24 @@
-//! Minimum-cost flow and bipartite assignment.
+//! Minimum-cost bipartite assignment.
 //!
 //! The Shmoys–Tardos rounding step of the paper's GAP-based algorithm
 //! (Section III-A, \[6\]) converts a fractional GAP solution into an
 //! integral assignment by computing a **minimum-cost matching that
-//! saturates every job** in a bipartite "slot graph". This crate
-//! provides the two pieces needed for that:
+//! saturates every job** in a bipartite "slot graph".
+//! [`min_cost_assignment`] computes it: every left vertex (job) goes to
+//! one adjacent right vertex (slot) under integral per-right
+//! capacities, at minimum total cost. Each left is added by one
+//! shortest augmenting path — Dijkstra from that left alone over
+//! reduced costs, stopped at the first slot with spare capacity — so
+//! the work per job stays local to the part of the slot graph it
+//! competes for. Costs may be negative (utilities are converted to
+//! costs `1 − μ`).
 //!
-//! * [`MinCostFlow`] — successive-shortest-path min-cost max-flow with
-//!   Dijkstra path search over Johnson potentials (one Bellman–Ford
-//!   pass absorbs the negative-cost arcs that appear when utilities are
-//!   converted to costs `1 − μ`);
-//! * [`min_cost_assignment`] — a job→slot assignment layer on top,
-//!   with per-slot capacities, requiring every left vertex be matched.
-//!
-//! Both follow the fallible contract of `epplan-solve`: malformed
-//! graphs are `BadInput` errors rather than panics, an incomplete
-//! matching is an `Infeasible` error carrying the partial assignment,
-//! and the augmentation loops spend an [`epplan_solve::SolveBudget`]
-//! (one iteration per augmentation).
-//!
-//! Capacities are `f64` but all callers use integral capacities, for
-//! which successive shortest paths provably returns integral flows.
-
+//! The solver follows the fallible contract of `epplan-solve`:
+//! malformed graphs are `BadInput` errors rather than panics, an
+//! incomplete matching is an `Infeasible` error carrying a
+//! maximum-cardinality partial assignment, and the augmentation loop
+//! spends an [`epplan_solve::SolveBudget`] (one iteration per
+//! augmentation).
 
 // Solver code must degrade with typed errors, never panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -29,7 +26,5 @@
 #![warn(missing_docs)]
 
 mod matching;
-mod mcmf;
 
 pub use matching::{min_cost_assignment, min_cost_assignment_with_budget, Assignment};
-pub use mcmf::{EdgeId, FlowResult, MinCostFlow};

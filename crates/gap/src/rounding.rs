@@ -34,9 +34,8 @@ const EPS: f64 = 1e-9;
 /// Rounds `frac` to an integral assignment with no budget. Jobs in
 /// `frac.unassigned` stay unassigned; every other job is matched.
 ///
-/// Returns the integral solution with `fractional_cost` set to the
-/// cost of `frac` (the lower bound used in the paper's approximation
-/// analysis).
+/// The result leaves `fractional_cost` unset: only the caller knows
+/// whether `frac` was an LP optimum, and hence a lower bound.
 pub fn round_shmoys_tardos(
     inst: &GapInstance,
     frac: &FractionalSolution,
@@ -44,7 +43,7 @@ pub fn round_shmoys_tardos(
     round_shmoys_tardos_with_budget(inst, frac, SolveBudget::UNLIMITED)
 }
 
-/// [`round_shmoys_tardos`] under a [`SolveBudget`] spent one flow
+/// [`round_shmoys_tardos`] under a [`SolveBudget`] spent one matching
 /// augmentation per iteration. A `BudgetExhausted` error carries the
 /// partially-matched integral solution as its partial artifact.
 pub fn round_shmoys_tardos_with_budget(
@@ -184,11 +183,7 @@ pub fn round_shmoys_tardos_with_budget(
         assignment
     };
 
-    let finish = |assignment: Vec<Option<usize>>| {
-        let mut sol = GapSolution::from_assignment(inst, assignment);
-        sol.fractional_cost = Some(frac.cost(inst));
-        sol
-    };
+    let finish = |assignment| GapSolution::from_assignment(inst, assignment);
 
     match matching {
         Ok(a) => Ok(finish(place(&a.left_to_right))),
@@ -374,7 +369,7 @@ mod tests {
         // At most one augmentation ran, so at most one job is placed —
         // but the artifact is still a structurally valid GapSolution.
         assert!(partial.assignment.iter().flatten().count() <= 1);
-        assert!(partial.fractional_cost.is_some());
+        assert!(partial.fractional_cost.is_none());
     }
 
     #[test]

@@ -79,8 +79,9 @@ impl GapSolver {
 
     /// Solves `inst` within the configured budget.
     ///
-    /// `fractional_cost` is populated whenever a relaxation was solved,
-    /// giving the lower bound used in approximation-ratio reporting.
+    /// `fractional_cost` is populated when the exact simplex solved the
+    /// relaxation, giving the lower bound used in approximation-ratio
+    /// reporting; it stays `None` when the MW relaxation was used.
     /// A fractionally infeasible (or numerically degenerate) instance
     /// does not fail the pipeline: the solver falls back from the exact
     /// LP to the multiplicative-weights relaxation, whose output the
@@ -106,9 +107,14 @@ impl GapSolver {
             FractionalMethod::MultiplicativeWeights => false,
         };
 
-        let frac = if use_simplex {
+        // Only the simplex optimum lower-bounds the integral cost; an
+        // MW solution is approximate, and pruning changes its cost.
+        let (mut frac, lp_bound) = if use_simplex {
             match lp_relaxation_with_budget(inst, guard.remaining_budget()) {
-                Ok(f) => f,
+                Ok(f) => {
+                    let bound = f.cost(inst);
+                    (f, Some(bound))
+                }
                 Err(e)
                     if matches!(
                         e.kind,
@@ -120,24 +126,24 @@ impl GapSolver {
                     // job-mass-1 solution (possibly overloading
                     // machines) that the rounding and completion passes
                     // can still work with.
-                    self.mw_within(inst, guard.remaining_budget())?
+                    (self.mw_within(inst, guard.remaining_budget())?, None)
                 }
                 Err(e) => return Err(e.discard_partial()),
             }
         } else {
-            self.mw_within(inst, guard.remaining_budget())?
+            (self.mw_within(inst, guard.remaining_budget())?, None)
         };
         guard
             .check_deadline(STAGE)
             .map_err(SolveError::discard_partial)?;
 
-        let mut frac = frac;
         if self.config.rounding_top_k > 0 {
             frac.prune_top_k(self.config.rounding_top_k);
         }
         match round_shmoys_tardos_with_budget(inst, &frac, guard.remaining_budget()) {
             Ok(mut sol) => {
                 complete_solution(inst, &mut sol);
+                sol.fractional_cost = lp_bound;
                 Ok(sol)
             }
             Err(mut e) if e.kind == FailureKind::BudgetExhausted => {
@@ -146,6 +152,7 @@ impl GapSolver {
                 // gets before degrading to a pure greedy plan.
                 if let Some(sol) = e.partial.as_mut() {
                     complete_solution(inst, sol);
+                    sol.fractional_cost = lp_bound;
                 }
                 Err(e)
             }
@@ -304,6 +311,24 @@ mod tests {
     }
 
     #[test]
+    fn lp_bound_is_the_unpruned_simplex_optimum() {
+        // Pruning to one machine per job changes the fractional cost;
+        // the reported bound must still be the LP optimum.
+        for seed in 10..16 {
+            let g = random_instance(3, 9, seed, 4.0);
+            let lp = crate::lp_relaxation(&g).unwrap().cost(&g);
+            let sol = GapSolver::new(GapConfig {
+                method: FractionalMethod::Simplex,
+                rounding_top_k: 1,
+                ..Default::default()
+            })
+            .solve(&g)
+            .unwrap();
+            assert_eq!(sol.fractional_cost, Some(lp), "seed {seed}");
+        }
+    }
+
+    #[test]
     fn exact_matches_pipeline_on_tiny_instances() {
         for seed in 20..30 {
             let g = random_instance(3, 6, seed, 5.0);
@@ -331,7 +356,8 @@ mod tests {
         });
         let sol = solver.solve(&g).unwrap();
         assert!(sol.is_complete());
-        assert!(sol.fractional_cost.is_some());
+        // An MW relaxation is approximate: it bounds nothing.
+        assert!(sol.fractional_cost.is_none());
     }
 
     #[test]

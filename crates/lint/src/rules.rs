@@ -190,8 +190,7 @@ pub const SPAN_NAMES: &[&str] = &[
     "lp.simplex",
     "lp.phase1",
     "lp.phase2",
-    "flow.mcmf",
-    "flow.potentials",
+    "flow.matching",
     "gap.pipeline",
     "gap.lp_relax",
     "gap.packing",

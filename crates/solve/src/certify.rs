@@ -31,9 +31,8 @@
 //! | `invalid-assignment`   | assigned event/user ids are in range        |
 //!
 //! Optimality is certified separately where the math gives a cheap
-//! certificate ([`OptimalityCert`]): dual feasibility at simplex exit,
-//! reduced-cost optimality for min-cost flow, and the LP-relaxation
-//! lower bound for the GAP rounding pipeline.
+//! certificate ([`OptimalityCert`]): dual feasibility at simplex exit
+//! and the LP-relaxation lower bound for the GAP rounding pipeline.
 
 use std::fmt;
 
@@ -110,12 +109,6 @@ pub enum OptimalityCert {
         /// The certified objective value.
         objective: f64,
     },
-    /// The min-cost-flow residual graph contains no negative-cost
-    /// cycle: the flow is provably cost-optimal for its value.
-    FlowReducedCostOptimal {
-        /// The certified total cost.
-        cost: f64,
-    },
     /// The GAP rounding achieved `achieved` against the LP-relaxation
     /// lower bound `bound` — certifies the approximation gap, not
     /// optimality.
@@ -133,9 +126,6 @@ impl fmt::Display for OptimalityCert {
         match self {
             OptimalityCert::LpDualFeasible { objective } => {
                 write!(f, "lp dual-feasible (objective {objective:.6})")
-            }
-            OptimalityCert::FlowReducedCostOptimal { cost } => {
-                write!(f, "flow reduced-cost optimal (cost {cost:.6})")
             }
             OptimalityCert::LpLowerBound { bound, achieved } => {
                 write!(f, "lp lower bound {bound:.6} ≤ achieved {achieved:.6}")
@@ -530,8 +520,6 @@ mod tests {
     fn optimality_certs_render() {
         let mut cert = certify_plan(&TestView::feasible(), None);
         cert.optimality.push(OptimalityCert::LpDualFeasible { objective: 1.0 });
-        cert.optimality
-            .push(OptimalityCert::FlowReducedCostOptimal { cost: 2.0 });
         cert.optimality.push(OptimalityCert::LpLowerBound {
             bound: 1.0,
             achieved: 1.5,

@@ -2,8 +2,8 @@
 //! solve budgets and degradation reports.
 //!
 //! Every public solver entry point in the workspace — the simplex LP
-//! (`epplan-lp`), the GAP pipeline (`epplan-gap`), min-cost flow and
-//! matching (`epplan-flow`), and the GEPC/IEP solvers in `epplan-core`
+//! (`epplan-lp`), the GAP pipeline (`epplan-gap`), the min-cost
+//! assignment (`epplan-flow`), and the GEPC/IEP solvers in `epplan-core`
 //! — speaks this vocabulary: it returns `Result<_, SolveError<_>>`,
 //! spends work against a [`SolveBudget`], and (at the facade level)
 //! records what it tried in a [`SolveReport`]. A solver may *degrade*

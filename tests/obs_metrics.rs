@@ -37,9 +37,15 @@ fn gap_solve_emits_stage_metrics() {
         obs::counter_value("rounding.slots") > 0,
         "rounding recorded no slots"
     );
+    assert!(
+        obs::counter_value("flow.augmentations") > 0,
+        "rounding recorded no matcher augmentations"
+    );
     let stages: Vec<&str> = solution.report.stages.iter().map(|s| s.name.as_str()).collect();
     assert!(
-        stages.contains(&"lp.simplex") && stages.contains(&"gap.rounding"),
+        stages.contains(&"lp.simplex")
+            && stages.contains(&"gap.rounding")
+            && stages.contains(&"flow.matching"),
         "SolveReport stage summary missing expected stages: {stages:?}"
     );
 
