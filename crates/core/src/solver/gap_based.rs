@@ -98,44 +98,56 @@ impl GapBasedSolver {
     /// verify the reduction constants.
     pub fn build_gap(&self, instance: &Instance) -> (GapInstance, Vec<EventId>) {
         let _sp = epplan_obs::span("solve.reduction");
+        // Transpose the per-user candidate lists into per-event rows of
+        // (user, c = 1 − μ, p = 2·d) by counting sort. The candidate
+        // predicate already excludes μ = 0 pairs, and pairs the user's
+        // budget can never cover drop out too (lossless: any feasible
+        // plan containing the event costs at least 2·d + fee by the
+        // triangle inequality, so budget repair would strip them
+        // anyway). Count each event's candidates into `offsets[e + 1]`.
+        let cands = instance.candidates();
+        let mut offsets = vec![0u32; instance.n_events() + 1];
+        for u in instance.user_ids() {
+            for &e in cands.row(u).0 {
+                offsets[e as usize + 1] += 1;
+            }
+        }
         // Job list: ξ_j copies of each event, each tagged with the
         // event it copies — the ξ copies share one candidate row in the
-        // sparse GAP layout (identical Theorem-2 columns).
+        // sparse GAP layout (identical Theorem-2 columns). The same
+        // pass prefix-sums the counts into row offsets.
         let mut jobs: Vec<EventId> = Vec::new();
         let mut job_group: Vec<u32> = Vec::new();
         // epplan-lint: allow(sparse/dense-scan) — Theorem-2 job emission is one O(|E| + Σξ) pass during reduction build, not a per-user sweep
         for e in instance.event_ids() {
+            offsets[e.index() + 1] += offsets[e.index()];
             for _ in 0..instance.event(e).lower {
                 jobs.push(e);
                 job_group.push(e.0);
             }
         }
-        let n = instance.n_users();
+        // Scatter users in ascending order, so every row is ascending.
+        let mut next = offsets.clone();
+        let mut machines = vec![0u32; cands.len()];
+        let mut costs = vec![0.0; cands.len()];
+        let mut times = vec![0.0; cands.len()];
+        for u in instance.user_ids() {
+            let (events, utils) = cands.row(u);
+            for (&e, &mu) in events.iter().zip(utils) {
+                let k = next[e as usize] as usize;
+                next[e as usize] += 1;
+                machines[k] = u.0;
+                costs[k] = 1.0 - mu;
+                times[k] = 2.0 * instance.distance(u, EventId(e));
+            }
+        }
         let caps: Vec<f64> = instance
             .users()
             .iter()
             .map(|u| (2.0 + self.epsilon) * u.budget)
             .collect();
-        // Transpose the per-user candidate lists into per-event rows of
-        // (user, c = 1 − μ, p = 2·d). Users come out ascending per row
-        // because the outer loop is ascending; the candidate predicate
-        // already excludes μ = 0 pairs, and pairs the user's budget can
-        // never cover drop out too (lossless: any feasible plan
-        // containing the event costs at least 2·d + fee by the triangle
-        // inequality, so budget repair would strip them anyway).
-        let cands = instance.candidates();
-        let mut rows: Vec<Vec<(u32, f64, f64)>> = vec![Vec::new(); instance.n_events()];
-        for u in instance.user_ids() {
-            let (events, utils) = cands.row(u);
-            for (k, &e) in events.iter().enumerate() {
-                rows[e as usize].push((
-                    u.0,
-                    1.0 - utils[k],
-                    2.0 * instance.distance(u, EventId(e)),
-                ));
-            }
-        }
-        let gap = GapInstance::from_group_candidates(n, caps, job_group, &rows);
+        let n = instance.n_users();
+        let gap = GapInstance::from_csr(n, caps, job_group, offsets, machines, costs, times);
         (gap, jobs)
     }
 
@@ -226,7 +238,11 @@ impl GapBasedSolver {
         let (gap, jobs) = self.build_gap(instance);
         let mut config = self.gap.clone();
         config.budget = config.budget.min(budget);
-        match GapPipeline::new(config).solve(&gap) {
+        let result = GapPipeline::new(config).solve(&gap);
+        // Post-processing needs only `jobs` and the GAP assignment; free
+        // the candidate arena before Algorithm 1 and the filler run.
+        drop(gap);
+        match result {
             Ok(gap_solution) => {
                 let mut sol = self.finish(instance, &jobs, &gap_solution)?;
                 sol.report = SolveReport::single("gap_based", SolveStatus::Optimal);

@@ -12,10 +12,12 @@
 /// machine-ascending candidate row per *group* (event) serves all its
 /// copies, with `job_group` mapping each job (copy) to its row. Pairs
 /// absent from a row are *forbidden* (the user cannot attend the event
-/// at all, e.g. zero utility or unaffordable travel): they have
-/// infinite cost and are excluded from every solver's search space.
-/// Memory and solver work are O(candidates), not O(machines × jobs).
-/// [`GapInstance::from_group_candidates`] is what the reduction emits;
+/// at all, e.g. zero utility or unaffordable travel, or the job alone
+/// exceeds the machine's capacity): they have infinite cost and are
+/// excluded from every solver's search space, so every stored pair is
+/// allowed. Memory and solver work are O(candidates), not O(machines ×
+/// jobs), and the multiplicative-weights oracle scans the rows in
+/// place. [`GapInstance::from_csr`] is the reduction's constructor;
 /// [`GapInstance::from_matrices`] builds small instances from dense
 /// matrices, one candidate row per job. Instances are immutable.
 ///
@@ -37,7 +39,8 @@ pub struct GapInstance {
     machines: Vec<u32>,
     /// Parallel to `machines`: assignment costs (finite).
     costs: Vec<f64>,
-    /// Parallel to `machines`: processing times (finite, ≥ 0).
+    /// Parallel to `machines`: processing times (finite, ≥ 0, within
+    /// the machine's capacity).
     times: Vec<f64>,
     /// First construction defect observed, if any.
     defect: Option<String>,
@@ -65,57 +68,83 @@ fn checked_capacity(n_machines: usize, mut capacity: Vec<f64>) -> (Vec<f64>, Opt
 }
 
 impl GapInstance {
-    /// Builds an instance from per-group candidate rows.
+    /// Builds an instance from a per-group candidate CSR.
     ///
-    /// `job_group[j]` names the row of `rows` job `j` draws candidates
-    /// from; jobs sharing a group (the ξ copies of one event) share one
-    /// row. Each row lists `(machine, cost, time)` triples with
+    /// Row `r` is `offsets[r]..offsets[r + 1]` of the parallel
+    /// `machines`/`costs`/`times` arrays and lists its candidates with
     /// strictly ascending machine ids; every pair *not* listed is
-    /// forbidden. Malformed input — a capacity vector of the wrong
-    /// length or with negative/non-finite entries, an out-of-range
-    /// group or machine, a non-ascending row, a NaN/infinite cost, a
-    /// negative or non-finite time, or an arena larger than `u32::MAX`
-    /// entries — poisons the instance (see [`GapInstance::defect`]);
-    /// offending entries are dropped so the stored arena stays
-    /// structurally consistent.
-    pub fn from_group_candidates(
+    /// forbidden. `job_group[j]` names the row job `j` draws candidates
+    /// from; jobs sharing a group (the ξ copies of one event) share one
+    /// row. The arrays are compacted in place: a pair whose time exceeds
+    /// its machine's capacity (`p_{i,j} > T_i`, the standard GAP
+    /// preprocessing step the Shmoys–Tardos analysis requires) is
+    /// dropped, so every stored pair is allowed.
+    ///
+    /// Malformed input — a capacity vector of the wrong length or with
+    /// negative/non-finite entries, arrays of different lengths,
+    /// offsets that do not rise from 0 to the array length, an
+    /// out-of-range group or machine, a non-ascending row, a
+    /// NaN/infinite cost, a negative or non-finite time — poisons the
+    /// instance (see [`GapInstance::defect`]); offending entries (all
+    /// of them, for malformed offsets or lengths) are dropped so the
+    /// stored arena stays structurally consistent.
+    pub fn from_csr(
         n_machines: usize,
         capacity: Vec<f64>,
         job_group: Vec<u32>,
-        rows: &[Vec<(u32, f64, f64)>],
+        offsets: Vec<u32>,
+        machines: Vec<u32>,
+        costs: Vec<f64>,
+        times: Vec<f64>,
     ) -> Self {
         let (capacity, defect) = checked_capacity(n_machines, capacity);
         let mut inst = GapInstance {
             n_machines,
             capacity,
             job_group,
-            offsets: Vec::with_capacity(rows.len() + 1),
-            machines: Vec::new(),
-            costs: Vec::new(),
-            times: Vec::new(),
+            offsets,
+            machines,
+            costs,
+            times,
             defect,
         };
+        let len = inst.machines.len();
+        let shape_ok = inst.costs.len() == len
+            && inst.times.len() == len
+            && inst.offsets.first() == Some(&0)
+            && inst.offsets.windows(2).all(|w| w[0] <= w[1])
+            && inst.offsets.last().map(|&o| o as usize) == Some(len);
+        if !shape_ok {
+            inst.poison(format!(
+                "malformed candidate CSR ({} offsets, {len} machines, {} costs, {} times)",
+                inst.offsets.len(),
+                inst.costs.len(),
+                inst.times.len()
+            ));
+            // Keep the rows, drop every entry.
+            inst.offsets = vec![0; inst.offsets.len().max(1)];
+        }
+        let n_rows = inst.offsets.len() - 1;
         for g in inst.job_group.iter_mut() {
-            if *g as usize >= rows.len() {
+            if *g as usize >= n_rows {
                 inst.defect.get_or_insert(format!(
-                    "job group {g} out of range ({} candidate rows)",
-                    rows.len()
+                    "job group {g} out of range ({n_rows} candidate rows)"
                 ));
                 *g = 0;
             }
         }
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        if nnz > u32::MAX as usize {
-            inst.poison(format!("candidate arena has {nnz} entries (u32 offsets)"));
+        if n_rows == 0 && !inst.job_group.is_empty() {
+            // Every job's group was clamped to row 0 (and the instance
+            // poisoned); give them an empty row to stay panic-free.
+            inst.offsets.push(0);
         }
-        let nnz = nnz.min(u32::MAX as usize);
-        inst.machines.reserve_exact(nnz);
-        inst.costs.reserve_exact(nnz);
-        inst.times.reserve_exact(nnz);
-        inst.offsets.push(0u32);
-        for (r, row) in rows.iter().enumerate() {
+        // Compact each row in place: `w` never passes the read cursor.
+        let (mut w, mut lo) = (0usize, 0usize);
+        for r in 0..inst.offsets.len() - 1 {
+            let hi = inst.offsets[r + 1] as usize;
             let mut prev: Option<u32> = None;
-            for &(i, c, t) in row {
+            for k in lo..hi {
+                let (i, c, t) = (inst.machines[k], inst.costs[k], inst.times[k]);
                 if i as usize >= n_machines {
                     inst.poison(format!("row {r}: machine {i} out of range ({n_machines})"));
                     continue;
@@ -132,21 +161,21 @@ impl GapInstance {
                     inst.poison(format!("row {r}: machine {i} has invalid time {t}"));
                     continue;
                 }
-                if inst.machines.len() == u32::MAX as usize {
-                    break;
-                }
                 prev = Some(i);
-                inst.machines.push(i);
-                inst.costs.push(c);
-                inst.times.push(t);
+                if t > inst.capacity[i as usize] + 1e-12 {
+                    continue;
+                }
+                inst.machines[w] = i;
+                inst.costs[w] = c;
+                inst.times[w] = t;
+                w += 1;
             }
-            inst.offsets.push(inst.machines.len() as u32);
+            inst.offsets[r + 1] = w as u32;
+            lo = hi;
         }
-        if rows.is_empty() && !inst.job_group.is_empty() {
-            // Every job's group was clamped to row 0 (and the instance
-            // poisoned); give them an empty row to stay panic-free.
-            inst.offsets.push(0);
-        }
+        inst.machines.truncate(w);
+        inst.costs.truncate(w);
+        inst.times.truncate(w);
         inst
     }
 
@@ -157,19 +186,24 @@ impl GapInstance {
     pub fn from_matrices(costs: Vec<Vec<f64>>, times: Vec<Vec<f64>>, capacity: Vec<f64>) -> Self {
         let n_machines = costs.len();
         let n_jobs = costs.first().map_or(0, Vec::len);
-        let rows: Vec<Vec<(u32, f64, f64)>> = (0..n_jobs)
-            .map(|j| {
-                (0..n_machines)
-                    .filter_map(|i| {
-                        let c = costs[i].get(j).copied().unwrap_or(f64::INFINITY);
-                        let t = times.get(i).and_then(|row| row.get(j)).copied();
-                        (c != f64::INFINITY).then_some((i as u32, c, t.unwrap_or(0.0)))
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut offsets = vec![0u32];
+        let (mut machines, mut row_costs, mut row_times) = (Vec::new(), Vec::new(), Vec::new());
+        for j in 0..n_jobs {
+            for (i, cost_row) in costs.iter().enumerate() {
+                let c = cost_row.get(j).copied().unwrap_or(f64::INFINITY);
+                if c != f64::INFINITY {
+                    let t = times.get(i).and_then(|row| row.get(j)).copied();
+                    machines.push(i as u32);
+                    row_costs.push(c);
+                    row_times.push(t.unwrap_or(0.0));
+                }
+            }
+            offsets.push(machines.len() as u32);
+        }
         let job_group = (0..n_jobs as u32).collect();
-        let mut inst = GapInstance::from_group_candidates(n_machines, capacity, job_group, &rows);
+        let mut inst = GapInstance::from_csr(
+            n_machines, capacity, job_group, offsets, machines, row_costs, row_times,
+        );
         if times.len() != n_machines {
             inst.poison(format!(
                 "time matrix has {} rows for {n_machines} machines",
@@ -200,7 +234,7 @@ impl GapInstance {
 
     /// Arena slice of candidate row `r` as `(machines, costs, times)`.
     #[inline]
-    fn row(&self, r: usize) -> (&[u32], &[f64], &[f64]) {
+    pub(crate) fn row(&self, r: usize) -> (&[u32], &[f64], &[f64]) {
         let lo = self.offsets[r] as usize;
         let hi = self.offsets[r + 1] as usize;
         (
@@ -232,7 +266,8 @@ impl GapInstance {
         self.job_group.len()
     }
 
-    /// Cost of assigning `job` to `machine` (infinite if forbidden).
+    /// Cost of assigning `job` to `machine` (infinite if the pair is
+    /// forbidden, capacity-gated pairs included).
     #[inline]
     pub fn cost(&self, machine: usize, job: usize) -> f64 {
         self.find(machine, job)
@@ -240,7 +275,7 @@ impl GapInstance {
     }
 
     /// Processing time of `job` on `machine` (0 for forbidden pairs,
-    /// which no solver path consumes).
+    /// capacity-gated ones included, which no solver path consumes).
     #[inline]
     pub fn time(&self, machine: usize, job: usize) -> f64 {
         self.find(machine, job).map_or(0.0, |k| self.times[k])
@@ -253,13 +288,11 @@ impl GapInstance {
     }
 
     /// Whether the pair may be used: present in the job's candidate
-    /// row, and the job fits the machine's capacity on its own (`p_{i,j}
-    /// ≤ T_i`, the standard GAP preprocessing step that the
-    /// Shmoys–Tardos analysis requires).
+    /// row. Construction already dropped every pair whose job alone
+    /// exceeds the machine's capacity.
     #[inline]
     pub fn allowed(&self, machine: usize, job: usize) -> bool {
-        self.find(machine, job)
-            .is_some_and(|k| self.times[k] <= self.capacity[machine] + 1e-12)
+        self.find(machine, job).is_some()
     }
 
     /// Number of distinct candidate rows (copies share a row).
@@ -285,9 +318,7 @@ impl GapInstance {
             .iter()
             .zip(costs.iter())
             .zip(times.iter())
-            .filter_map(move |((&i, &c), &t)| {
-                (t <= self.capacity[i as usize] + 1e-12).then_some((i as usize, c, t))
-            })
+            .map(|((&i, &c), &t)| (i as usize, c, t))
     }
 
     /// Allowed `(machine, cost, time)` triples for `job`,
@@ -302,22 +333,21 @@ impl GapInstance {
     }
 
     /// Number of allowed machine–job pairs (the LP variable count), in
-    /// O(candidates): the allowed count per row, summed over jobs via
-    /// the group map (copies multiply their row's count).
+    /// O(jobs): each job's row length.
     pub fn allowed_pairs_count(&self) -> usize {
-        let per_row: Vec<usize> = (0..self.n_candidate_rows())
-            .map(|r| self.row_allowed_triples(r).count())
-            .collect();
-        self.job_group.iter().map(|&g| per_row[g as usize]).sum()
+        self.job_group.iter().map(|&g| self.row(g as usize).0.len()).sum()
+    }
+
+    /// Row offsets of the candidate arena, `n_candidate_rows() + 1`
+    /// entries.
+    pub(crate) fn row_offsets(&self) -> &[u32] {
+        &self.offsets
     }
 
     /// Jobs with no allowed machine (unassignable under any policy).
     pub fn unassignable_jobs(&self) -> Vec<usize> {
-        let row_ok: Vec<bool> = (0..self.n_candidate_rows())
-            .map(|r| self.row_allowed_triples(r).next().is_some())
-            .collect();
         (0..self.n_jobs())
-            .filter(|&j| !row_ok[self.job_group[j] as usize])
+            .filter(|&j| self.row(self.job_group[j] as usize).0.is_empty())
             .collect()
     }
 
@@ -511,17 +541,35 @@ mod tests {
         assert_eq!(g.capacity(0), 0.0);
     }
 
+    /// Flattens per-row `(machine, cost, time)` lists into the CSR
+    /// arrays [`GapInstance::from_csr`] takes.
+    fn csr(
+        n_machines: usize,
+        capacity: Vec<f64>,
+        job_group: Vec<u32>,
+        rows: &[&[(u32, f64, f64)]],
+    ) -> GapInstance {
+        let mut offsets = vec![0u32];
+        let (mut machines, mut costs, mut times) = (Vec::new(), Vec::new(), Vec::new());
+        for row in rows {
+            for &(i, c, t) in *row {
+                machines.push(i);
+                costs.push(c);
+                times.push(t);
+            }
+            offsets.push(machines.len() as u32);
+        }
+        GapInstance::from_csr(n_machines, capacity, job_group, offsets, machines, costs, times)
+    }
+
     /// Two jobs sharing one candidate row plus a third job with its own
     /// row.
     fn sparse_tiny() -> GapInstance {
-        GapInstance::from_group_candidates(
+        csr(
             3,
             vec![2.0, 1.0, 4.0],
             vec![0, 0, 1],
-            &[
-                vec![(0, 1.0, 1.0), (2, 0.5, 3.0)],
-                vec![(1, 2.0, 1.0)],
-            ],
+            &[&[(0, 1.0, 1.0), (2, 0.5, 3.0)], &[(1, 2.0, 1.0)]],
         )
     }
 
@@ -542,7 +590,7 @@ mod tests {
         assert_eq!(g.cost(1, 0), f64::INFINITY);
         assert_eq!(g.time(1, 0), 0.0);
         assert!(!g.allowed(1, 0));
-        // Present pair still gated by capacity: machine 2 has cap 4.
+        // Present pair within capacity: machine 2 has cap 4.
         assert!(g.allowed(2, 0));
         assert_eq!(g.allowed_machines(0).collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(
@@ -553,17 +601,25 @@ mod tests {
 
     #[test]
     fn sparse_capacity_gates_oversized_candidates() {
-        // Machine 1 (cap 1.0) listed with time 5.0: present but not
-        // allowed — the p ≤ T preprocessing applies to sparse rows too.
-        let g = GapInstance::from_group_candidates(
+        // Machine 1 (cap 1.0) listed with time 5.0: dropped at build —
+        // the p ≤ T preprocessing applies to sparse rows too — and the
+        // pair reads like any forbidden one.
+        let g = csr(
             2,
             vec![2.0, 1.0],
-            vec![0],
-            &[vec![(0, 1.0, 1.0), (1, 0.1, 5.0)]],
+            vec![0, 1],
+            &[&[(0, 1.0, 1.0), (1, 0.1, 5.0)], &[(1, 0.4, 0.5)]],
         );
+        assert!(g.defect().is_none());
         assert!(!g.allowed(1, 0));
+        assert_eq!(g.cost(1, 0), f64::INFINITY);
+        assert_eq!(g.time(1, 0), 0.0);
         assert_eq!(g.allowed_machines(0).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(g.allowed_pairs_count(), 1);
+        assert_eq!(g.allowed_pairs_count(), 2);
+        // The offsets close over the compacted arena, so the next row
+        // still reads its own entry.
+        assert_eq!(g.row_offsets(), &[0, 1, 2]);
+        assert_eq!(g.allowed_triples(1).collect::<Vec<_>>(), vec![(1, 0.4, 0.5)]);
     }
 
     #[test]
@@ -587,10 +643,8 @@ mod tests {
         for i in 0..3 {
             for j in 0..3 {
                 assert_eq!(sparse.allowed(i, j), dense.allowed(i, j), "({i},{j})");
-                if sparse.allowed(i, j) {
-                    assert_eq!(sparse.cost(i, j), dense.cost(i, j));
-                    assert_eq!(sparse.time(i, j), dense.time(i, j));
-                }
+                assert_eq!(sparse.cost(i, j), dense.cost(i, j));
+                assert_eq!(sparse.time(i, j), dense.time(i, j));
             }
         }
         assert_eq!(sparse.allowed_pairs_count(), dense.allowed_pairs_count());
@@ -599,51 +653,63 @@ mod tests {
 
     #[test]
     fn sparse_unassignable_jobs_via_group_rows() {
-        let g = GapInstance::from_group_candidates(
-            2,
-            vec![1.0, 1.0],
-            vec![0, 1, 0],
-            &[vec![(0, 0.3, 1.0)], vec![]],
-        );
+        let g = csr(2, vec![1.0, 1.0], vec![0, 1, 0], &[&[(0, 0.3, 1.0)], &[]]);
         assert_eq!(g.unassignable_jobs(), vec![1]);
     }
 
     #[test]
     fn sparse_malformed_rows_poison() {
         // Out-of-range machine.
-        let g = GapInstance::from_group_candidates(
-            1,
-            vec![1.0],
-            vec![0],
-            &[vec![(5, 1.0, 1.0)]],
-        );
+        let g = csr(1, vec![1.0], vec![0], &[&[(5, 1.0, 1.0)]]);
         assert!(g.defect().is_some_and(|d| d.contains("out of range")));
         // Non-ascending machines.
-        let g = GapInstance::from_group_candidates(
+        let g = csr(
             2,
             vec![1.0, 1.0],
             vec![0],
-            &[vec![(1, 1.0, 1.0), (0, 1.0, 1.0)]],
+            &[&[(1, 1.0, 1.0), (0, 1.0, 1.0)]],
         );
         assert!(g.defect().is_some_and(|d| d.contains("ascending")));
         // NaN cost and negative time.
-        let g = GapInstance::from_group_candidates(
-            1,
-            vec![1.0],
-            vec![0],
-            &[vec![(0, f64::NAN, 1.0)]],
-        );
+        let g = csr(1, vec![1.0], vec![0], &[&[(0, f64::NAN, 1.0)]]);
         assert!(g.defect().is_some_and(|d| d.contains("cost")));
-        let g = GapInstance::from_group_candidates(
-            1,
-            vec![1.0],
-            vec![0],
-            &[vec![(0, 1.0, -1.0)]],
-        );
+        let g = csr(1, vec![1.0], vec![0], &[&[(0, 1.0, -1.0)]]);
         assert!(g.defect().is_some_and(|d| d.contains("time")));
         // Dangling group reference, including the no-rows corner.
-        let g = GapInstance::from_group_candidates(1, vec![1.0], vec![3], &[]);
+        let g = csr(1, vec![1.0], vec![3], &[]);
         assert!(g.defect().is_some_and(|d| d.contains("group")));
         assert!(!g.allowed(0, 0)); // structurally consistent, no panic
+    }
+
+    #[test]
+    fn malformed_flat_arrays_poison() {
+        let flat = |offsets: Vec<u32>, machines: Vec<u32>, costs: Vec<f64>, times: Vec<f64>| {
+            GapInstance::from_csr(2, vec![1.0, 1.0], vec![0, 1], offsets, machines, costs, times)
+        };
+        let ok = flat(vec![0, 1, 2], vec![0, 1], vec![0.5, 0.5], vec![1.0, 1.0]);
+        assert!(ok.defect().is_none());
+        assert_eq!(ok.allowed_pairs_count(), 2);
+        for g in [
+            // Offsets that decrease.
+            flat(vec![0, 2, 1], vec![0, 1], vec![0.5, 0.5], vec![1.0, 1.0]),
+            // A last offset short of the arrays, and one past them.
+            flat(vec![0, 1, 1], vec![0, 1], vec![0.5, 0.5], vec![1.0, 1.0]),
+            flat(vec![0, 1, 5], vec![0, 1], vec![0.5, 0.5], vec![1.0, 1.0]),
+            // A first offset past 0.
+            flat(vec![1, 1, 2], vec![0, 1], vec![0.5, 0.5], vec![1.0, 1.0]),
+            // Parallel arrays of different lengths.
+            flat(vec![0, 1, 2], vec![0, 1], vec![0.5], vec![1.0, 1.0]),
+            flat(vec![0, 1, 2], vec![0, 1], vec![0.5, 0.5], vec![1.0, 1.0, 1.0]),
+        ] {
+            assert!(g.defect().is_some_and(|d| d.contains("malformed candidate CSR")));
+            // Every entry is dropped; the rows stay, empty.
+            assert_eq!(g.n_candidate_rows(), 2);
+            assert_eq!(g.row_offsets(), &[0, 0, 0]);
+            assert_eq!(g.unassignable_jobs(), vec![0, 1]);
+        }
+        // No offsets at all: one empty row for the clamped jobs.
+        let g = flat(vec![], vec![], vec![], vec![]);
+        assert!(g.defect().is_some_and(|d| d.contains("malformed candidate CSR")));
+        assert_eq!(g.unassignable_jobs(), vec![0, 1]);
     }
 }

@@ -25,16 +25,16 @@
 //!
 //! # The candidate arena
 //!
-//! The oracle never touches the instance's own storage on the hot
-//! path. At entry it compacts every *allowed* pair (capacity-gated)
-//! into a flat CSR arena — contiguous `(machine, cost, time)` triples
-//! per candidate row — so each round streams cache-line-dense slices.
-//! There is one row per job *group*: the ξ copies of an event share
-//! identical columns, so one argmin serves them all. Rounds then cost
+//! The oracle scans the instance's own candidate CSR in place: every
+//! stored pair is allowed (construction drops capacity-gated ones), and
+//! each row's `(machine, cost, time)` arrays are contiguous, so each
+//! round streams cache-line-dense slices without a copy. There is one
+//! row per job *group*: the ξ copies of an event share identical
+//! columns, so one argmin serves them all. Rounds then cost
 //! O(candidates), not O(machines × jobs), and λ updates and width scans
 //! touch only machines that appear in some candidate row.
 //!
-//! The parallel oracle chunks the arena on candidate mass with *fixed*
+//! The parallel oracle chunks the rows on candidate mass with *fixed*
 //! boundaries (a pure function of the row offsets) and merges chunk
 //! results in index order, so every float and every argmin is
 //! bit-identical at any thread count. The inner argmin is a blocked,
@@ -50,11 +50,8 @@
 use crate::{FractionalSolution, GapInstance};
 use epplan_solve::{BudgetGuard, DeadlineExceeded, SolveBudget, SolveError};
 
-/// Candidate rows per parallel arena-build chunk.
-const ARENA_MIN_CHUNK: usize = 64;
-
 /// Target candidate entries per parallel oracle chunk. Boundaries are
-/// derived from the arena offsets alone, so the chunking — and with it
+/// derived from the row offsets alone, so the chunking — and with it
 /// every merged result — is independent of the worker count.
 const CAND_CHUNK: usize = 4096;
 
@@ -88,18 +85,13 @@ impl Default for PackingConfig {
     }
 }
 
-/// The compacted allowed-pair arena the oracle iterates.
+/// One row's oracle choice in a round: the argmin's `(machine, time)`,
+/// `None` for an empty row.
+type RowChoice = Option<(u32, f64)>;
+
+/// The oracle's view of the instance's candidate rows: chunk bounds
+/// and the machines the rows mention.
 struct OracleArena {
-    /// Row offsets into the candidate arrays (`n_rows + 1`).
-    offsets: Vec<usize>,
-    /// Candidate machines, ascending within each row.
-    machines: Vec<u32>,
-    /// Parallel to `machines`: assignment costs.
-    costs: Vec<f64>,
-    /// Parallel to `machines`: processing times.
-    times: Vec<f64>,
-    /// Job → row index (copies of one event share a row).
-    job_row: Vec<u32>,
     /// Chunk boundaries in row space, balanced by candidate mass.
     bounds: Vec<usize>,
     /// Machines appearing in at least one row, ascending. λ updates and
@@ -108,62 +100,22 @@ struct OracleArena {
 }
 
 impl OracleArena {
-    /// Compacts the allowed pairs of `inst` into contiguous rows. The
-    /// per-row content is a pure function of the instance, and rows are
-    /// stitched in index order, so the arena is identical at every
-    /// thread count.
+    /// Both fields are pure functions of the instance, so the arena is
+    /// identical at every thread count.
     fn build(inst: &GapInstance) -> OracleArena {
-        let n_rows = inst.n_candidate_rows();
-        let parts = epplan_par::par_range_map(n_rows, ARENA_MIN_CHUNK, |rows| {
-            let mut lens = Vec::with_capacity(rows.len());
-            let mut machines = Vec::new();
-            let mut costs = Vec::new();
-            let mut times = Vec::new();
-            for r in rows {
-                let before = machines.len();
-                for (i, c, t) in inst.row_allowed_triples(r) {
-                    machines.push(i as u32);
-                    costs.push(c);
-                    times.push(t);
-                }
-                lens.push(machines.len() - before);
-            }
-            (lens, machines, costs, times)
-        });
-        let mut offsets = Vec::with_capacity(n_rows + 1);
-        offsets.push(0usize);
-        let nnz: usize = parts.iter().map(|(_, m, _, _)| m.len()).sum();
-        let mut machines = Vec::with_capacity(nnz);
-        let mut costs = Vec::with_capacity(nnz);
-        let mut times = Vec::with_capacity(nnz);
-        for (lens, m, c, t) in parts {
-            for len in lens {
-                offsets.push(offsets[offsets.len() - 1] + len);
-            }
-            machines.extend_from_slice(&m);
-            costs.extend_from_slice(&c);
-            times.extend_from_slice(&t);
-        }
-        let job_row: Vec<u32> = (0..inst.n_jobs())
-            .map(|j| inst.candidate_row_of(j) as u32)
-            .collect();
         let mut seen = vec![false; inst.n_machines()];
-        for &i in &machines {
-            seen[i as usize] = true;
+        for r in 0..inst.n_candidate_rows() {
+            for &i in inst.row(r).0 {
+                seen[i as usize] = true;
+            }
         }
         let active: Vec<u32> = seen
             .iter()
             .enumerate()
             .filter_map(|(i, &s)| s.then_some(i as u32))
             .collect();
-        let bounds = mass_bounds(&offsets, CAND_CHUNK);
         OracleArena {
-            offsets,
-            machines,
-            costs,
-            times,
-            job_row,
-            bounds,
+            bounds: mass_bounds(inst.row_offsets(), CAND_CHUNK),
             active,
         }
     }
@@ -171,14 +123,14 @@ impl OracleArena {
 
 /// Splits row space into chunks of roughly `target` candidates each.
 /// Depends only on `offsets`, never on the worker count.
-fn mass_bounds(offsets: &[usize], target: usize) -> Vec<usize> {
+fn mass_bounds(offsets: &[u32], target: usize) -> Vec<usize> {
     let n_rows = offsets.len() - 1;
     let mut bounds = vec![0usize];
     let mut start = 0;
     while start < n_rows {
-        let goal = offsets[start] + target;
+        let goal = offsets[start] as usize + target;
         let mut end = start + 1;
-        while end < n_rows && offsets[end] < goal {
+        while end < n_rows && (offsets[end] as usize) < goal {
             end += 1;
         }
         bounds.push(end);
@@ -187,7 +139,7 @@ fn mass_bounds(offsets: &[usize], target: usize) -> Vec<usize> {
     bounds
 }
 
-/// Leftmost strict-minimum candidate of one arena row under the
+/// Leftmost strict-minimum candidate of one candidate row under the
 /// penalties `cost + loc[machine] · time`, as a 4-lane blocked
 /// branchless scan. Lane minima merge lexicographically by
 /// `(penalty, index)`, which is exactly the index a serial leftmost
@@ -258,10 +210,8 @@ pub fn mw_fractional(
     }
     let assignable_jobs = (n - frac.unassigned.len()) as u64;
 
-    // Compact every allowed pair into the flat candidate arena the
-    // oracle scans each round.
     let arena = OracleArena::build(inst);
-    let n_rows = arena.offsets.len() - 1;
+    let n_rows = inst.n_candidate_rows();
     let n_chunks = arena.bounds.len().saturating_sub(1);
 
     let inv_cap: Vec<f64> = (0..m).map(|i| 1.0 / inst.capacity(i).max(1e-12)).collect();
@@ -283,7 +233,8 @@ pub fn mw_fractional(
     if epplan_obs::metrics_enabled() {
         epplan_obs::gauge_set("packing.par.threads", epplan_par::threads() as f64);
         epplan_obs::gauge_set("packing.par.chunks", n_chunks as f64);
-        epplan_obs::gauge_set("packing.arena.candidates", arena.machines.len() as f64);
+        let stored = inst.row_offsets()[n_rows];
+        epplan_obs::gauge_set("packing.arena.candidates", f64::from(stored));
     }
 
     for round in 0..cfg.iterations {
@@ -300,9 +251,8 @@ pub fn mw_fractional(
                 ));
             }
         }
-        // The round's per-row choices (arena candidate index, or
-        // usize::MAX for an empty row).
-        let mut choice_row: Vec<usize> = Vec::with_capacity(n_rows);
+        // The round's per-row choices.
+        let mut choice_row: Vec<RowChoice> = Vec::with_capacity(n_rows);
         if trip.is_none() {
             for &i in &arena.active {
                 let i = i as usize;
@@ -311,21 +261,15 @@ pub fn mw_fractional(
             // Oracle step, parallel over mass-balanced row chunks. The
             // boundaries are fixed and chunk results merge in index
             // order, so scheduling cannot affect the result.
-            let parts: Vec<Result<Vec<usize>, DeadlineExceeded>> =
+            let parts: Vec<Result<Vec<RowChoice>, DeadlineExceeded>> =
                 epplan_par::par_range_map(n_chunks, 1, |chunk_range| {
                     let mut out = Vec::new();
                     for b in chunk_range {
                         deadline.poll()?;
                         for r in arena.bounds[b]..arena.bounds[b + 1] {
-                            let lo = arena.offsets[r];
-                            let hi = arena.offsets[r + 1];
-                            let k = row_argmin(
-                                &arena.machines[lo..hi],
-                                &arena.costs[lo..hi],
-                                &arena.times[lo..hi],
-                                &loc,
-                            );
-                            out.push(k.map_or(usize::MAX, |k| lo + k));
+                            let (machines, costs, times) = inst.row(r);
+                            let k = row_argmin(machines, costs, times, &loc);
+                            out.push(k.map(|k| (machines[k], times[k])));
                         }
                     }
                     Ok(out)
@@ -368,9 +312,8 @@ pub fn mw_fractional(
             load[i as usize] = 0.0;
         }
         for j in 0..n {
-            let k = choice_row[arena.job_row[j] as usize];
-            if k != usize::MAX {
-                load[arena.machines[k] as usize] += arena.times[k];
+            if let Some((i, t)) = choice_row[inst.candidate_row_of(j)] {
+                load[i as usize] += t;
             }
         }
         // Weight update toward observed overload, active machines only
@@ -382,9 +325,8 @@ pub fn mw_fractional(
         }
         if round >= burn_in {
             for j in 0..n {
-                let k = choice_row[arena.job_row[j] as usize];
-                if k != usize::MAX {
-                    frac.add(arena.machines[k] as usize, j, 1.0);
+                if let Some((i, _)) = choice_row[inst.candidate_row_of(j)] {
+                    frac.add(i as usize, j, 1.0);
                 }
             }
             for &i in &arena.active {
@@ -532,14 +474,14 @@ mod tests {
             vec![vec![1.0, 1.0, 2.0], vec![1.5, 1.5, 1.0]],
             vec![2.0, 3.0],
         );
-        let sparse = GapInstance::from_group_candidates(
+        let sparse = GapInstance::from_csr(
             2,
             vec![2.0, 3.0],
             vec![0, 0, 1],
-            &[
-                vec![(0, 0.2, 1.0), (1, 0.5, 1.5)],
-                vec![(0, 0.7, 2.0), (1, 0.1, 1.0)],
-            ],
+            vec![0, 2, 4],
+            vec![0, 1, 0, 1],
+            vec![0.2, 0.5, 0.7, 0.1],
+            vec![1.0, 1.5, 2.0, 1.0],
         );
         let cfg = PackingConfig {
             iterations: 60,
@@ -554,7 +496,7 @@ mod tests {
 
     #[test]
     fn mass_bounds_cover_rows_exactly() {
-        let offsets = vec![0usize, 10, 10, 4000, 4001, 9000, 9001];
+        let offsets = vec![0u32, 10, 10, 4000, 4001, 9000, 9001];
         let bounds = mass_bounds(&offsets, 4096);
         assert_eq!(*bounds.first().unwrap(), 0);
         assert_eq!(*bounds.last().unwrap(), 6);

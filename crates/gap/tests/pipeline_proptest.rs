@@ -52,7 +52,8 @@ proptest! {
 
     /// The candidate-row storage answers exactly what the dense
     /// matrices it was built from say: `+∞` forbids a pair, any other
-    /// pair is allowed iff its time fits the machine's capacity.
+    /// pair is allowed iff its time fits the machine's capacity, and a
+    /// forbidden pair reads as cost `∞` and time 0.
     #[test]
     fn candidate_rows_match_the_source_matrices(
         m in 1usize..5,
@@ -77,10 +78,9 @@ proptest! {
             for i in 0..m {
                 let allowed = costs[i][j].is_finite() && times[i][j] <= caps[i] + 1e-12;
                 prop_assert_eq!(inst.allowed(i, j), allowed, "pair ({}, {})", i, j);
-                prop_assert_eq!(inst.cost(i, j), costs[i][j]);
-                if costs[i][j].is_finite() {
-                    prop_assert_eq!(inst.time(i, j), times[i][j]);
-                }
+                let (cost, time) = if allowed { (costs[i][j], times[i][j]) } else { (f64::INFINITY, 0.0) };
+                prop_assert_eq!(inst.cost(i, j), cost);
+                prop_assert_eq!(inst.time(i, j), time);
                 allowed_pairs += usize::from(allowed);
             }
             let want: Vec<usize> = (0..m).filter(|&i| inst.allowed(i, j)).collect();

@@ -213,3 +213,100 @@ fn lp_lower_bound_comes_only_from_the_simplex_relaxation() {
     let (bound, _) = lp_lower_bound(&sol).expect("simplex solve carries the LP bound");
     assert!(bound.is_finite());
 }
+
+/// The per-user → per-event transpose the reduction used to build: one
+/// `Vec` per event, filled by walking users in ascending order. Kept as
+/// the reference the counting-sort transpose of `build_gap` must match.
+fn reference_gap_rows(inst: &Instance) -> Vec<Vec<(usize, f64, f64)>> {
+    let cands = inst.candidates();
+    let mut rows = vec![Vec::new(); inst.n_events()];
+    for u in inst.user_ids() {
+        let (events, utils) = cands.row(u);
+        for (k, &e) in events.iter().enumerate() {
+            rows[e as usize].push((
+                u.index(),
+                1.0 - utils[k],
+                2.0 * inst.distance(u, EventId(e)),
+            ));
+        }
+    }
+    rows
+}
+
+fn assert_gap_matches_reference_transpose(inst: &Instance, label: &str) {
+    let (gap, jobs) = GapBasedSolver::default().build_gap(inst);
+    assert!(gap.defect().is_none(), "{label}: {:?}", gap.defect());
+    let rows = reference_gap_rows(inst);
+    assert_eq!(gap.n_candidate_rows(), rows.len(), "{label}");
+    let bits = |v: &[(usize, f64, f64)]| -> Vec<(usize, u64, u64)> {
+        v.iter().map(|&(i, c, t)| (i, c.to_bits(), t.to_bits())).collect()
+    };
+    for (r, want) in rows.iter().enumerate() {
+        let got: Vec<(usize, f64, f64)> = gap.row_allowed_triples(r).collect();
+        assert_eq!(bits(&got), bits(want), "{label}: row {r}");
+    }
+    let want_jobs: Vec<EventId> = inst
+        .event_ids()
+        .flat_map(|e| std::iter::repeat_n(e, inst.event(e).lower as usize))
+        .collect();
+    assert_eq!(jobs, want_jobs, "{label}");
+    for (j, e) in jobs.iter().enumerate() {
+        assert_eq!(gap.candidate_row_of(j), e.index(), "{label}: job {j}");
+    }
+}
+
+#[test]
+fn build_gap_transpose_matches_the_reference_rows() {
+    let dense_cfg = GeneratorConfig {
+        n_users: 300,
+        n_events: 40,
+        seed: 11,
+        ..Default::default()
+    };
+    let pruned_cfg = GeneratorConfig {
+        candidate_pruned: true,
+        ..dense_cfg.clone()
+    };
+    let dense = generate(&dense_cfg);
+    assert_gap_matches_reference_transpose(&dense, "dense");
+    let pruned = generate(&pruned_cfg);
+    assert_gap_matches_reference_transpose(&pruned, "pruned");
+    // A utility edit drops the pair from the candidate lists, and with
+    // it from the event's row.
+    let mut edited = pruned;
+    let (events, _) = edited.candidates().row(UserId(0));
+    let e = EventId(*events.first().expect("user 0 has a candidate"));
+    edited.set_utility(UserId(0), e, 0.0);
+    assert_gap_matches_reference_transpose(&edited, "edited");
+    let (gap, _) = GapBasedSolver::default().build_gap(&edited);
+    assert!(gap.row_allowed_triples(e.index()).all(|(i, _, _)| i != 0));
+}
+
+#[test]
+fn gap_based_mw_path_is_thread_invariant() {
+    // Enough stored candidates that the MW oracle splits its rows into
+    // several mass-balanced chunks (4 096 candidates each).
+    let cfg = GeneratorConfig {
+        n_users: 600,
+        n_events: 40,
+        candidate_pruned: true,
+        seed: 7,
+        ..Default::default()
+    };
+    let inst = generate(&cfg);
+    let solver = GapBasedSolver::default();
+    let (gap, _) = solver.build_gap(&inst);
+    let stored: usize = (0..gap.n_candidate_rows())
+        .map(|r| gap.row_allowed_triples(r).count())
+        .sum();
+    assert!(stored > 2 * 4096, "only {stored} stored candidates");
+    assert!(gap.allowed_pairs_count() > solver.gap.auto_simplex_limit);
+    let before = epplan::par::threads();
+    epplan::par::set_threads(1);
+    let serial = solver.try_solve(&inst, SolveBudget::UNLIMITED).unwrap();
+    epplan::par::set_threads(4);
+    let parallel = solver.try_solve(&inst, SolveBudget::UNLIMITED).unwrap();
+    epplan::par::set_threads(before);
+    assert_eq!(serial.plan, parallel.plan);
+    assert_eq!(serial.utility.to_bits(), parallel.utility.to_bits());
+}
