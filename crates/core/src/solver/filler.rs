@@ -12,24 +12,49 @@
 //! The same routine backs the IEP algorithms' final step ("use methods
 //! in \[4\] to check if the … users can attend other events", Algorithms
 //! 3–5), via the `users` restriction parameter.
+//!
+//! # Event-major drain
+//!
+//! The greedy visits the open `(user, event)` pairs in one total order
+//! — utility descending, ties to the lower user id, then the lower
+//! event id — and adds each pair that still fits. Few pairs are ever
+//! placed (an event takes at most `η_j` users), so the drain never
+//! orders all of them:
+//!
+//! 1. a count pass and a scatter pass group the open pairs by event
+//!    into one flat arena (a counting sort over only the events that
+//!    have an open pair);
+//! 2. each event's slice becomes a max-heap in place;
+//! 3. a heads heap holds each open event's best remaining pair. After
+//!    a pop, the event's next-best pair is pushed only while the event
+//!    is below `η`; a full event's slice is abandoned unpopped.
+//!
+//! A k-way merge of heaps under one total order yields the same
+//! sequence as a single heap over every pair. The only pairs it skips
+//! belong to full events, and a single-heap drain would pop and discard
+//! each of those: attendance only rises, so a full event stays full.
+//! Every add therefore happens in the same order as in the single-heap
+//! drain, and the plan is the same byte for byte.
+//!
+//! Rejections are final too: adding assignments only tightens the
+//! constraints (more conflicts, less residual budget, less capacity),
+//! so a pair that fails once is discarded for good.
 
+use crate::model::candidates::is_candidate;
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
 use epplan_solve::{DeadlineExceeded, DeadlineFlag};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Users per parallel candidate-scan chunk (each user costs an `O(m)`
-/// pass over the events).
-const SCAN_MIN_CHUNK: usize = 16;
-
-/// Heap pops between deadline polls in the drain loop. Pops are cheap
-/// (a heap sift plus a few constraint checks), so a modest stride keeps
-/// the poll cost invisible while still bounding overshoot.
+/// Users (in the gather passes) or heap pops (in the drain) between
+/// deadline polls. Each step is cheap (one candidate row, or a heap
+/// sift plus a few constraint checks), so a modest stride keeps the
+/// poll cost invisible while still bounding overshoot.
 const POLL_STRIDE: usize = 64;
 
 /// A max-heap key ordering candidate assignments by utility.
-#[derive(PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 struct Candidate {
     utility: f64,
     user: UserId,
@@ -59,133 +84,194 @@ impl Ord for Candidate {
 /// hard constraints and the upper bounds `η` hold. Restricted to
 /// `users` when given (IEP repair mode); considers every user
 /// otherwise. Returns the number of assignments added.
-///
-/// Candidates are validated lazily at pop time: adding assignments
-/// only ever tightens the constraints (more conflicts, less residual
-/// budget, less capacity), so a candidate that fails once can be
-/// discarded permanently.
 pub fn fill_to_upper(instance: &Instance, plan: &mut Plan, users: Option<&[UserId]>) -> usize {
     try_fill_to_upper(instance, plan, users, &DeadlineFlag::unlimited())
         .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
 }
 
 /// [`fill_to_upper`] under a wall-clock deadline: the budget-governed
-/// entry point for anytime solvers and per-op serving budgets. The flag
-/// is polled between per-user candidate scans and every
-/// [`POLL_STRIDE`] heap pops.
+/// entry point for anytime solvers and per-op serving budgets. Runs
+/// inside the `solve.fill` span.
+///
+/// The open pairs are grouped by event and drained as a k-way merge of
+/// per-event max-heaps (see the module docs): the add sequence is the
+/// one a single heap over every pair would produce, but a full event's
+/// remaining pairs are never popped. The flag is polled every
+/// [`POLL_STRIDE`] users in each gather pass and every [`POLL_STRIDE`]
+/// heap pops in the drain.
 ///
 /// On `Err` the plan holds a *valid partial fill* — a prefix of the
-/// same deterministic descending-utility pop order the unbudgeted fill
-/// follows — and every hard constraint still holds. Callers that need
-/// all-or-nothing semantics should clone the plan first.
+/// same deterministic descending-utility add sequence the unbudgeted
+/// fill follows — and every hard constraint still holds. Callers that
+/// need all-or-nothing semantics should clone the plan first.
 pub fn try_fill_to_upper(
     instance: &Instance,
     plan: &mut Plan,
     users: Option<&[UserId]>,
     deadline: &DeadlineFlag,
 ) -> Result<usize, DeadlineExceeded> {
-    let user_iter: Vec<UserId> = match users {
-        Some(us) => us.to_vec(),
-        None => instance.user_ids().collect(),
-    };
-    // Candidate generation is a pure scan of the (frozen) plan, so it
-    // fans out across user chunks. Candidates are pairwise distinct
-    // under `Candidate`'s total order, so the heap's pop sequence — and
-    // with it the fill — is independent of push order entirely.
-    let snapshot: &Plan = plan;
-    if epplan_obs::metrics_enabled() {
-        epplan_obs::gauge_set("filler.par.threads", epplan_par::threads() as f64);
-        epplan_obs::gauge_set(
-            "filler.par.chunks",
-            epplan_par::chunk_count(user_iter.len(), SCAN_MIN_CHUNK) as f64,
-        );
+    let _sp = epplan_obs::span("solve.fill");
+
+    // Count pass: open pairs per event, events numbered into slots in
+    // first-seen order, so nothing below touches an event without one.
+    let mut slot_of: Vec<u32> = vec![u32::MAX; instance.n_events()];
+    let mut start: Vec<usize> = Vec::new();
+    for_each_open(instance, plan, users, deadline, |_, e, _| {
+        let slot = &mut slot_of[e.index()];
+        if *slot == u32::MAX {
+            *slot = start.len() as u32;
+            start.push(0);
+        }
+        start[*slot as usize] += 1;
+    })?;
+    // Exclusive prefix sum: counts become slice starts.
+    let mut total = 0;
+    for s in start.iter_mut() {
+        let count = *s;
+        *s = total;
+        total += count;
     }
-    // Full fills iterate the cached candidate arena — each user costs
-    // O(candidates), not O(events), and the μ > 0 / single-event
-    // affordability prefilters are already encoded in the rows.
-    // Restricted (repair-mode) fills instead scan the few listed users'
-    // dense rows with the same predicate applied inline: incremental
-    // ops mutate the instance, which invalidates the candidate cache,
-    // and rebuilding the whole arena to repair a handful of users would
-    // put an O(|U|·|E|) step on the serving hot path. The two paths
-    // admit identical candidate pairs, and heap pop order is a total
-    // order, so the fill itself is byte-for-byte the same either way.
-    let mut heap: BinaryHeap<Candidate> = if users.is_some() {
-        let mut out: Vec<Candidate> = Vec::new();
-        for &u in &user_iter {
-            deadline.poll()?;
-            instance.utilities().for_each_positive_in_row(u, |e, mu| {
-                if !crate::model::candidates::is_candidate(instance, u, e, mu) {
-                    return;
-                }
-                if snapshot.contains(u, e) {
-                    return;
-                }
-                if snapshot.attendance(e) >= instance.event(e).upper {
-                    return;
-                }
-                out.push(Candidate {
-                    utility: mu,
-                    user: u,
-                    event: e,
-                });
-            });
-        }
-        BinaryHeap::from(out)
-    } else {
-        let cands = instance.candidates();
-        // One poll per chunk: the flag latches on first expiry, so the
-        // whole parallel scan drains promptly (see `gap.packing`).
-        let parts: Vec<Result<Vec<Candidate>, DeadlineExceeded>> =
-            epplan_par::par_chunks_map(&user_iter, SCAN_MIN_CHUNK, |_, chunk| {
-                deadline.poll()?;
-                let mut out: Vec<Candidate> = Vec::new();
-                for &u in chunk {
-                    let (events, utils) = cands.row(u);
-                    for (&ei, &mu) in events.iter().zip(utils) {
-                        let e = EventId(ei);
-                        if snapshot.contains(u, e) {
-                            continue;
-                        }
-                        if snapshot.attendance(e) >= instance.event(e).upper {
-                            continue;
-                        }
-                        out.push(Candidate {
-                            utility: mu,
-                            user: u,
-                            event: e,
-                        });
-                    }
-                }
-                Ok(out)
-            });
-        let mut all: Vec<Candidate> = Vec::new();
-        for part in parts {
-            all.extend(part?);
-        }
-        BinaryHeap::from(all)
-    };
+
+    // Scatter pass: `end[slot]` is the slot's write cursor, and then
+    // the end of its live heap.
+    let mut end = start.clone();
+    let mut arena = vec![
+        Candidate {
+            utility: 0.0,
+            user: UserId(0),
+            event: EventId(0),
+        };
+        total
+    ];
+    for_each_open(instance, plan, users, deadline, |user, event, utility| {
+        let slot = slot_of[event.index()] as usize;
+        arena[end[slot]] = Candidate {
+            utility,
+            user,
+            event,
+        };
+        end[slot] += 1;
+    })?;
+
+    let mut heads: BinaryHeap<Candidate> = BinaryHeap::with_capacity(start.len());
+    for (&lo, hi) in start.iter().zip(end.iter_mut()) {
+        heapify(&mut arena[lo..*hi]);
+        heads.extend(pop_max(&mut arena, lo, hi));
+    }
 
     let mut added = 0;
     let mut pops = 0usize;
-    while let Some(c) = heap.pop() {
+    while let Some(c) = heads.pop() {
         pops += 1;
         if pops.is_multiple_of(POLL_STRIDE) {
             deadline.poll()?;
         }
-        if plan.attendance(c.event) >= instance.event(c.event).upper {
-            continue;
+        if !plan.contains(c.user, c.event)
+            && instance.can_attend_with(c.user, plan.user_plan(c.user), c.event)
+        {
+            plan.add(c.user, c.event);
+            added += 1;
         }
-        if plan.contains(c.user, c.event) {
-            continue;
+        if plan.attendance(c.event) < instance.event(c.event).upper {
+            let slot = slot_of[c.event.index()] as usize;
+            heads.extend(pop_max(&mut arena, start[slot], &mut end[slot]));
         }
-        if !instance.can_attend_with(c.user, plan.user_plan(c.user), c.event) {
-            continue;
-        }
-        plan.add(c.user, c.event);
-        added += 1;
     }
     Ok(added)
+}
+
+/// Calls `f(u, e, μ)` for every open pair of the listed users (of every
+/// user when `users` is `None`): `e` is a candidate of `u`, `e` is below
+/// `η`, and `u` does not attend `e` yet. Polls `deadline` every
+/// [`POLL_STRIDE`] users.
+///
+/// Full fills read the cached candidate rows, so each user costs
+/// O(candidates). Restricted (repair-mode) fills instead scan the
+/// listed users' utility rows with the candidate predicate inline:
+/// incremental ops mutate the instance, which invalidates the
+/// candidate cache, and rebuilding the whole arena to repair a handful
+/// of users would put an O(|U|·|E|) step on the serving hot path. Both
+/// paths yield the same pairs.
+fn for_each_open(
+    instance: &Instance,
+    plan: &Plan,
+    users: Option<&[UserId]>,
+    deadline: &DeadlineFlag,
+    mut f: impl FnMut(UserId, EventId, f64),
+) -> Result<(), DeadlineExceeded> {
+    let mut open = |u: UserId, e: EventId, mu: f64| {
+        if plan.attendance(e) < instance.event(e).upper && !plan.contains(u, e) {
+            f(u, e, mu);
+        }
+    };
+    match users {
+        Some(us) => {
+            for (i, &u) in us.iter().enumerate() {
+                if i.is_multiple_of(POLL_STRIDE) {
+                    deadline.poll()?;
+                }
+                instance.utilities().for_each_positive_in_row(u, |e, mu| {
+                    if is_candidate(instance, u, e, mu) {
+                        open(u, e, mu);
+                    }
+                });
+            }
+        }
+        None => {
+            let cands = instance.candidates();
+            for ui in 0..cands.n_users() {
+                if ui.is_multiple_of(POLL_STRIDE) {
+                    deadline.poll()?;
+                }
+                let u = UserId(ui as u32);
+                let (events, utils) = cands.row(u);
+                for (&e, &mu) in events.iter().zip(utils) {
+                    open(u, EventId(e), mu);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Orders `heap` as a max-heap in place.
+fn heapify(heap: &mut [Candidate]) {
+    for i in (0..heap.len() / 2).rev() {
+        sift_down(heap, i);
+    }
+}
+
+/// Restores the max-heap property below `i`.
+fn sift_down(heap: &mut [Candidate], mut i: usize) {
+    loop {
+        let left = 2 * i + 1;
+        if left >= heap.len() {
+            return;
+        }
+        let right = left + 1;
+        let child = if right < heap.len() && heap[right] > heap[left] {
+            right
+        } else {
+            left
+        };
+        if heap[child] <= heap[i] {
+            return;
+        }
+        heap.swap(i, child);
+        i = child;
+    }
+}
+
+/// Removes and returns the maximum of the max-heap `arena[lo..*hi]`,
+/// shrinking it by one; `None` once it is empty.
+fn pop_max(arena: &mut [Candidate], lo: usize, hi: &mut usize) -> Option<Candidate> {
+    if *hi == lo {
+        return None;
+    }
+    *hi -= 1;
+    arena.swap(lo, *hi);
+    sift_down(&mut arena[lo..*hi], 0);
+    Some(arena[*hi])
 }
 
 #[cfg(test)]

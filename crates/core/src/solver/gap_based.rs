@@ -211,7 +211,6 @@ impl GapBasedSolver {
         };
 
         if self.two_step && !poisoned {
-            let _sp = epplan_obs::span("solve.fill");
             filler::fill_to_upper(instance, &mut plan, None);
         }
         Ok(Solution::from_plan(instance, plan))

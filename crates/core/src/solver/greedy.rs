@@ -87,6 +87,9 @@ impl GepcSolver for GreedySolver {
         instance: &Instance,
         _budget: SolveBudget,
     ) -> Result<Solution, SolveError<Solution>> {
+        // Algorithm 2 (ranking and take loop); the filler opens its own
+        // `solve.fill` span.
+        let step1 = epplan_obs::span("solve.greedy");
         let mut plan = Plan::for_instance(instance);
         // Remaining copies of each event: ξ_j (Algorithm 2's E′ after
         // the copy transformation).
@@ -144,33 +147,25 @@ impl GepcSolver for GreedySolver {
             }
             let u = crate::model::UserId(u);
             // The user repeatedly takes their favorite remaining event
-            // that fits (Algorithm 2, lines 5–13). Scanning events in
-            // descending utility each round matches "find the event
-            // that maximizes μ(u_i, e)" with the infeasible ones
-            // skipped.
-            let ranked = &ranked_all[u.index()];
-            loop {
-                let mut taken = false;
-                for &(e, _) in ranked {
-                    if copies[e.index()] == 0 || plan.contains(u, e) {
-                        continue;
+            // that fits (Algorithm 2, lines 5–13), until nothing more
+            // fits their plan and budget. One pass over the descending
+            // ranking does this exactly: an event rejected before a take
+            // stays rejected after it, because copies only fall and the
+            // user's plan only grows (more conflicts, less residual
+            // budget). The plan starts empty and the ranking lists each
+            // event once, so no taken event is met again.
+            for &(e, _) in &ranked_all[u.index()] {
+                if copies[e.index()] > 0 && instance.can_attend_with(u, plan.user_plan(u), e) {
+                    plan.add(u, e);
+                    copies[e.index()] -= 1;
+                    total_copies -= 1;
+                    if total_copies == 0 {
+                        break 'users;
                     }
-                    if instance.can_attend_with(u, plan.user_plan(u), e) {
-                        plan.add(u, e);
-                        copies[e.index()] -= 1;
-                        total_copies -= 1;
-                        taken = true;
-                        if total_copies == 0 {
-                            break 'users;
-                        }
-                        break;
-                    }
-                }
-                if !taken {
-                    break; // budget/conflicts admit nothing more
                 }
             }
         }
+        drop(step1);
 
         if self.two_step {
             filler::fill_to_upper(instance, &mut plan, None);

@@ -199,6 +199,7 @@ pub const SPAN_NAMES: &[&str] = &[
     "solve.conflict_adjust",
     "solve.fill",
     "solve.gap_based",
+    "solve.greedy",
     "solve.greedy_fallback",
     "solve.certify",
     "core.candidates.build",
@@ -248,8 +249,6 @@ pub const GAUGE_NAMES: &[&str] = &[
     "lp.par.chunks",
     "greedy.par.threads",
     "greedy.par.chunks",
-    "filler.par.threads",
-    "filler.par.chunks",
     "local_search.par.threads",
     "local_search.par.chunks",
     "datagen.par.threads",

@@ -1,8 +1,9 @@
 //! Tier-1 observability test: a GAP-based solve on a real generated
 //! instance must leave non-trivial tracks in the global metrics
-//! registry — LP pivots, MW epochs, and rounding slot-graph sizes.
+//! registry — LP pivots, MW epochs, and rounding slot-graph sizes —
+//! and a greedy solve must record its Algorithm 2 and filler stages.
 //!
-//! Metrics are process-global, so both solver configurations run
+//! Metrics are process-global, so every solver configuration runs
 //! inside one test function with a `reset_metrics` between them.
 
 use epplan::datagen::{generate, GeneratorConfig};
@@ -65,6 +66,17 @@ fn gap_solve_emits_stage_metrics() {
     assert!(
         obs::counter_value("rounding.slots") > 0,
         "rounding recorded no slots on the MW path"
+    );
+
+    // Greedy path: Algorithm 2 and the step-2 filler each run inside
+    // their own span.
+    obs::reset_metrics();
+    let solution = GreedySolver::seeded(1).solve(&instance);
+    assert!(solution.plan.validate(&instance).hard_ok());
+    let stages: Vec<String> = obs::stage_stats().into_iter().map(|s| s.name).collect();
+    assert!(
+        stages.iter().any(|s| s == "solve.greedy") && stages.iter().any(|s| s == "solve.fill"),
+        "greedy solve missing its stages: {stages:?}"
     );
 
     obs::disable_metrics();
