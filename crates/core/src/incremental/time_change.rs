@@ -17,7 +17,7 @@ use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
 use crate::solver::filler;
 
-use super::repair::{fill_event_to_upper, transfer_users_to};
+use super::repair::transfer_users_to;
 
 /// Outcome of the time/location-change repair.
 #[derive(Debug, Clone)]
@@ -51,22 +51,13 @@ pub fn time_change(instance: &Instance, plan: &mut Plan, event: EventId) -> Time
         }
     }
 
+    // Lines 5–13: below ξ_j, refill from other users, best utility
+    // first. Either way, freed users may pick up replacements —
+    // additions only, no extra negative impact.
     let lower = instance.event(event).lower;
-    if plan.attendance(event) >= lower {
-        // Lines 5–6. Freed users may still pick up replacements —
-        // additions only, no extra negative impact.
-        if !removed.is_empty() {
-            filler::fill_to_upper(instance, plan, Some(&removed));
-        }
-        return TimeChangeOutcome {
-            removed,
-            moved: Vec::new(),
-            reached: true,
-        };
+    if plan.attendance(event) < lower {
+        filler::fill_event(instance, plan, event);
     }
-
-    // Lines 8–13: refill from other users, best utility first.
-    fill_event_to_upper(instance, plan, event);
     if plan.attendance(event) >= lower {
         if !removed.is_empty() {
             filler::fill_to_upper(instance, plan, Some(&removed));

@@ -9,48 +9,29 @@
 //! impact is `ξ'_j − n_j` — each transferred user loses exactly one
 //! event — which is minimal.
 
-use crate::model::{EventId, Instance, UserId};
+use crate::model::{EventId, Instance};
 use crate::plan::Plan;
 use crate::solver::filler;
 
-use super::repair::transfer_users_to;
-
-/// Outcome of the `ξ`-increase repair.
-#[derive(Debug, Clone)]
-pub struct XiIncreaseOutcome {
-    /// Users transferred to the event (each lost one source event).
-    pub moved: Vec<UserId>,
-    /// Whether the new lower bound was actually reached; `false` means
-    /// the event still falls short (reported as shortfall upstream).
-    pub reached: bool,
-}
+use super::repair::{transfer_users_to, TransferResult};
 
 /// Applies the `ξ`-increase repair in place. `instance` must already
-/// carry the new bound.
-pub fn xi_increase(instance: &Instance, plan: &mut Plan, event: EventId) -> XiIncreaseOutcome {
-    let new_lower = instance.event(event).lower;
-    if plan.attendance(event) >= new_lower {
-        return XiIncreaseOutcome {
-            moved: Vec::new(),
-            reached: true,
-        }; // Lines 1–2.
-    }
-    // Lines 3–16: Δ-heap transfers.
-    let result = transfer_users_to(instance, plan, event, new_lower);
+/// carry the new bound. `reached == false` means the event still falls
+/// short (reported as shortfall upstream).
+pub fn xi_increase(instance: &Instance, plan: &mut Plan, event: EventId) -> TransferResult {
+    // Lines 1–16: Δ-heap transfers; none when the bound already holds.
+    let result = transfer_users_to(instance, plan, event, instance.event(event).lower);
     // Lines 17–19: moved users may attend additional events.
     if !result.moved.is_empty() {
         filler::fill_to_upper(instance, plan, Some(&result.moved));
     }
-    XiIncreaseOutcome {
-        moved: result.moved,
-        reached: result.reached,
-    }
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Event, TimeInterval, User, UtilityMatrix};
+    use crate::model::{Event, TimeInterval, User, UserId, UtilityMatrix};
     use epplan_geo::Point;
 
     /// Paper-like setup: e1 holds spare users that e0 can poach.

@@ -15,19 +15,14 @@
 //! `2·d(u, e) + fee(e)`, so pruning non-candidates is lossless: no
 //! solver stage can ever want an event outside the list.
 //!
-//! Derivation probes the geo grid index per user when the instance has
-//! enough events to pay for it, and falls back to a direct row scan
-//! otherwise (and always for CSR-stored utility matrices, whose rows
-//! already are candidate-shaped). Both strategies apply the same
-//! predicate and emit events in ascending id order, so the resulting
-//! lists are identical — a property pinned by tests below.
+//! Derivation is one row scan per user: [`for_each_candidate_in_row`]
+//! walks the user's positive utilities (O(row length) on either
+//! storage layout) and applies the predicate. The filler's user-scoped
+//! repairs call the same helper while the cache is stale, so the
+//! predicate has one implementation over a utility row.
 
 use crate::model::{EventId, Instance, UserId};
-use epplan_geo::GridIndex;
 
-/// Below this many events a per-user grid probe costs more than just
-/// scanning the row.
-const GRID_MIN_EVENTS: usize = 32;
 /// Users per parallel build chunk (fixed boundaries — thread-count
 /// independent, so the arena bytes are too).
 const BUILD_MIN_CHUNK: usize = 64;
@@ -44,10 +39,9 @@ pub struct CandidateSet {
     n_events: usize,
 }
 
-/// The canonical candidate predicate (see the module docs). Every
-/// derivation strategy must evaluate exactly this expression — as must
-/// any caller that scans a dense row *in lieu of* a candidate row (the
-/// filler's restricted repair mode), or the two paths drift apart.
+/// The canonical candidate predicate (see the module docs). Callers
+/// scanning a utility row use [`for_each_candidate_in_row`]; only a
+/// scan of one event's column evaluates it directly.
 #[inline]
 pub(crate) fn is_candidate(instance: &Instance, u: UserId, e: EventId, mu: f64) -> bool {
     mu > 0.0
@@ -55,59 +49,38 @@ pub(crate) fn is_candidate(instance: &Instance, u: UserId, e: EventId, mu: f64) 
             <= instance.user(u).budget + 1e-9
 }
 
-impl CandidateSet {
-    /// Derives the candidate lists for `instance`, choosing between a
-    /// grid probe of each user's `B_i/2` window and a dense row scan.
-    pub fn build(instance: &Instance) -> Self {
-        let use_grid =
-            !instance.utilities().is_sparse() && instance.n_events() >= GRID_MIN_EVENTS;
-        let grid = if use_grid {
-            let venues: Vec<_> = instance.events().iter().map(|e| e.location).collect();
-            Some(GridIndex::build(&venues))
-        } else {
-            None
-        };
-        Self::build_with(instance, grid.as_ref())
-    }
+/// Calls `f(e, μ)` for every candidate event of `u`, ids ascending, by
+/// scanning `u`'s utility row with [`is_candidate`]. Row `u` of
+/// [`CandidateSet::build`] is exactly what this yields.
+#[inline]
+pub(crate) fn for_each_candidate_in_row(
+    instance: &Instance,
+    u: UserId,
+    mut f: impl FnMut(EventId, f64),
+) {
+    instance.utilities().for_each_positive_in_row(u, |e, mu| {
+        if is_candidate(instance, u, e, mu) {
+            f(e, mu);
+        }
+    });
+}
 
-    fn build_with(instance: &Instance, grid: Option<&GridIndex>) -> Self {
+impl CandidateSet {
+    /// Derives the candidate lists for `instance`: one
+    /// [`for_each_candidate_in_row`] scan per user, in fixed-size
+    /// parallel chunks.
+    pub fn build(instance: &Instance) -> Self {
         let n_users = instance.n_users();
         let parts = epplan_par::par_range_map(n_users, BUILD_MIN_CHUNK, |range| {
             let mut lens: Vec<u32> = Vec::with_capacity(range.len());
             let mut ids: Vec<u32> = Vec::new();
             let mut utils: Vec<f64> = Vec::new();
-            let mut probe: Vec<usize> = Vec::new();
             for u in range {
-                let user = UserId(u as u32);
                 let before = ids.len();
-                match grid {
-                    Some(grid) => {
-                        // Superset window: 2d + fee ≤ B + 1e-9 with
-                        // fee ≥ 0 implies d ≤ B/2 + 1e-9.
-                        let radius = instance.user(user).budget * 0.5 + 1e-9;
-                        probe.clear();
-                        grid.for_each_within(&instance.user(user).location, radius, |i| {
-                            probe.push(i);
-                        });
-                        probe.sort_unstable(); // bucket order → id order
-                        for &i in &probe {
-                            let e = EventId(i as u32);
-                            let mu = instance.utility(user, e);
-                            if is_candidate(instance, user, e, mu) {
-                                ids.push(i as u32);
-                                utils.push(mu);
-                            }
-                        }
-                    }
-                    None => {
-                        instance.utilities().for_each_positive_in_row(user, |e, mu| {
-                            if is_candidate(instance, user, e, mu) {
-                                ids.push(e.0);
-                                utils.push(mu);
-                            }
-                        });
-                    }
-                }
+                for_each_candidate_in_row(instance, UserId(u as u32), |e, mu| {
+                    ids.push(e.0);
+                    utils.push(mu);
+                });
                 lens.push((ids.len() - before) as u32);
             }
             (lens, ids, utils)
@@ -240,17 +213,6 @@ mod tests {
             })
             .collect();
         Instance::new(users, events, UtilityMatrix::from_rows(rows).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn grid_probe_matches_dense_scan_exactly() {
-        let inst = scattered_instance(40, 48);
-        let venues: Vec<_> = inst.events().iter().map(|e| e.location).collect();
-        let grid = GridIndex::build(&venues);
-        let via_grid = CandidateSet::build_with(&inst, Some(&grid));
-        let via_scan = CandidateSet::build_with(&inst, None);
-        assert_eq!(via_grid, via_scan);
-        assert!(!via_grid.is_empty());
     }
 
     #[test]

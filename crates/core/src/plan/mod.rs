@@ -111,6 +111,22 @@ impl Plan {
         }
     }
 
+    /// Checks what deserialization skips: the plan is shaped for
+    /// `instance`, and replaying its assignments into an empty plan
+    /// (event ids in range, none twice per user) reproduces it,
+    /// attendance counts included.
+    pub fn is_consistent(&self, instance: &Instance) -> bool {
+        let mut replay = Plan::for_instance(instance);
+        let in_range = |e: EventId| e.index() < self.n_events();
+        self.n_users() == instance.n_users()
+            && self.n_events() == instance.n_events()
+            && instance
+                .user_ids()
+                .zip(&self.assignments)
+                .all(|(u, evs)| evs.iter().all(|&e| in_range(e) && replay.add(u, e)))
+            && replay == *self
+    }
+
     /// Total number of (user, event) assignments.
     pub fn total_assignments(&self) -> usize {
         self.assignments.iter().map(Vec::len).sum()
@@ -187,6 +203,29 @@ mod tests {
     fn resize_events_shrink_panics() {
         let mut p = Plan::empty(1, 3);
         p.resize_events(1);
+    }
+
+    #[test]
+    fn is_consistent_rejects_what_deserialization_lets_through() {
+        use crate::model::{Event, TimeInterval, User, UtilityMatrix};
+        use epplan_geo::Point;
+        let users = vec![User::new(Point::new(0.0, 0.0), 10.0); 2];
+        let events = vec![Event::new(Point::new(1.0, 0.0), 0, 2, TimeInterval::new(0, 9)); 2];
+        let instance = Instance::new(users, events, UtilityMatrix::zeros(2, 2)).unwrap();
+        let plan = |assignments: Vec<Vec<EventId>>, attendance: Vec<u32>| Plan {
+            assignments,
+            attendance,
+        };
+        let e0 = EventId(0);
+        assert!(plan(vec![vec![e0], vec![e0]], vec![2, 0]).is_consistent(&instance));
+        assert!(!Plan::empty(3, 2).is_consistent(&instance), "extra user");
+        assert!(!Plan::empty(2, 3).is_consistent(&instance), "extra event");
+        let unknown = plan(vec![vec![EventId(5)], vec![]], vec![0, 0]);
+        assert!(!unknown.is_consistent(&instance), "unknown event");
+        let twice = plan(vec![vec![e0, e0], vec![]], vec![2, 0]);
+        assert!(!twice.is_consistent(&instance), "event listed twice");
+        let miscounted = plan(vec![vec![e0], vec![]], vec![2, 0]);
+        assert!(!miscounted.is_consistent(&instance), "attendance miscounted");
     }
 
     #[test]

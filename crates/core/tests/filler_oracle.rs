@@ -8,12 +8,17 @@
 //! same plan and the same add count, for full fills and for restricted
 //! fills with unsorted, duplicated user lists, at every thread count.
 //!
+//! The event scope ([`fill_event`]) has its own oracle: the
+//! sort-and-scan refill it replaced, which sorts every user with
+//! `μ > 0` by utility descending, then user id, and adds each in turn
+//! while the event is below `η`.
+//!
 //! Utilities are quantized to quarters so that ties are common and the
 //! `(user, event)` tie-breaks decide the order.
 
 use epplan_core::model::{Event, EventId, Instance, InstanceBuilder, TimeInterval, UserId};
 use epplan_core::plan::Plan;
-use epplan_core::solver::filler::fill_to_upper;
+use epplan_core::solver::filler::{fill_event, fill_to_upper};
 use epplan_geo::Point;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -69,6 +74,31 @@ fn oracle_fill(instance: &Instance, plan: &mut Plan, users: Option<&[UserId]>) -
         }
         if instance.can_attend_with(u, plan.user_plan(u), e) {
             plan.add(u, e);
+            added += 1;
+        }
+    }
+    added
+}
+
+/// The sort-and-scan refill of one event.
+fn oracle_fill_event(instance: &Instance, plan: &mut Plan, event: EventId) -> usize {
+    let mut users: Vec<UserId> = instance
+        .user_ids()
+        .filter(|&u| !plan.contains(u, event) && instance.utility(u, event) > 0.0)
+        .collect();
+    users.sort_by(|&a, &b| {
+        instance
+            .utility(b, event)
+            .total_cmp(&instance.utility(a, event))
+            .then(a.cmp(&b))
+    });
+    let mut added = 0;
+    for u in users {
+        if plan.attendance(event) >= instance.event(event).upper {
+            break;
+        }
+        if instance.can_attend_with(u, plan.user_plan(u), event) {
+            plan.add(u, event);
             added += 1;
         }
     }
@@ -172,6 +202,21 @@ proptest! {
             let added = fill_to_upper(&inst, &mut plan, users.as_deref());
             prop_assert_eq!(added, expected_added, "add count, seed {} threads {}", seed, threads);
             prop_assert!(plan == expected, "plan differs from the oracle, seed {} threads {}", seed, threads);
+            prop_assert!(plan.validate(&inst).hard_ok());
+        }
+    }
+
+    #[test]
+    fn event_fill_matches_sort_and_scan_oracle(seed in 0u64..u64::MAX) {
+        let inst = instance(seed);
+        let start = prefilled_plan(&inst, seed);
+        for event in inst.event_ids() {
+            let mut expected = start.clone();
+            let expected_added = oracle_fill_event(&inst, &mut expected, event);
+            let mut plan = start.clone();
+            let added = fill_event(&inst, &mut plan, event);
+            prop_assert_eq!(added, expected_added, "add count, seed {} event {}", seed, event);
+            prop_assert!(plan == expected, "plan differs from the oracle, seed {} event {}", seed, event);
             prop_assert!(plan.validate(&inst).hard_ok());
         }
     }

@@ -355,6 +355,19 @@ fn the_real_workspace_lints_clean() {
     // Every suppression in the tree carries a reason (the parser
     // rejects reason-less allows, so this documents the invariant).
     assert!(report.allows.iter().all(|a| !a.reason.trim().is_empty()));
+    // Suppressions only go down: lower this ceiling when one is
+    // removed, and never raise it.
+    assert!(
+        report.allows.len() <= 19,
+        "{} suppressions in the tree, ceiling 19:\n{}",
+        report.allows.len(),
+        report
+            .allows
+            .iter()
+            .map(|a| format!("{}:{} {}", a.path, a.line, a.rule))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
 
 #[test]
