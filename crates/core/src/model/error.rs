@@ -41,9 +41,9 @@ pub enum InstanceError {
         /// Human-readable description of the dangling reference.
         what: String,
     },
-    /// A user's travel budget is NaN, infinite, or not strictly
-    /// positive (a zero budget makes every event unreachable; the paper
-    /// assumes `B_i > 0`).
+    /// A user's travel budget is NaN, infinite, negative, or — under
+    /// strict validation — zero (a zero budget makes every event
+    /// unreachable; the paper assumes `B_i > 0`).
     InvalidBudget {
         /// Offending user.
         user: UserId,

@@ -104,6 +104,19 @@ impl Instance {
     /// already-assembled instance. Useful after deserialization, which
     /// bypasses every constructor check.
     pub fn validate_strict(&self) -> Result<(), InstanceError> {
+        self.validate_with(false)
+    }
+
+    /// [`Instance::validate_strict`], except that a zero budget passes:
+    /// the invariants every incremental operation preserves. A
+    /// `BudgetChange` to 0 is a legal operation, so a state reached
+    /// through accepted operations (a serving snapshot, say) may hold
+    /// one.
+    pub fn validate_reachable(&self) -> Result<(), InstanceError> {
+        self.validate_with(true)
+    }
+
+    fn validate_with(&self, zero_budget_ok: bool) -> Result<(), InstanceError> {
         if self.utilities.n_users() != self.users.len()
             || self.utilities.n_events() != self.events.len()
         {
@@ -114,7 +127,12 @@ impl Instance {
         }
         for u in self.user_ids() {
             let user = self.user(u);
-            if !user.budget.is_finite() || user.budget <= 0.0 {
+            let above_floor = if zero_budget_ok {
+                user.budget >= 0.0
+            } else {
+                user.budget > 0.0
+            };
+            if !user.budget.is_finite() || !above_floor {
                 return Err(InstanceError::InvalidBudget {
                     user: u,
                     value: user.budget,
@@ -607,6 +625,22 @@ mod tests {
         assert!(matches!(
             poisoned.validate_strict(),
             Err(InstanceError::InvertedBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn validate_reachable_admits_a_zero_budget_only() {
+        let mut inst = two_by_two();
+        inst.set_budget(UserId(1), 0.0);
+        assert!(matches!(
+            inst.validate_strict(),
+            Err(InstanceError::InvalidBudget { .. })
+        ));
+        assert!(inst.validate_reachable().is_ok());
+        inst.users[1].budget = -1.0;
+        assert!(matches!(
+            inst.validate_reachable(),
+            Err(InstanceError::InvalidBudget { .. })
         ));
     }
 
