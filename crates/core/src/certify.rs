@@ -10,10 +10,15 @@
 //! solver-side validator: the two implementations are independent, so a
 //! defect (or an injected fault) in one cannot silently vouch for
 //! itself through the other.
+//!
+//! [`certify_delta`] is the serving daemon's per-op form: the same
+//! checks over only the users and events an in-place operation could
+//! have changed, against running tallies of the last certified plan.
 
+use crate::incremental::AtomicOp;
 use crate::model::{EventId, Instance, UserId};
-use crate::plan::Plan;
-use epplan_solve::{certify_plan, Certificate, PlanView};
+use crate::plan::{Plan, PlanJournal};
+use epplan_solve::{certify_plan, certify_plan_tally, CertTally, Certificate, PlanView};
 
 /// Adapter exposing an instance/plan pair through the checker's
 /// [`PlanView`] interface.
@@ -84,6 +89,72 @@ pub fn certify_incremental(instance: &Instance, old: &Plan, new: &Plan) -> Certi
         })
         .collect();
     certify_plan(&CertView { instance, plan: new }, Some(&baseline))
+}
+
+/// [`certify`], also returning the [`CertTally`] that
+/// [`certify_delta`] patches op by op.
+pub fn certify_tally(instance: &Instance, plan: &Plan) -> (Certificate, CertTally) {
+    let _sp = epplan_obs::span("solve.certify");
+    certify_plan_tally(&CertView { instance, plan }, None)
+}
+
+/// Certifies the state an in-place IEP operation produced
+/// ([`crate::incremental::IncrementalPlanner::try_apply_in_place`]),
+/// re-deriving only what `op` could have changed: every user in the
+/// repair's `journal` (their saved lists are the `dif` baseline), the
+/// users whose constraints the instance transition itself touched (the
+/// affected-user map below), and every event's bounds against the
+/// patched attendance. `tally` must describe the pre-op plan; it is patched
+/// when the state certifies. The verdict, `dif` included, equals
+/// [`certify_incremental`] of the pre-op plan against this one, `U_P`
+/// up to rounding.
+pub fn certify_delta(
+    instance: &Instance,
+    plan: &Plan,
+    op: &AtomicOp,
+    journal: &PlanJournal,
+    tally: &mut CertTally,
+) -> Certificate {
+    let _sp = epplan_obs::span("solve.certify");
+    let changed = delta_scope(plan, op, journal);
+    epplan_solve::certify_delta(&CertView { instance, plan }, tally, &changed)
+}
+
+/// The affected-user map: the users whose list or constraints `op`
+/// may have changed, in ascending order, each with their pre-op list.
+/// The repair's journal names everyone whose list changed; on top of
+/// those, a budget or utility change can break its own user's
+/// itinerary, and a time, venue or fee change can break the itinerary
+/// of any attendee of its event while leaving the list alone. Bound
+/// changes and new events only move attendance, which the certifier
+/// checks for every event.
+fn delta_scope(plan: &Plan, op: &AtomicOp, journal: &PlanJournal) -> Vec<(usize, Vec<usize>)> {
+    let indices = |events: &[EventId]| events.iter().map(|e| e.index()).collect::<Vec<_>>();
+    let mut changed: Vec<(usize, Vec<usize>)> = journal
+        .users()
+        .iter()
+        .map(|(u, old)| (u.index(), indices(old)))
+        .collect();
+    let mut unchanged = |u: UserId| {
+        if !changed.iter().any(|(v, _)| *v == u.index()) {
+            changed.push((u.index(), indices(plan.user_plan(u))));
+        }
+    };
+    match op {
+        AtomicOp::BudgetChange { user, .. } | AtomicOp::UtilityChange { user, .. } => {
+            unchanged(*user);
+        }
+        AtomicOp::TimeChange { event, .. }
+        | AtomicOp::LocationChange { event, .. }
+        | AtomicOp::FeeChange { event, .. } => plan.attendees(*event).into_iter().for_each(unchanged),
+        AtomicOp::EtaDecrease { .. }
+        | AtomicOp::EtaIncrease { .. }
+        | AtomicOp::XiIncrease { .. }
+        | AtomicOp::XiDecrease { .. }
+        | AtomicOp::NewEvent { .. } => {}
+    }
+    changed.sort_unstable_by_key(|(u, _)| *u);
+    changed
 }
 
 #[cfg(test)]

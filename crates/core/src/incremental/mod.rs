@@ -11,10 +11,11 @@
 //!
 //! with every other operation reducible to them (Section IV's opening
 //! discussion: "solving for all other atomic operations can be reduced
-//! to one of these"). [`IncrementalPlanner::try_apply_budgeted`]
-//! performs the dispatch, mutating a **clone** of the instance and the
-//! plan, and reports the negative impact `dif(P, P′)` together with the
-//! new global utility.
+//! to one of these"). [`IncrementalPlanner::try_apply_in_place`]
+//! performs the dispatch on the live instance and plan under an undo
+//! journal ([`OpJournal`]) and reports the negative impact `dif(P, P′)`
+//! together with the new global utility;
+//! [`IncrementalPlanner::try_apply_budgeted`] runs it on copies.
 
 mod eta_decrease;
 mod exact_iep;
@@ -29,11 +30,12 @@ pub use time_change::{time_change, TimeChangeOutcome};
 pub use xi_increase::xi_increase;
 
 use crate::model::{Event, EventId, Instance, TimeInterval, UserId};
-use crate::plan::{dif, Plan};
+use crate::plan::{dif, Plan, PlanJournal};
 use crate::solver::filler;
 use epplan_geo::Point;
 use epplan_solve::{BudgetGuard, SolveBudget, SolveError};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 const STAGE: &str = "core.incremental";
 
@@ -388,20 +390,13 @@ impl IncrementalPlanner {
 
     /// Applies `op` to `(instance, plan)` under a per-operation
     /// [`SolveBudget`] and repairs the plan with the appropriate
-    /// algorithm. Neither input is modified; the updated copies are
-    /// returned in the outcome. This is the fallible entry point, and
-    /// the serving layer's.
+    /// algorithm. Neither input is modified: this is
+    /// [`IncrementalPlanner::try_apply_in_place`] run on copies, which
+    /// are returned in the outcome.
     ///
-    /// Malformed operations are rejected with a typed `BadInput` error
-    /// instead of panicking deep inside the model layer. The budget is
-    /// enforced at the operation granularity — one guard tick up front
-    /// (so iteration caps and pre-expired zero allowances trip
-    /// deterministically before any work) and a deadline check after
-    /// the repair; a tripped budget is the usual retryable
-    /// `BudgetExhausted` error. Every error carries the **unchanged**
-    /// `(instance, plan)` as its partial outcome, never a half-repaired
-    /// plan, so callers that prefer degradation over failure can keep
-    /// planning.
+    /// Every error carries the **unchanged** `(instance, plan)` as its
+    /// partial outcome, never a half-repaired plan, so callers that
+    /// prefer degradation over failure can keep planning.
     pub fn try_apply_budgeted(
         &self,
         instance: &Instance,
@@ -409,88 +404,132 @@ impl IncrementalPlanner {
         op: &AtomicOp,
         budget: SolveBudget,
     ) -> Result<IncrementalOutcome, SolveError<IncrementalOutcome>> {
-        let reject = |e: SolveError<()>| {
-            Err(e
+        let mut inst = instance.clone();
+        let mut new_plan = plan.clone();
+        match self.try_apply_in_place(&mut inst, &mut new_plan, op, budget) {
+            Ok(applied) => Ok(IncrementalOutcome {
+                instance: inst,
+                plan: new_plan,
+                dif: applied.dif,
+                utility: applied.utility,
+                shortfall: applied.shortfall,
+            }),
+            // A failed operation leaves the copies as they were.
+            Err(e) => Err(e
                 .discard_partial()
-                .with_partial(Self::unchanged_outcome(instance, plan)))
-        };
+                .with_partial(Self::unchanged_outcome(inst, new_plan))),
+        }
+    }
+
+    /// The in-place core every applying path shares: the serving
+    /// daemon, its WAL replay, [`IncrementalPlanner::try_apply_budgeted`]
+    /// and batches. Mutates `(instance, plan)` and returns the
+    /// operation's [`OpJournal`], whose [`OpJournal::rollback`] restores
+    /// the exact pre-op state — the caller's way out when it rejects the
+    /// result (say, on certification).
+    ///
+    /// Malformed operations are rejected with a typed `BadInput` error
+    /// instead of panicking deep inside the model layer. The budget is
+    /// enforced at the operation granularity — one guard tick up front
+    /// (so iteration caps and pre-expired zero allowances trip
+    /// deterministically before any work) and a deadline check after
+    /// the repair; a tripped budget is the usual retryable
+    /// `BudgetExhausted` error. On every error `(instance, plan)` are
+    /// left (or rolled back to) exactly as they were.
+    pub fn try_apply_in_place(
+        &self,
+        instance: &mut Instance,
+        plan: &mut Plan,
+        op: &AtomicOp,
+        budget: SolveBudget,
+    ) -> Result<AppliedOp, SolveError<()>> {
         let mut guard = BudgetGuard::new(budget);
-        if let Err(e) = guard.tick(STAGE) {
-            return reject(e);
-        }
-        if let Err(e) = Self::validate_op(instance, op) {
-            return reject(e);
-        }
+        guard.tick(STAGE)?;
+        Self::validate_op(instance, op)?;
         // Deterministic fault injection in front of the repair dispatch
         // (serial entry point, hit count thread-invariant).
         if let Some(action) = epplan_fault::point("core.iep.apply") {
-            return reject(SolveError::from_fault(STAGE, "core.iep.apply", action));
+            return Err(SolveError::from_fault(STAGE, "core.iep.apply", action));
         }
-        let out = self.apply_validated(instance, plan, op);
-        match guard.check_deadline(STAGE) {
-            Ok(()) => Ok(out),
+        let applied = Self::apply_validated(instance, plan, op);
+        if let Err(e) = guard.check_deadline(STAGE) {
             // The repair finished but blew the deadline: the repair
             // result must not leak past a broken budget contract.
-            Err(e) => reject(e),
+            applied.journal.rollback(instance, plan);
+            return Err(e);
         }
+        Ok(applied)
     }
 
-    /// The pure state transition of `op` on the instance alone — no
-    /// plan repair, no fault points, no budget. This is the single
-    /// source of truth for "what the world looks like after `op`";
-    /// [`IncrementalPlanner::apply`] composes it with the repair
-    /// algorithms, and the `epplan serve` full-re-solve fallback uses
-    /// it directly when a repair fails and the plan is rebuilt from
-    /// scratch. `op` must already be validated.
-    pub fn apply_to_instance(instance: &Instance, op: &AtomicOp) -> Instance {
-        let mut inst = instance.clone();
-        match op {
+    /// The pure state transition of `op` on the instance alone, in
+    /// place — no plan repair, no fault points, no budget. This is the
+    /// single source of truth for "what the world looks like after
+    /// `op`"; the repair path composes it with the repair algorithms,
+    /// and the `epplan serve` full-re-solve fallback uses it directly
+    /// when a repair fails and the plan is rebuilt from scratch. The
+    /// returned journal undoes it. `op` must already be validated.
+    pub fn apply_to_instance_in_place(instance: &mut Instance, op: &AtomicOp) -> InstanceJournal {
+        let undo = match *op {
             AtomicOp::EtaDecrease { event, new_upper }
             | AtomicOp::EtaIncrease { event, new_upper } => {
-                let lower = inst.event(*event).lower.min(*new_upper);
-                inst.set_event_bounds(*event, lower, *new_upper);
+                let old = *instance.event(event);
+                instance.set_event_bounds(event, old.lower.min(new_upper), new_upper);
+                InstanceUndo::Bounds { event, lower: old.lower, upper: old.upper }
             }
             AtomicOp::XiIncrease { event, new_lower } => {
-                let upper = inst.event(*event).upper.max(*new_lower);
-                inst.set_event_bounds(*event, *new_lower, upper);
+                let old = *instance.event(event);
+                instance.set_event_bounds(event, new_lower, old.upper.max(new_lower));
+                InstanceUndo::Bounds { event, lower: old.lower, upper: old.upper }
             }
             AtomicOp::XiDecrease { event, new_lower } => {
-                let upper = inst.event(*event).upper;
-                inst.set_event_bounds(*event, *new_lower, upper);
+                let old = *instance.event(event);
+                instance.set_event_bounds(event, new_lower, old.upper);
+                InstanceUndo::Bounds { event, lower: old.lower, upper: old.upper }
             }
             AtomicOp::TimeChange { event, new_time } => {
-                inst.set_event_time(*event, *new_time);
+                let time = instance.event(event).time;
+                instance.set_event_time(event, new_time);
+                InstanceUndo::Time { event, time }
             }
             AtomicOp::LocationChange { event, new_location } => {
-                inst.set_event_location(*event, *new_location);
+                let location = instance.event(event).location;
+                instance.set_event_location(event, new_location);
+                InstanceUndo::Location { event, location }
             }
-            AtomicOp::NewEvent { event, utilities } => {
-                inst.add_event(*event, utilities);
+            AtomicOp::NewEvent { ref event, ref utilities } => {
+                instance.add_event(*event, utilities);
+                InstanceUndo::NewEvent
             }
             AtomicOp::UtilityChange { user, event, new_utility } => {
-                inst.set_utility(*user, *event, *new_utility);
+                let slot = instance.utility_slot(user, event);
+                instance.set_utility(user, event, new_utility);
+                InstanceUndo::Utility { user, event, slot }
             }
             AtomicOp::BudgetChange { user, new_budget } => {
-                inst.set_budget(*user, *new_budget);
+                let budget = instance.user(user).budget;
+                instance.set_budget(user, new_budget);
+                InstanceUndo::Budget { user, budget }
             }
             AtomicOp::FeeChange { event, new_fee } => {
-                inst.set_event_fee(*event, *new_fee);
+                let fee = instance.event(event).fee;
+                instance.set_event_fee(event, new_fee);
+                InstanceUndo::Fee { event, fee }
             }
-        }
-        inst
+        };
+        InstanceJournal(undo)
     }
 
     /// The identity outcome: nothing applied, nothing changed.
-    fn unchanged_outcome(instance: &Instance, plan: &Plan) -> IncrementalOutcome {
+    fn unchanged_outcome(instance: Instance, plan: Plan) -> IncrementalOutcome {
         IncrementalOutcome {
-            instance: instance.clone(),
-            plan: plan.clone(),
             dif: 0,
-            utility: plan.total_utility(instance),
+            utility: plan.total_utility(&instance),
             shortfall: instance
                 .event_ids()
                 .filter(|&e| plan.attendance(e) < instance.event(e).lower)
                 .collect(),
+            instance,
+            plan,
         }
     }
 
@@ -500,127 +539,137 @@ impl IncrementalPlanner {
     pub fn apply(&self, instance: &Instance, plan: &Plan, op: &AtomicOp) -> IncrementalOutcome {
         self.try_apply_budgeted(instance, plan, op, SolveBudget::UNLIMITED)
             .unwrap_or_else(|e| {
-                e.partial
-                    .unwrap_or_else(|| Self::unchanged_outcome(instance, plan))
+                e.partial.unwrap_or_else(|| {
+                    Self::unchanged_outcome(instance.clone(), plan.clone())
+                })
             })
     }
 
-    fn apply_validated(
-        &self,
-        instance: &Instance,
-        plan: &Plan,
-        op: &AtomicOp,
-    ) -> IncrementalOutcome {
+    fn apply_validated(instance: &mut Instance, plan: &mut Plan, op: &AtomicOp) -> AppliedOp {
         // Per-operation repair cost: the measurement the incremental
         // tables (paper §V/§VI) are built from.
         let mut sp = epplan_obs::span("iep.apply");
         sp.add_iters(1);
         epplan_obs::counter_add("iep.ops", 1);
+        // Fee and budget repairs depend on the direction of the change.
+        let direction = match op {
+            AtomicOp::FeeChange { event, new_fee } => {
+                new_fee.partial_cmp(&instance.event(*event).fee)
+            }
+            AtomicOp::BudgetChange { user, new_budget } => {
+                new_budget.partial_cmp(&instance.user(*user).budget)
+            }
+            _ => None,
+        };
         // The instance transition is shared with the serving layer's
         // full-re-solve fallback; only the repair dispatch lives here.
-        let inst = Self::apply_to_instance(instance, op);
-        let mut new_plan = plan.clone();
+        let instance_journal = Self::apply_to_instance_in_place(instance, op);
+        plan.begin_journal();
+        let inst = &*instance;
 
         match op {
             AtomicOp::EtaDecrease { event, .. } => {
-                eta_decrease(&inst, &mut new_plan, *event);
+                eta_decrease(inst, plan, *event);
             }
             AtomicOp::EtaIncrease { event, .. } => {
                 // Pure addition: fill the new capacity, no negative
                 // impact possible.
-                filler::fill_event(&inst, &mut new_plan, *event);
+                filler::fill_event(inst, plan, *event);
             }
             AtomicOp::XiIncrease { event, .. } => {
-                xi_increase(&inst, &mut new_plan, *event);
+                xi_increase(inst, plan, *event);
             }
             AtomicOp::XiDecrease { .. } => {
                 // The old plan remains feasible: nothing to repair.
             }
             AtomicOp::TimeChange { event, .. } => {
-                time_change(&inst, &mut new_plan, *event);
+                time_change(inst, plan, *event);
             }
             AtomicOp::LocationChange { event, .. } => {
                 // Same repair loop: the removal pass inside
                 // `time_change` re-checks both conflicts and budgets,
                 // and only budgets can newly fail here.
-                time_change(&inst, &mut new_plan, *event);
+                time_change(inst, plan, *event);
             }
             AtomicOp::NewEvent { .. } => {
-                // `apply_to_instance` appended the event, so it carries
-                // the highest id.
+                // The transition appended the event, so it carries the
+                // highest id.
                 let id = EventId((inst.n_events() - 1) as u32);
-                new_plan.resize_events(inst.n_events());
+                plan.resize_events(inst.n_events());
                 // Reduction per the paper: raise the lower bound from 0
                 // (Algorithm 4), then fill spare capacity to η.
                 if inst.event(id).lower > 0 {
-                    xi_increase(&inst, &mut new_plan, id);
+                    xi_increase(inst, plan, id);
                 }
-                filler::fill_event(&inst, &mut new_plan, id);
+                filler::fill_event(inst, plan, id);
             }
             AtomicOp::UtilityChange {
                 user,
                 event,
                 new_utility,
             } => {
-                if *new_utility <= 0.0 && new_plan.contains(*user, *event) {
+                if *new_utility <= 0.0 && plan.contains(*user, *event) {
                     // The user can no longer attend (the paper's
                     // availability example): remove, restore the lower
                     // bound if broken, and let the user refill.
-                    new_plan.remove(*user, *event);
-                    if new_plan.attendance(*event) < inst.event(*event).lower {
-                        xi_increase(&inst, &mut new_plan, *event);
+                    plan.remove(*user, *event);
+                    if plan.attendance(*event) < inst.event(*event).lower {
+                        xi_increase(inst, plan, *event);
                     }
-                    filler::fill_to_upper(&inst, &mut new_plan, Some(&[*user]));
-                } else if *new_utility > 0.0 && !new_plan.contains(*user, *event) {
+                    filler::fill_to_upper(inst, plan, Some(&[*user]));
+                } else if *new_utility > 0.0 && !plan.contains(*user, *event) {
                     // Higher interest: take the event if it simply fits.
-                    if new_plan.attendance(*event) < inst.event(*event).upper
-                        && inst.can_attend_with(*user, new_plan.user_plan(*user), *event)
+                    if plan.attendance(*event) < inst.event(*event).upper
+                        && inst.can_attend_with(*user, plan.user_plan(*user), *event)
                     {
-                        new_plan.add(*user, *event);
+                        plan.add(*user, *event);
                     }
                 }
             }
-            AtomicOp::FeeChange { event, new_fee } => {
-                let old_fee = instance.event(*event).fee;
-                if *new_fee > old_fee {
-                    // Same repair loop as a venue move: the removal pass
-                    // re-checks budgets (now including the higher fee)
-                    // and refills toward ξ/η.
-                    time_change(&inst, &mut new_plan, *event);
-                } else if *new_fee < old_fee {
-                    // Cheaper event: purely additive refill.
-                    filler::fill_event(&inst, &mut new_plan, *event);
+            AtomicOp::FeeChange { event, .. } => match direction {
+                // Same repair loop as a venue move: the removal pass
+                // re-checks budgets (now including the higher fee) and
+                // refills toward ξ/η.
+                Some(Ordering::Greater) => {
+                    time_change(inst, plan, *event);
                 }
-            }
-            AtomicOp::BudgetChange { user, new_budget } => {
-                let old_budget = instance.user(*user).budget;
-                if *new_budget < old_budget {
-                    let dropped = repair::shed_to_budget(&inst, &mut new_plan, *user);
+                // Cheaper event: purely additive refill.
+                Some(Ordering::Less) => {
+                    filler::fill_event(inst, plan, *event);
+                }
+                _ => {}
+            },
+            AtomicOp::BudgetChange { user, .. } => match direction {
+                Some(Ordering::Less) => {
+                    let dropped = repair::shed_to_budget(inst, plan, *user);
                     for e in dropped {
-                        if new_plan.attendance(e) < inst.event(e).lower {
-                            xi_increase(&inst, &mut new_plan, e);
+                        if plan.attendance(e) < inst.event(e).lower {
+                            xi_increase(inst, plan, e);
                         }
                     }
                     // A cheaper event might still fit the shrunken
                     // budget.
-                    filler::fill_to_upper(&inst, &mut new_plan, Some(&[*user]));
-                } else if *new_budget > old_budget {
-                    filler::fill_to_upper(&inst, &mut new_plan, Some(&[*user]));
+                    filler::fill_to_upper(inst, plan, Some(&[*user]));
                 }
-            }
+                Some(Ordering::Greater) => {
+                    filler::fill_to_upper(inst, plan, Some(&[*user]));
+                }
+                _ => {}
+            },
         }
 
-        let utility = new_plan.total_utility(&inst);
-        let shortfall = inst
-            .event_ids()
-            .filter(|&e| new_plan.attendance(e) < inst.event(e).lower)
-            .collect();
-        IncrementalOutcome {
-            dif: dif(plan, &new_plan),
-            utility,
-            shortfall,
-            instance: inst,
-            plan: new_plan,
+        let plan_journal = plan.end_journal();
+        AppliedOp {
+            dif: plan_journal.dif(plan),
+            utility: plan.total_utility(inst),
+            shortfall: inst
+                .event_ids()
+                .filter(|&e| plan.attendance(e) < inst.event(e).lower)
+                .collect(),
+            journal: OpJournal {
+                instance: instance_journal,
+                plan: plan_journal,
+            },
         }
     }
 
@@ -648,12 +697,9 @@ impl IncrementalPlanner {
         let mut step_difs = Vec::with_capacity(ops.len());
         let mut failure: Option<SolveError<()>> = None;
         for (k, op) in ops.iter().enumerate() {
-            match self.try_apply_budgeted(&inst, &cur, op, SolveBudget::UNLIMITED) {
-                Ok(out) => {
-                    step_difs.push(out.dif);
-                    inst = out.instance;
-                    cur = out.plan;
-                }
+            // A rejected operation leaves the prefix state untouched.
+            match self.try_apply_in_place(&mut inst, &mut cur, op, SolveBudget::UNLIMITED) {
+                Ok(applied) => step_difs.push(applied.dif),
                 Err(e) => {
                     failure = Some(SolveError::new(
                         e.kind,
@@ -685,6 +731,85 @@ impl IncrementalPlanner {
             Some(e) => Err(e.discard_partial().with_partial(outcome)),
         }
     }
+}
+
+/// What an operation's instance transition overwrote: the one field
+/// group it changes, or the event it appended.
+#[derive(Debug, Clone)]
+enum InstanceUndo {
+    Bounds { event: EventId, lower: u32, upper: u32 },
+    Time { event: EventId, time: TimeInterval },
+    Location { event: EventId, location: Point },
+    Utility { user: UserId, event: EventId, slot: Option<f64> },
+    Budget { user: UserId, budget: f64 },
+    Fee { event: EventId, fee: f64 },
+    NewEvent,
+}
+
+/// The undo record of one instance transition
+/// ([`IncrementalPlanner::apply_to_instance_in_place`]).
+#[derive(Debug, Clone)]
+pub struct InstanceJournal(InstanceUndo);
+
+impl InstanceJournal {
+    /// Restores the instance the transition started from. The
+    /// restoring setters drop the candidate cache where the forward
+    /// setter did, so the next `candidates()` call rebuilds it.
+    pub fn rollback(self, instance: &mut Instance) {
+        match self.0 {
+            InstanceUndo::Bounds { event, lower, upper } => {
+                instance.set_event_bounds(event, lower, upper);
+            }
+            InstanceUndo::Time { event, time } => instance.set_event_time(event, time),
+            InstanceUndo::Location { event, location } => {
+                instance.set_event_location(event, location);
+            }
+            InstanceUndo::Utility { user, event, slot } => {
+                instance.restore_utility(user, event, slot);
+            }
+            InstanceUndo::Budget { user, budget } => instance.set_budget(user, budget),
+            InstanceUndo::Fee { event, fee } => instance.set_event_fee(event, fee),
+            InstanceUndo::NewEvent => instance.pop_event(),
+        }
+    }
+}
+
+/// The undo record of one operation applied in place: what its
+/// transition overwrote on the instance, and every plan list its
+/// repair changed.
+#[derive(Debug, Clone)]
+pub struct OpJournal {
+    instance: InstanceJournal,
+    plan: PlanJournal,
+}
+
+impl OpJournal {
+    /// The users the repair changed, with their pre-op lists.
+    pub fn plan(&self) -> &PlanJournal {
+        &self.plan
+    }
+
+    /// Restores the exact pre-op `(instance, plan)`: equal by
+    /// `PartialEq` and by serialized bytes, each user's insertion order
+    /// included.
+    pub fn rollback(self, instance: &mut Instance, plan: &mut Plan) {
+        plan.rollback(self.plan);
+        self.instance.rollback(instance);
+    }
+}
+
+/// An operation applied in place by
+/// [`IncrementalPlanner::try_apply_in_place`].
+#[derive(Debug)]
+pub struct AppliedOp {
+    /// Undoes the operation.
+    pub journal: OpJournal,
+    /// Negative impact `dif(P, P′)`.
+    pub dif: usize,
+    /// Global utility of `P′` under the updated instance.
+    pub utility: f64,
+    /// Events whose lower bound could not be restored.
+    pub shortfall: Vec<EventId>,
 }
 
 #[cfg(test)]
@@ -1120,9 +1245,12 @@ mod tests {
         // describe the same post-op world, for every op kind.
         let (instance, plan) = setup();
         for op in one_of_each_op() {
-            let inst_only = IncrementalPlanner::apply_to_instance(&instance, &op);
+            let mut inst_only = instance.clone();
+            let journal = IncrementalPlanner::apply_to_instance_in_place(&mut inst_only, &op);
             let full = IncrementalPlanner.apply(&instance, &plan, &op);
             assert_eq!(inst_only, full.instance, "divergence for {op:?}");
+            journal.rollback(&mut inst_only);
+            assert_eq!(inst_only, instance, "transition of {op:?} not undone");
         }
     }
 

@@ -11,8 +11,9 @@ use std::sync::OnceLock;
 /// The instance is the single source of truth for distances, time
 /// conflicts and travel costs; plans and solvers hold only indices
 /// ([`UserId`], [`EventId`]) into it. Incremental (IEP) atomic
-/// operations mutate a cloned instance through the `set_*`/`add_event`
-/// methods.
+/// operations mutate it in place through the `set_*`/`add_event`
+/// methods, and undo themselves through the crate's restoring
+/// counterparts.
 ///
 /// The per-user candidate lists (`Uc_i`, the CSR arena every hot
 /// solver path iterates) are derived lazily on first use and cached;
@@ -321,6 +322,19 @@ impl Instance {
         self.invalidate_candidates();
     }
 
+    /// `μ(u, e)` as stored: `None` when the sparse layout holds no
+    /// entry for the pair.
+    pub(crate) fn utility_slot(&self, u: UserId, e: EventId) -> Option<f64> {
+        self.utilities.slot(u, e)
+    }
+
+    /// Restores a slot read by [`Instance::utility_slot`]: the exact
+    /// inverse of [`Instance::set_utility`], sparse layout included.
+    pub(crate) fn restore_utility(&mut self, u: UserId, e: EventId, slot: Option<f64>) {
+        self.utilities.restore_slot(u, e, slot);
+        self.invalidate_candidates();
+    }
+
     /// Sets a user's travel budget.
     pub fn set_budget(&mut self, u: UserId, budget: f64) {
         assert!(budget >= 0.0, "negative travel budget");
@@ -364,6 +378,14 @@ impl Instance {
         debug_assert_eq!(id.index(), self.events.len() - 1);
         self.invalidate_candidates();
         id
+    }
+
+    /// Removes the most recently added event and its utility column:
+    /// the inverse of [`Instance::add_event`].
+    pub(crate) fn pop_event(&mut self) {
+        self.utilities.pop_event_column();
+        self.events.pop();
+        self.invalidate_candidates();
     }
 }
 

@@ -196,6 +196,53 @@ impl UtilityMatrix {
         }
     }
 
+    /// The stored value of `μ(user, event)`: `None` when the sparse
+    /// layout holds no entry for the pair. [`UtilityMatrix::restore_slot`]
+    /// puts it back exactly.
+    pub(crate) fn slot(&self, user: UserId, event: EventId) -> Option<f64> {
+        match &self.storage {
+            Storage::Dense(values) => Some(values[user.index() * self.n_events + event.index()]),
+            Storage::Sparse {
+                offsets,
+                cols,
+                vals,
+            } => {
+                let lo = offsets[user.index()] as usize;
+                let hi = offsets[user.index() + 1] as usize;
+                cols[lo..hi]
+                    .binary_search(&(event.index() as u32))
+                    .ok()
+                    .map(|k| vals[lo + k])
+            }
+        }
+    }
+
+    /// Restores a slot read by [`UtilityMatrix::slot`]: `Some(v)` sets
+    /// `v`, `None` drops the pair's sparse entry, so an undone `set`
+    /// leaves the storage exactly as it was.
+    pub(crate) fn restore_slot(&mut self, user: UserId, event: EventId, slot: Option<f64>) {
+        if let Some(v) = slot {
+            self.set(user, event, v);
+            return;
+        }
+        if let Storage::Sparse {
+            offsets,
+            cols,
+            vals,
+        } = &mut self.storage
+        {
+            let lo = offsets[user.index()] as usize;
+            let hi = offsets[user.index() + 1] as usize;
+            if let Ok(k) = cols[lo..hi].binary_search(&(event.index() as u32)) {
+                cols.remove(lo + k);
+                vals.remove(lo + k);
+                for o in &mut offsets[user.index() + 1..] {
+                    *o -= 1;
+                }
+            }
+        }
+    }
+
     /// Visits every entry with `μ > 0` in one user's row, in ascending
     /// event order. O(row length) on either layout — this is the
     /// building block of candidate derivation.
@@ -349,6 +396,50 @@ impl UtilityMatrix {
         }
         self.n_events += 1;
         EventId(ne as u32)
+    }
+
+    /// Drops the last event column: the inverse of
+    /// [`UtilityMatrix::push_event_column`].
+    ///
+    /// # Panics
+    /// If the matrix has no event column.
+    pub(crate) fn pop_event_column(&mut self) {
+        assert!(self.n_events > 0, "no event column to pop");
+        let ne = self.n_events;
+        match &mut self.storage {
+            Storage::Dense(values) => {
+                let mut next = Vec::with_capacity(self.n_users * (ne - 1));
+                for u in 0..self.n_users {
+                    next.extend_from_slice(&values[u * ne..(u + 1) * ne - 1]);
+                }
+                *values = next;
+            }
+            Storage::Sparse {
+                offsets,
+                cols,
+                vals,
+            } => {
+                // The popped column is the largest, so it can only
+                // close a row; compact the survivors in place.
+                let last = (ne - 1) as u32;
+                let (mut w, mut lo) = (0, 0);
+                for u in 0..self.n_users {
+                    let hi = offsets[u + 1] as usize;
+                    for k in lo..hi {
+                        if cols[k] != last {
+                            cols[w] = cols[k];
+                            vals[w] = vals[k];
+                            w += 1;
+                        }
+                    }
+                    lo = hi;
+                    offsets[u + 1] = w as u32;
+                }
+                cols.truncate(w);
+                vals.truncate(w);
+            }
+        }
+        self.n_events -= 1;
     }
 }
 
@@ -529,6 +620,29 @@ mod tests {
                 }
                 assert_eq!(appended, reference, "{column:?}");
             }
+        }
+    }
+
+    #[test]
+    fn slot_restore_and_column_pop_undo_set_and_push_exactly() {
+        let dense = UtilityMatrix::from_rows(vec![vec![0.1, 0.0], vec![0.0, 0.3]]).unwrap();
+        let sparse = UtilityMatrix::from_sparse_rows(2, &[vec![(0, 0.1)], vec![(1, 0.3)]])
+            .unwrap();
+        for base in [dense, sparse] {
+            for (u, e) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let (u, e) = (UserId(u), EventId(e));
+                for v in [0.0, 0.7] {
+                    let mut m = base.clone();
+                    let slot = m.slot(u, e);
+                    m.set(u, e, v);
+                    m.restore_slot(u, e, slot);
+                    assert_eq!(m, base, "set({u}, {e}, {v}) undone");
+                }
+            }
+            let mut m = base.clone();
+            m.push_event_column(&[0.4, 0.0]);
+            m.pop_event_column();
+            assert_eq!(m, base, "push undone");
         }
     }
 

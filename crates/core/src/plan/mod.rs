@@ -17,16 +17,85 @@ pub use stats::{user_utilities, PlanStatistics};
 pub use validate::{Validation, Violation};
 
 use crate::model::{EventId, Instance, UserId};
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 /// A global plan: one event set per user plus attendance counts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// While a [`PlanJournal`] is open ([`Plan::begin_journal`]), every
+/// [`Plan::add`]/[`Plan::remove`] that changes a user's list first
+/// saves that list, once per user, so an in-place IEP operation can be
+/// undone exactly. The journal never takes part in equality or
+/// serialization.
+#[derive(Debug, Clone)]
 pub struct Plan {
     /// `assignments[u]` = events of user `u`, in insertion order,
     /// duplicate-free.
     assignments: Vec<Vec<EventId>>,
     /// `attendance[e]` = `n_e`, the number of users assigned to `e`.
     attendance: Vec<u32>,
+    /// The open undo journal, if any.
+    journal: Option<PlanJournal>,
+}
+
+impl PartialEq for Plan {
+    fn eq(&self, other: &Self) -> bool {
+        self.assignments == other.assignments && self.attendance == other.attendance
+    }
+}
+
+impl Eq for Plan {}
+
+// Hand-written (the serde shim has no `skip`): the derived layout of
+// the two data fields, with the journal left out.
+impl Serialize for Plan {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("assignments".to_string(), self.assignments.to_content()),
+            ("attendance".to_string(), self.attendance.to_content()),
+        ])
+    }
+}
+
+impl Deserialize for Plan {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let m = c
+            .as_map()
+            .ok_or_else(|| DeError::new("expected map for `Plan`"))?;
+        Ok(Plan {
+            assignments: serde::__field(m, "assignments")?,
+            attendance: serde::__field(m, "attendance")?,
+            journal: None,
+        })
+    }
+}
+
+/// The plan half of an in-place IEP operation's undo record: each
+/// user's assignment list as it stood before the operation first
+/// changed it (first-touch order), plus the event count to shrink back
+/// to. These lists are also the operation's `dif` baseline.
+#[derive(Debug, Clone, Default)]
+pub struct PlanJournal {
+    n_events: usize,
+    saved: Vec<(UserId, Vec<EventId>)>,
+}
+
+impl PlanJournal {
+    /// Every user the operation changed, with their pre-operation list.
+    pub fn users(&self) -> &[(UserId, Vec<EventId>)] {
+        &self.saved
+    }
+
+    /// `dif(P, P′)` of the journaled operation against the plan it
+    /// produced: only journaled users can have lost an event.
+    pub fn dif(&self, plan: &Plan) -> usize {
+        self.saved
+            .iter()
+            .map(|(u, old)| {
+                let now = plan.user_plan(*u);
+                old.iter().filter(|e| !now.contains(e)).count()
+            })
+            .sum()
+    }
 }
 
 impl Plan {
@@ -35,6 +104,7 @@ impl Plan {
         Plan {
             assignments: vec![Vec::new(); n_users],
             attendance: vec![0; n_events],
+            journal: None,
         }
     }
 
@@ -89,26 +159,74 @@ impl Plan {
     /// Adds `e` to `u`'s plan. Returns `false` (and does nothing) when
     /// already present.
     pub fn add(&mut self, u: UserId, e: EventId) -> bool {
-        let evs = &mut self.assignments[u.index()];
-        if evs.contains(&e) {
+        if self.assignments[u.index()].contains(&e) {
             return false;
         }
-        evs.push(e);
+        self.touch(u);
+        self.assignments[u.index()].push(e);
         self.attendance[e.index()] += 1;
         true
     }
 
     /// Removes `e` from `u`'s plan. Returns `false` when absent.
     pub fn remove(&mut self, u: UserId, e: EventId) -> bool {
-        let evs = &mut self.assignments[u.index()];
-        match evs.iter().position(|&x| x == e) {
+        match self.assignments[u.index()].iter().position(|&x| x == e) {
             Some(pos) => {
-                evs.remove(pos);
+                self.touch(u);
+                self.assignments[u.index()].remove(pos);
                 self.attendance[e.index()] -= 1;
                 true
             }
             None => false,
         }
+    }
+
+    /// Saves `u`'s list into the open journal before its first change.
+    fn touch(&mut self, u: UserId) {
+        if let Some(j) = &mut self.journal {
+            if !j.saved.iter().any(|(v, _)| *v == u) {
+                j.saved.push((u, self.assignments[u.index()].clone()));
+            }
+        }
+    }
+
+    /// Opens an undo journal: from now until [`Plan::end_journal`],
+    /// every changed user's list is saved before its first change.
+    ///
+    /// # Panics
+    /// If a journal is already open.
+    pub fn begin_journal(&mut self) {
+        assert!(self.journal.is_none(), "plan journal already open");
+        self.journal = Some(PlanJournal {
+            n_events: self.n_events(),
+            saved: Vec::new(),
+        });
+    }
+
+    /// Closes the open journal and returns it; without an open journal
+    /// the result is empty (its rollback changes nothing).
+    pub fn end_journal(&mut self) -> PlanJournal {
+        let n_events = self.n_events();
+        self.journal.take().unwrap_or(PlanJournal {
+            n_events,
+            saved: Vec::new(),
+        })
+    }
+
+    /// Undoes everything `journal` recorded: each saved list is put
+    /// back as it was (insertion order included), attendance follows,
+    /// and events appended since the journal opened are dropped.
+    pub fn rollback(&mut self, journal: PlanJournal) {
+        for (u, old) in journal.saved {
+            for e in &self.assignments[u.index()] {
+                self.attendance[e.index()] -= 1;
+            }
+            for e in &old {
+                self.attendance[e.index()] += 1;
+            }
+            self.assignments[u.index()] = old;
+        }
+        self.attendance.truncate(journal.n_events);
     }
 
     /// Checks what deserialization skips: the plan is shaped for
@@ -215,6 +333,7 @@ mod tests {
         let plan = |assignments: Vec<Vec<EventId>>, attendance: Vec<u32>| Plan {
             assignments,
             attendance,
+            journal: None,
         };
         let e0 = EventId(0);
         assert!(plan(vec![vec![e0], vec![e0]], vec![2, 0]).is_consistent(&instance));
@@ -226,6 +345,43 @@ mod tests {
         assert!(!twice.is_consistent(&instance), "event listed twice");
         let miscounted = plan(vec![vec![e0], vec![]], vec![2, 0]);
         assert!(!miscounted.is_consistent(&instance), "attendance miscounted");
+    }
+
+    #[test]
+    fn journal_rollback_restores_lists_order_and_event_count() {
+        let mut p = Plan::empty(3, 2);
+        p.add(UserId(0), EventId(0));
+        p.add(UserId(0), EventId(1));
+        p.add(UserId(1), EventId(1));
+        let before = p.clone();
+        let bytes = serde_json::to_string(&p).unwrap();
+
+        p.begin_journal();
+        // Remove and re-add: the same set in another insertion order.
+        p.remove(UserId(0), EventId(0));
+        p.add(UserId(0), EventId(0));
+        p.resize_events(3);
+        p.add(UserId(2), EventId(2));
+        p.remove(UserId(1), EventId(1));
+        assert!(!p.add(UserId(2), EventId(2)));
+        assert!(!p.remove(UserId(1), EventId(0)));
+        // The open journal is invisible to serialization.
+        assert!(!serde_json::to_string(&p).unwrap().contains("journal"));
+        let j = p.end_journal();
+        // First-touch order, each user once, with the pre-op list.
+        assert_eq!(
+            j.users(),
+            &[
+                (UserId(0), vec![EventId(0), EventId(1)]),
+                (UserId(2), vec![]),
+                (UserId(1), vec![EventId(1)]),
+            ]
+        );
+        assert_eq!(j.dif(&p), 1, "only u1 lost an event");
+        p.rollback(j);
+        assert_eq!(p, before);
+        assert_eq!(serde_json::to_string(&p).unwrap(), bytes);
+        assert_eq!(p.n_events(), 2);
     }
 
     #[test]

@@ -208,6 +208,7 @@ pub const SPAN_NAMES: &[&str] = &[
     "serve.resolve",
     "serve.snapshot",
     "serve.restore",
+    "serve.wal",
 ];
 
 /// Registered counter names.

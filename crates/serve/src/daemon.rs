@@ -8,10 +8,13 @@
 //!
 //! The *visible* plan — the one a caller observes via
 //! [`Daemon::plan`] or any [`OpResponse`] — is certified at all
-//! times. State transitions happen only after
-//! [`certify_incremental`]/[`certify`] confirms zero hard violations;
-//! a failed repair or re-solve leaves the previous certified plan in
-//! place and rejects the op with a typed error.
+//! times. An op is applied in place under an undo journal
+//! ([`IncrementalPlanner::try_apply_in_place`]) and kept only after
+//! [`certify_delta`] (or, for a re-solve, [`certify`]) confirms zero
+//! hard violations; a failed repair or re-solve rolls the state back
+//! to the exact previous certified `(instance, plan)` and rejects the
+//! op with a typed error. Every snapshot first re-certifies the whole
+//! state from scratch.
 //!
 //! ## Wall-clock use
 //!
@@ -26,13 +29,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use epplan_core::certify::{certify, certify_incremental};
-use epplan_core::incremental::{IncrementalOutcome, IncrementalPlanner, SequencedOp};
+use epplan_core::certify::{certify, certify_delta, certify_tally};
+use epplan_core::incremental::{AppliedOp, IncrementalPlanner, SequencedOp};
 use epplan_core::model::Instance;
 use epplan_core::plan::{dif, Plan};
 use epplan_core::solver::{GapBasedSolver, GepcSolver, LnsSolver};
 use epplan_obs::{HistogramSnapshot, WindowConfig, WindowedHistogram};
-use epplan_solve::{Certificate, FailureKind, SolveBudget, SolveError};
+use epplan_solve::{CertTally, Certificate, FailureKind, SolveBudget, SolveError};
 
 use crate::overload::{self, OverloadConfig, OverloadState};
 use crate::proto::{OpResponse, ServeSummary};
@@ -147,6 +150,9 @@ pub struct Daemon {
     instance: Instance,
     plan: Plan,
     utility: f64,
+    /// The certifier's running totals of the visible plan, patched by
+    /// each certified delta and rebuilt by every full certification.
+    tally: CertTally,
     /// Highest op id folded into the visible plan.
     last_op_id: u64,
     /// Accumulated `dif` since the last full solve.
@@ -194,12 +200,13 @@ impl Daemon {
         config: ServeConfig,
         state_dir: Option<&Path>,
     ) -> Result<Daemon, ServeError> {
-        let (plan, utility) = Self::full_solve(&instance, config.resolve_budget, false)?;
+        let (plan, utility, tally) = Self::full_solve(&instance, config.resolve_budget, false)?;
         let window = latency_window(&config);
         let mut daemon = Daemon {
             instance,
             plan,
             utility,
+            tally,
             last_op_id: 0,
             drift: 0,
             processed: 0,
@@ -257,6 +264,7 @@ impl Daemon {
             instance: snap.instance,
             plan: snap.plan,
             utility,
+            tally: CertTally::default(),
             last_op_id: snap.last_op_id,
             drift: snap.drift,
             processed: 0,
@@ -270,12 +278,13 @@ impl Daemon {
             snapshot_op,
             overload: snap.overload,
         };
-        let cert = certify(&daemon.instance, &daemon.plan);
+        let (cert, tally) = certify_tally(&daemon.instance, &daemon.plan);
         if !cert.hard_ok() {
             return Err(ServeError::corrupt(format!(
                 "restored snapshot failed certification: {cert}"
             )));
         }
+        daemon.tally = tally;
         // Warm the candidate-list cache before the WAL replay: replayed
         // ops repair through the same sparse paths as live ones.
         let _ = daemon.instance.candidates();
@@ -325,6 +334,11 @@ impl Daemon {
                 }
             }
         }
+        if daemon.last_op_id > snapshot_op {
+            // Replayed repairs are not re-certified one by one; the
+            // tally of the replayed state is rebuilt in one pass.
+            daemon.tally = certify_tally(&daemon.instance, &daemon.plan).1;
+        }
         daemon.wal = Some(WalWriter::open_append(&state_dir.join(wal::WAL_FILE))?);
         if let Some((sop, attempts)) = tail {
             let poisoned = daemon
@@ -338,9 +352,7 @@ impl Daemon {
                 // Durably logged, never completed: try again live.
                 // A fresh op record goes in first, so if this attempt
                 // also dies the next restore sees one more marker.
-                if let Some(w) = daemon.wal.as_mut() {
-                    w.append_op(&sop)?;
-                }
+                daemon.log_op(&sop)?;
                 if daemon.config.crash_in_op == Some(sop.id) {
                     std::process::abort();
                 }
@@ -370,9 +382,7 @@ impl Daemon {
         if self.admission_sheds(sop.id) {
             return self.shed(sop);
         }
-        if let Some(w) = self.wal.as_mut() {
-            w.append_op(sop)?;
-        }
+        self.log_op(sop)?;
         if self.config.crash_in_op == Some(sop.id) {
             // Deterministic poison op: dies after its op record is
             // durable but before any outcome — exactly the shape the
@@ -407,10 +417,8 @@ impl Daemon {
             level: self.overload.level,
             ..OutcomeMeta::plain(sop.id, OutcomeMode::Shed)
         };
-        if let Some(w) = self.wal.as_mut() {
-            w.append_op(sop)?;
-            w.append_outcome(&meta)?;
-        }
+        self.log_op(sop)?;
+        self.log_outcome(&meta)?;
         self.overload.absorb(&meta);
         self.last_op_id = sop.id;
         self.stats.shed += 1;
@@ -462,9 +470,7 @@ impl Daemon {
             level,
             rsfail,
         };
-        if let Some(w) = self.wal.as_mut() {
-            w.append_outcome(&meta)?;
-        }
+        self.log_outcome(&meta)?;
         self.overload.absorb(&meta);
         self.publish_gauges();
         self.processed += 1;
@@ -482,6 +488,24 @@ impl Daemon {
             }
         }
         Ok(resp)
+    }
+
+    /// Appends (and flushes) `sop`'s op record to the WAL, if any.
+    fn log_op(&mut self, sop: &SequencedOp) -> Result<(), ServeError> {
+        let Some(w) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        let _sp = epplan_obs::span("serve.wal");
+        w.append_op(sop)
+    }
+
+    /// Appends (and flushes) an outcome record to the WAL, if any.
+    fn log_outcome(&mut self, meta: &OutcomeMeta) -> Result<(), ServeError> {
+        let Some(w) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        let _sp = epplan_obs::span("serve.wal");
+        w.append_outcome(meta)
     }
 
     /// The brownout level to record for the op that just executed.
@@ -528,9 +552,7 @@ impl Daemon {
             level: self.overload.level,
             ..OutcomeMeta::plain(sop.id, OutcomeMode::Quarantine)
         };
-        if let Some(w) = self.wal.as_mut() {
-            w.append_outcome(&meta)?;
-        }
+        self.log_outcome(&meta)?;
         self.overload.absorb(&meta);
         self.last_op_id = sop.id;
         self.stats.quarantined += 1;
@@ -553,28 +575,31 @@ impl Daemon {
         // modes) never needs to re-derive the shrink.
         let repair_budget = overload::shrink_budget(self.config.op_budget, self.overload.level);
         loop {
-            let attempt: Result<IncrementalOutcome, SolveError> =
+            // A failed attempt leaves the state as it was.
+            let attempt: Result<AppliedOp, SolveError> =
                 match epplan_fault::point("serve.op.ingest") {
                     Some(action) => {
                         Err(SolveError::from_fault(STAGE, "serve.op.ingest", action))
                     }
-                    None => IncrementalPlanner
-                        .try_apply_budgeted(
-                            &self.instance,
-                            &self.plan,
-                            op,
-                            escalated(repair_budget, retries),
-                        )
-                        .map_err(SolveError::discard_partial),
+                    None => IncrementalPlanner.try_apply_in_place(
+                        &mut self.instance,
+                        &mut self.plan,
+                        op,
+                        escalated(repair_budget, retries),
+                    ),
                 };
             match attempt {
-                Ok(out) => {
-                    let cert = certify_incremental(&out.instance, &self.plan, &out.plan);
+                Ok(applied) => {
+                    let cert = certify_delta(
+                        &self.instance,
+                        &self.plan,
+                        op,
+                        applied.journal.plan(),
+                        &mut self.tally,
+                    );
                     if cert.hard_ok() {
-                        let op_dif = out.dif as u64;
-                        self.instance = out.instance;
-                        self.plan = out.plan;
-                        self.utility = out.utility;
+                        let op_dif = applied.dif as u64;
+                        self.utility = applied.utility;
                         self.drift += op_dif;
                         self.last_op_id = sop.id;
                         // Drift-triggered background re-solve, gated
@@ -605,6 +630,7 @@ impl Daemon {
                             self.response(sop.id, "applied", op_dif, retries, None),
                         );
                     }
+                    applied.journal.rollback(&mut self.instance, &mut self.plan);
                     repair_failure =
                         format!("repair rejected by certification: {cert}");
                     break;
@@ -634,15 +660,15 @@ impl Daemon {
             }
         }
         // Graceful degradation: rebuild the plan from scratch on the
-        // post-op instance; swap in only if it certifies.
-        let next = IncrementalPlanner::apply_to_instance(&self.instance, op);
+        // post-op instance; keep it only if it certifies.
+        let transition = IncrementalPlanner::apply_to_instance_in_place(&mut self.instance, op);
         let degraded = self.overload.level >= 2;
-        match Self::full_solve(&next, self.config.resolve_budget, degraded) {
-            Ok((new_plan, utility)) => {
+        match Self::full_solve(&self.instance, self.config.resolve_budget, degraded) {
+            Ok((new_plan, utility, tally)) => {
                 let op_dif = dif(&self.plan, &new_plan) as u64;
-                self.instance = next;
                 self.plan = new_plan;
                 self.utility = utility;
+                self.tally = tally;
                 self.drift = 0;
                 self.last_op_id = sop.id;
                 self.stats.resolved += 1;
@@ -657,6 +683,7 @@ impl Daemon {
                 )
             }
             Err(resolve_failure) => {
+                transition.rollback(&mut self.instance);
                 self.last_op_id = sop.id;
                 self.stats.rejected += 1;
                 epplan_obs::counter_add("serve.ops_rejected", 1);
@@ -690,7 +717,9 @@ impl Daemon {
                 self.resolve_in_place()?;
             }
             OutcomeMode::Resolve => {
-                self.instance = IncrementalPlanner::apply_to_instance(&self.instance, &sop.op);
+                // The re-solve replaces the plan, so the transition is
+                // never undone.
+                let _ = IncrementalPlanner::apply_to_instance_in_place(&mut self.instance, &sop.op);
                 self.last_op_id = sop.id;
                 self.resolve_in_place()?;
             }
@@ -705,18 +734,21 @@ impl Daemon {
     }
 
     fn replay_repair(&mut self, sop: &SequencedOp) -> Result<(), ServeError> {
-        let out = IncrementalPlanner
-            .try_apply_budgeted(&self.instance, &self.plan, &sop.op, SolveBudget::UNLIMITED)
+        let applied = IncrementalPlanner
+            .try_apply_in_place(
+                &mut self.instance,
+                &mut self.plan,
+                &sop.op,
+                SolveBudget::UNLIMITED,
+            )
             .map_err(|e| {
                 ServeError::solve(
                     e.kind,
                     format!("replaying op {}: {}", sop.id, e.message),
                 )
             })?;
-        self.drift += out.dif as u64;
-        self.instance = out.instance;
-        self.plan = out.plan;
-        self.utility = out.utility;
+        self.drift += applied.dif as u64;
+        self.utility = applied.utility;
         self.last_op_id = sop.id;
         Ok(())
     }
@@ -726,17 +758,19 @@ impl Daemon {
     /// [`Daemon::full_solve`]). Resets drift.
     fn resolve_in_place(&mut self) -> Result<(), ServeError> {
         let degraded = self.overload.level >= 2;
-        let (plan, utility) =
+        let (plan, utility, tally) =
             Self::full_solve(&self.instance, self.config.resolve_budget, degraded)?;
         self.plan = plan;
         self.utility = utility;
+        self.tally = tally;
         self.drift = 0;
         self.stats.resolves += 1;
         epplan_obs::counter_add("serve.resolves", 1);
         Ok(())
     }
 
-    /// Solves `instance` from scratch and certifies the result.
+    /// Solves `instance` from scratch and certifies the result,
+    /// returning the plan with its `U_P` and certifier tally.
     /// Degrades to the solver's partial (fallback) plan when one
     /// exists, but *never* returns an uncertified plan. At brownout
     /// level ≥ 2 (`degraded`), the gap-based pipeline is swapped for
@@ -746,7 +780,7 @@ impl Daemon {
         instance: &Instance,
         budget: SolveBudget,
         degraded: bool,
-    ) -> Result<(Plan, f64), ServeError> {
+    ) -> Result<(Plan, f64, CertTally), ServeError> {
         let mut sp = epplan_obs::span("serve.resolve");
         sp.add_iters(1);
         let attempt = if degraded {
@@ -772,14 +806,14 @@ impl Daemon {
                 }
             },
         };
-        let cert = certify(instance, &solution.plan);
+        let (cert, tally) = certify_tally(instance, &solution.plan);
         if !cert.hard_ok() {
             return Err(ServeError::solve(
                 FailureKind::Infeasible,
                 format!("full solve produced an uncertifiable plan: {cert}"),
             ));
         }
-        Ok((solution.plan, cert.utility))
+        Ok((solution.plan, cert.utility, tally))
     }
 
     fn drift_exceeded(&self) -> bool {
@@ -790,12 +824,17 @@ impl Daemon {
     /// Snapshots current state atomically, then truncates the WAL
     /// (the snapshot supersedes it). Called at start and every
     /// `snapshot_every` ops.
+    ///
+    /// Nothing reaches disk before the whole state passes the
+    /// from-scratch [`certify`] and its recount matches the delta
+    /// certifier's tally; either failure is an `Infeasible` error.
     fn write_snapshot(&mut self) -> Result<(), ServeError> {
         let Some(dir) = self.state_dir.clone() else {
             return Ok(());
         };
         let mut sp = epplan_obs::span("serve.snapshot");
         sp.add_iters(1);
+        self.audit()?;
         if let Some(w) = self.wal.as_mut() {
             w.sync()?;
         }
@@ -814,6 +853,33 @@ impl Daemon {
         self.snapshot_op = self.last_op_id;
         self.stats.snapshots += 1;
         epplan_obs::counter_add("serve.snapshots", 1);
+        Ok(())
+    }
+
+    /// The snapshot audit: re-certifies the whole state from scratch,
+    /// checks the recounted attendance against the tally the delta
+    /// certifier maintained, and restarts the tally from the recount
+    /// (which also resets the rounding `U_P` accumulates op by op).
+    fn audit(&mut self) -> Result<(), ServeError> {
+        let (cert, tally) = certify_tally(&self.instance, &self.plan);
+        if !cert.hard_ok() {
+            let violations: Vec<String> =
+                cert.hard_violations.iter().map(ToString::to_string).collect();
+            return Err(ServeError::solve(
+                FailureKind::Infeasible,
+                format!(
+                    "snapshot audit rejected the state: {cert}: {}",
+                    violations.join("; ")
+                ),
+            ));
+        }
+        if tally.attendance() != self.tally.attendance() {
+            return Err(ServeError::solve(
+                FailureKind::Infeasible,
+                "snapshot audit: recounted attendance disagrees with the delta certifier's tally",
+            ));
+        }
+        self.tally = tally;
         Ok(())
     }
 
@@ -1377,6 +1443,38 @@ mod tests {
         assert_eq!(restored.snapshot_op(), 1);
         assert_eq!(restored.instance().user(UserId(0)).budget, 0.0);
         assert!(restored.certificate().hard_ok());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_audit_rejects_a_corrupted_state_and_persists_nothing() {
+        let dir = tmp_dir("audit");
+        let mut d = Daemon::start(small_instance(), ServeConfig::default(), Some(&dir)).unwrap();
+        let snapshot = || fs::read(dir.join(wal::SNAPSHOT_FILE)).unwrap();
+        let before = snapshot();
+
+        // A dropped assignment breaks no hard constraint, but it
+        // bypassed the delta certifier: the recount disagrees with the
+        // tally.
+        let (u, e) = d
+            .instance
+            .user_ids()
+            .find_map(|u| d.plan.user_plan(u).first().map(|&e| (u, e)))
+            .expect("the initial plan assigns someone");
+        d.plan.remove(u, e);
+        let err = d.write_snapshot().unwrap_err();
+        assert_eq!(err.exit_code(), 6, "{}", err.message);
+        assert!(err.message.contains("tally"), "{}", err.message);
+        assert_eq!(snapshot(), before, "nothing persisted");
+
+        // Every user on that event: over η, named in the error.
+        for u in d.instance.user_ids().collect::<Vec<_>>() {
+            d.plan.add(u, e);
+        }
+        let err = d.write_snapshot().unwrap_err();
+        assert_eq!(err.exit_code(), 6, "{}", err.message);
+        assert!(err.message.contains("eta-upper-bound"), "{}", err.message);
+        assert_eq!(snapshot(), before, "nothing persisted");
         fs::remove_dir_all(&dir).unwrap();
     }
 

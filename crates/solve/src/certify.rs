@@ -214,11 +214,43 @@ impl fmt::Display for Certificate {
     }
 }
 
+/// Running totals of the last certified plan, as [`certify_delta`]
+/// needs them: each user's utility, each event's attendance, and
+/// `U_P`. Built from scratch by [`certify_plan_tally`]; patched only
+/// by a delta that certifies.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CertTally {
+    user_utility: Vec<f64>,
+    attendance: Vec<usize>,
+    utility: f64,
+}
+
+impl CertTally {
+    /// `U_P` of the last certified plan.
+    pub fn utility(&self) -> f64 {
+        self.utility
+    }
+
+    /// Attendance of every event, recounted from the assignment lists.
+    pub fn attendance(&self) -> &[usize] {
+        &self.attendance
+    }
+}
+
 /// Runs the independent checker over `view`, recomputing attendance,
 /// travel costs and `U_P` from the raw assignment lists. Pass the
 /// previous plan's assignment lists as `baseline` to also recompute
 /// the IEP `dif(P, P′)`.
 pub fn certify_plan(view: &dyn PlanView, baseline: Option<&[Vec<usize>]>) -> Certificate {
+    certify_plan_tally(view, baseline).0
+}
+
+/// [`certify_plan`], also returning the [`CertTally`] a later
+/// [`certify_delta`] starts from.
+pub fn certify_plan_tally(
+    view: &dyn PlanView,
+    baseline: Option<&[Vec<usize>]>,
+) -> (Certificate, CertTally) {
     let n_users = view.n_users();
     let n_events = view.n_events();
     let mut cert = Certificate {
@@ -226,99 +258,195 @@ pub fn certify_plan(view: &dyn PlanView, baseline: Option<&[Vec<usize>]>) -> Cer
         ..Certificate::default()
     };
     // Recomputed from the assignment lists, never read from the plan.
-    let mut attendance = vec![0usize; n_events];
+    let mut tally = CertTally {
+        user_utility: Vec::with_capacity(n_users),
+        attendance: vec![0usize; n_events],
+        utility: 0.0,
+    };
     let mut new_assignments: Vec<Vec<usize>> = Vec::with_capacity(n_users);
 
     for u in 0..n_users {
-        let events = view.assignments(u);
-        // Structural checks first: everything downstream assumes
-        // in-range, duplicate-free lists.
-        let mut valid: Vec<usize> = Vec::with_capacity(events.len());
-        for &e in &events {
-            if e >= n_events {
-                cert.hard_violations.push(CertViolation {
-                    constraint: constraint::INVALID_ASSIGNMENT,
-                    detail: format!("user {u} assigned to event {e} of {n_events}"),
-                });
-                continue;
-            }
-            if valid.contains(&e) {
-                cert.hard_violations.push(CertViolation {
-                    constraint: constraint::DUPLICATE_ASSIGNMENT,
-                    detail: format!("user {u} assigned to event {e} more than once"),
-                });
-                continue;
-            }
-            valid.push(e);
-        }
-
-        // GEPC (1): pairwise time conflicts.
-        for i in 0..valid.len() {
-            for j in (i + 1)..valid.len() {
-                if view.conflicts(valid[i], valid[j]) {
-                    cert.hard_violations.push(CertViolation {
-                        constraint: constraint::TIME_CONFLICT,
-                        detail: format!(
-                            "user {u} attends overlapping events {} and {}",
-                            valid[i], valid[j]
-                        ),
-                    });
-                }
-            }
-        }
-
-        // GEPC (2): travel budget D_i ≤ B_i (same 1e-9 tolerance as
-        // the model layer).
-        if !valid.is_empty() {
-            let cost = view.travel_cost(u, &valid);
-            let budget = view.budget(u);
-            if !cost.is_finite() || cost > budget + 1e-9 {
-                cert.hard_violations.push(CertViolation {
-                    constraint: constraint::TRAVEL_BUDGET,
-                    detail: format!("user {u} travel cost {cost} exceeds budget {budget}"),
-                });
-            }
-        }
-
-        // Zero-utility assignments are forbidden; positive ones sum
-        // into the recomputed U_P.
+        let (valid, mu) = check_user(view, u, &mut cert.hard_violations, &mut cert.utility);
         for &e in &valid {
-            let mu = view.utility(u, e);
-            // NaN utilities are as forbidden as zero ones.
-            if mu <= 0.0 || mu.is_nan() {
-                cert.hard_violations.push(CertViolation {
-                    constraint: constraint::ZERO_UTILITY,
-                    detail: format!("user {u} assigned to event {e} with utility {mu}"),
-                });
-            } else {
-                cert.utility += mu;
-            }
-            attendance[e] += 1;
+            tally.attendance[e] += 1;
         }
+        tally.user_utility.push(mu);
         new_assignments.push(valid);
     }
 
     // GEPC (3)/(4): per-event participation bounds.
-    for (e, &att) in attendance.iter().enumerate() {
-        let (lower, upper) = view.bounds(e);
-        if att > upper as usize {
-            cert.hard_violations.push(CertViolation {
-                constraint: constraint::ETA_UPPER_BOUND,
-                detail: format!("event {e} has {att} attendees over upper bound {upper}"),
-            });
-        }
-        if att < lower as usize {
-            cert.soft_violations.push(CertViolation {
-                constraint: constraint::XI_LOWER_BOUND,
-                detail: format!("event {e} has {att} attendees under lower bound {lower}"),
-            });
-        }
+    for (e, &att) in tally.attendance.iter().enumerate() {
+        check_event(view, e, att, &mut cert);
     }
 
     if let Some(old) = baseline {
         cert.dif = Some(recompute_dif(old, &new_assignments));
     }
+    tally.utility = cert.utility;
+    (cert, tally)
+}
+
+/// Certifies a plan that differs from the one `tally` was taken of
+/// only in the users listed in `changed` — each with their previous
+/// assignment list, the `dif` baseline — re-deriving just those users
+/// from the raw [`PlanView`] accessors with the same per-user checks as
+/// [`certify_plan`], and every event's bounds against the patched
+/// attendance. Users outside `changed` are taken to be as `tally`
+/// recorded them; listing every user whose list or constraints could
+/// have changed is the caller's half of the contract. List `changed`
+/// in ascending user order for violations in [`certify_plan`]'s report
+/// order.
+///
+/// `tally` is patched only when the result certifies (`hard_ok`).
+pub fn certify_delta(
+    view: &dyn PlanView,
+    tally: &mut CertTally,
+    changed: &[(usize, Vec<usize>)],
+) -> Certificate {
+    let n_events = view.n_events();
+    let mut cert = Certificate {
+        checked: true,
+        ..Certificate::default()
+    };
+    // Per-event attendance change; events the delta appended start at 0.
+    let mut shift = vec![0i64; n_events];
+    let mut patched: Vec<(usize, f64)> = Vec::with_capacity(changed.len());
+    let mut utility = tally.utility;
+    let mut lost = 0;
+    for (u, before) in changed {
+        let (valid, mu) = check_user(view, *u, &mut cert.hard_violations, &mut 0.0);
+        for &e in before {
+            if let Some(s) = shift.get_mut(e) {
+                *s -= 1;
+            }
+        }
+        for &e in &valid {
+            shift[e] += 1;
+        }
+        lost += before.iter().filter(|e| !valid.contains(e)).count();
+        utility += mu - tally.user_utility.get(*u).copied().unwrap_or(0.0);
+        patched.push((*u, mu));
+    }
+    let attendance: Vec<usize> = (0..n_events)
+        .map(|e| {
+            let was = tally.attendance.get(e).copied().unwrap_or(0) as i64;
+            (was + shift[e]).max(0) as usize
+        })
+        .collect();
+    for (e, &att) in attendance.iter().enumerate() {
+        check_event(view, e, att, &mut cert);
+    }
+    cert.utility = utility;
+    cert.dif = Some(lost);
+    if cert.hard_ok() {
+        for (u, mu) in patched {
+            if let Some(slot) = tally.user_utility.get_mut(u) {
+                *slot = mu;
+            }
+        }
+        tally.attendance = attendance;
+        tally.utility = utility;
+    }
     cert
+}
+
+/// The per-user checks shared by [`certify_plan`] and
+/// [`certify_delta`]: structural checks on `user`'s raw list, pairwise
+/// time conflicts, the travel budget and zero utilities. Returns the
+/// valid (in-range, duplicate-free) events and the user's utility; each
+/// positive `μ` is also added to `total`, assignment by assignment.
+fn check_user(
+    view: &dyn PlanView,
+    u: usize,
+    hard: &mut Vec<CertViolation>,
+    total: &mut f64,
+) -> (Vec<usize>, f64) {
+    let n_events = view.n_events();
+    let events = view.assignments(u);
+    // Structural checks first: everything downstream assumes in-range,
+    // duplicate-free lists.
+    let mut valid: Vec<usize> = Vec::with_capacity(events.len());
+    for &e in &events {
+        if e >= n_events {
+            hard.push(CertViolation {
+                constraint: constraint::INVALID_ASSIGNMENT,
+                detail: format!("user {u} assigned to event {e} of {n_events}"),
+            });
+            continue;
+        }
+        if valid.contains(&e) {
+            hard.push(CertViolation {
+                constraint: constraint::DUPLICATE_ASSIGNMENT,
+                detail: format!("user {u} assigned to event {e} more than once"),
+            });
+            continue;
+        }
+        valid.push(e);
+    }
+
+    // GEPC (1): pairwise time conflicts.
+    for i in 0..valid.len() {
+        for j in (i + 1)..valid.len() {
+            if view.conflicts(valid[i], valid[j]) {
+                hard.push(CertViolation {
+                    constraint: constraint::TIME_CONFLICT,
+                    detail: format!(
+                        "user {u} attends overlapping events {} and {}",
+                        valid[i], valid[j]
+                    ),
+                });
+            }
+        }
+    }
+
+    // GEPC (2): travel budget D_i ≤ B_i (same 1e-9 tolerance as the
+    // model layer).
+    if !valid.is_empty() {
+        let cost = view.travel_cost(u, &valid);
+        let budget = view.budget(u);
+        if !cost.is_finite() || cost > budget + 1e-9 {
+            hard.push(CertViolation {
+                constraint: constraint::TRAVEL_BUDGET,
+                detail: format!("user {u} travel cost {cost} exceeds budget {budget}"),
+            });
+        }
+    }
+
+    // Zero-utility assignments are forbidden; positive ones sum into
+    // the recomputed U_P.
+    let mut utility = 0.0;
+    for &e in &valid {
+        let mu = view.utility(u, e);
+        // NaN utilities are as forbidden as zero ones.
+        if mu <= 0.0 || mu.is_nan() {
+            hard.push(CertViolation {
+                constraint: constraint::ZERO_UTILITY,
+                detail: format!("user {u} assigned to event {e} with utility {mu}"),
+            });
+        } else {
+            *total += mu;
+            utility += mu;
+        }
+    }
+    (valid, utility)
+}
+
+/// GEPC (3)/(4) for one event: attendance over `η` is a hard
+/// violation, under `ξ` a soft one.
+fn check_event(view: &dyn PlanView, e: usize, att: usize, cert: &mut Certificate) {
+    let (lower, upper) = view.bounds(e);
+    if att > upper as usize {
+        cert.hard_violations.push(CertViolation {
+            constraint: constraint::ETA_UPPER_BOUND,
+            detail: format!("event {e} has {att} attendees over upper bound {upper}"),
+        });
+    }
+    if att < lower as usize {
+        cert.soft_violations.push(CertViolation {
+            constraint: constraint::XI_LOWER_BOUND,
+            detail: format!("event {e} has {att} attendees under lower bound {lower}"),
+        });
+    }
 }
 
 /// Recomputes the IEP negative impact `dif(P, P′)` from raw assignment

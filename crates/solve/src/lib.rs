@@ -24,7 +24,10 @@ mod error;
 mod report;
 
 pub use budget::{BudgetGuard, DeadlineExceeded, DeadlineFlag, SolveBudget};
-pub use certify::{certify_plan, recompute_dif, CertViolation, Certificate, OptimalityCert, PlanView};
+pub use certify::{
+    certify_delta, certify_plan, certify_plan_tally, recompute_dif, CertTally, CertViolation,
+    Certificate, OptimalityCert, PlanView,
+};
 pub use error::{FailureKind, SolveError};
 pub use report::{AttemptOutcome, SolveAttempt, SolveReport};
 
