@@ -252,7 +252,7 @@ impl IncrementalPlanner {
     /// range, finite non-negative money amounts, utilities in `[0, 1]`
     /// (NaN rejected), non-inverted intervals and bounds. Deserialized
     /// operation streams can violate any of these.
-    fn validate_op(instance: &Instance, op: &AtomicOp) -> Result<(), SolveError<()>> {
+    pub fn validate_op(instance: &Instance, op: &AtomicOp) -> Result<(), SolveError<()>> {
         let bad = |msg: String| Err(SolveError::bad_input(STAGE, msg));
         let check_event = |e: EventId| {
             if e.index() >= instance.n_events() {

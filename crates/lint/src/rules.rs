@@ -207,6 +207,7 @@ pub const SPAN_NAMES: &[&str] = &[
     "serve.op",
     "serve.resolve",
     "serve.snapshot",
+    "serve.compact",
     "serve.restore",
     "serve.wal",
 ];
@@ -229,6 +230,7 @@ pub const COUNTER_NAMES: &[&str] = &[
     "serve.retries",
     "serve.resolves",
     "serve.snapshots",
+    "serve.compactions",
     "serve.slo.burning_ops",
     "serve.ops_shed",
     "serve.ops_quarantined",

@@ -40,7 +40,7 @@ use epplan_solve::{CertTally, Certificate, FailureKind, SolveBudget, SolveError}
 use crate::overload::{self, OverloadConfig, OverloadState};
 use crate::proto::{OpResponse, ServeSummary};
 use crate::wal::{
-    self, OutcomeMeta, OutcomeMode, Snapshot, WalRecord, WalWriter, FORMAT_VERSION,
+    self, BaseId, CheckpointRef, OutcomeMeta, OutcomeMode, SnapshotRef, WalRecord, WalWriter,
 };
 use crate::ServeError;
 
@@ -62,8 +62,9 @@ pub struct ServeConfig {
     /// Accumulated `dif` that triggers a certified full re-solve.
     /// `None` disables drift-triggered re-solves.
     pub drift_threshold: Option<u64>,
-    /// Snapshot after every this many processed ops. `None` keeps
-    /// only the initial snapshot (WAL grows unboundedly).
+    /// Checkpoint (or compact) after every this many processed ops.
+    /// `None` keeps only the base image written at start (WAL grows
+    /// unboundedly).
     pub snapshot_every: Option<u64>,
     /// Test hook: `abort()` the process after fully processing this
     /// many ops — a deterministic stand-in for `SIGKILL`.
@@ -118,8 +119,12 @@ pub struct ServeStats {
     pub retries: u64,
     /// Full re-solves (fallback + drift-triggered).
     pub resolves: u64,
-    /// Snapshots written (including the initial one).
+    /// Snapshots written: the base image at start, then one
+    /// checkpoint or compaction per snapshot point.
     pub snapshots: u64,
+    /// Compactions: snapshot points that wrote a new base image and
+    /// truncated the WAL.
+    pub compactions: u64,
     /// Ops processed while the windowed p99 exceeded the SLO target.
     pub slo_burning_ops: u64,
     /// Ops shed by admission control (status `shed`).
@@ -172,6 +177,11 @@ pub struct Daemon {
     slo_burning: bool,
     /// `last_op_id` at the most recent snapshot (0 before any).
     snapshot_op: u64,
+    /// The base image the WAL and checkpoints extend.
+    base: BaseId,
+    /// Size of the base image file; the WAL is compacted once it has
+    /// grown to this many bytes.
+    base_bytes: u64,
     /// Overload-controller state: a pure fold over the outcome
     /// records absorbed so far (see `crate::overload`).
     overload: OverloadState,
@@ -218,13 +228,15 @@ impl Daemon {
             window,
             slo_burning: false,
             snapshot_op: 0,
+            base: BaseId::default(),
+            base_bytes: 0,
             overload: OverloadState::default(),
         };
         if let Some(dir) = daemon.state_dir.clone() {
             fs::create_dir_all(&dir).map_err(|e| {
                 ServeError::io(format!("creating state dir {}: {e}", dir.display()))
             })?;
-            daemon.write_snapshot()?; // also creates the fresh WAL
+            daemon.write_snapshot()?; // the base image and a fresh WAL
         }
         // Warm the candidate-list cache so the first op's repair pays
         // the O(candidates) build here, not inside its latency budget.
@@ -233,40 +245,61 @@ impl Daemon {
         Ok(daemon)
     }
 
-    /// Recovers a session from `state_dir`: loads the snapshot,
-    /// re-certifies it (disk is never trusted), replays the WAL
-    /// suffix honoring recorded [`OutcomeMeta`]s, and finishes a
-    /// torn tail op (logged but never completed) live — or, when the
-    /// tail op has already died `--quarantine-after` times,
-    /// quarantines it to the dead-letter log instead.
+    /// Recovers a session from `state_dir`: loads the base image and,
+    /// when a checkpoint of that base exists, rebuilds the instance at
+    /// the checkpoint from the logged ops' instance transitions and
+    /// takes the plan from the checkpoint. The restored state is
+    /// re-certified (disk is never trusted); then the rest of the WAL
+    /// is replayed honoring recorded [`OutcomeMeta`]s, and a torn tail
+    /// op (logged but never completed) is finished live — or, when
+    /// the tail op has already died `--quarantine-after` times,
+    /// quarantined to the dead-letter log instead.
     pub fn restore(config: ServeConfig, state_dir: &Path) -> Result<Daemon, ServeError> {
         let mut sp = epplan_obs::span("serve.restore");
         sp.add_iters(1);
-        let snap = wal::read_snapshot(state_dir)?.ok_or_else(|| {
+        let base = wal::read_base(state_dir)?.ok_or_else(|| {
             ServeError::corrupt(format!("no snapshot in {}", state_dir.display()))
         })?;
+        // A checkpoint of an older base is left over from a crash
+        // inside a compaction: the new base supersedes it.
+        let checkpoint = wal::read_checkpoint(state_dir)?.filter(|c| c.base == base.id);
+        let wal_path = state_dir.join(wal::WAL_FILE);
+        let (records, intact) = wal::read_wal_intact(&wal_path)?;
+        let logged = pair_records(records)?;
+        let snap = base.snapshot;
+        let mut instance = snap.instance;
         // Deserialization skips every constructor check: an intact
         // frame can still carry a ragged utility matrix or a plan that
         // does not fit the instance, and either would panic below. The
         // instance check admits every state accepted ops can reach.
-        snap.instance
-            .validate_reachable()
-            .map_err(|e| ServeError::corrupt(format!("restored snapshot instance: {e}")))?;
-        if !snap.plan.is_consistent(&snap.instance) {
+        let validate = |instance: &Instance| {
+            instance
+                .validate_reachable()
+                .map_err(|e| ServeError::corrupt(format!("restored snapshot instance: {e}")))
+        };
+        validate(&instance)?;
+        let (plan, last_op_id, drift, overload) = match checkpoint {
+            Some(c) => {
+                replay_transitions(&mut instance, &logged, snap.last_op_id, c.last_op_id)?;
+                validate(&instance)?;
+                (c.plan, c.last_op_id, c.drift, c.overload)
+            }
+            None => (snap.plan, snap.last_op_id, snap.drift, snap.overload),
+        };
+        if !plan.is_consistent(&instance) {
             return Err(ServeError::corrupt(
                 "restored snapshot plan does not fit its instance or miscounts attendance",
             ));
         }
-        let utility = snap.plan.total_utility(&snap.instance);
+        let utility = plan.total_utility(&instance);
         let window = latency_window(&config);
-        let snapshot_op = snap.last_op_id;
         let mut daemon = Daemon {
-            instance: snap.instance,
-            plan: snap.plan,
+            instance,
+            plan,
             utility,
             tally: CertTally::default(),
-            last_op_id: snap.last_op_id,
-            drift: snap.drift,
+            last_op_id,
+            drift,
             processed: 0,
             wal: None,
             state_dir: Some(state_dir.to_path_buf()),
@@ -275,8 +308,10 @@ impl Daemon {
             started: Instant::now(),
             window,
             slo_burning: false,
-            snapshot_op,
-            overload: snap.overload,
+            snapshot_op: last_op_id,
+            base: base.id,
+            base_bytes: base.bytes,
+            overload,
         };
         let (cert, tally) = certify_tally(&daemon.instance, &daemon.plan);
         if !cert.hard_ok() {
@@ -288,58 +323,30 @@ impl Daemon {
         // Warm the candidate-list cache before the WAL replay: replayed
         // ops repair through the same sparse paths as live ones.
         let _ = daemon.instance.candidates();
-        let records = wal::read_wal(&state_dir.join(wal::WAL_FILE))?;
-        // (op, outcome, attempts). Consecutive op records with the
-        // same id and no outcome in between are *attempt markers*:
-        // each one is a session that durably logged the op and then
-        // died executing it, so `attempts` counts how often this op
-        // has already killed the daemon.
-        let mut pending: Vec<(SequencedOp, Option<OutcomeMeta>, u32)> = Vec::new();
-        for rec in records {
-            match rec {
-                WalRecord::Op(sop) => match pending.last_mut() {
-                    Some(last) if last.1.is_none() && last.0.id == sop.id => {
-                        last.2 = last.2.saturating_add(1);
-                    }
-                    _ => pending.push((sop, None, 1)),
-                },
-                WalRecord::Outcome(meta) => match pending.last_mut() {
-                    Some(last) if last.0.id == meta.id && last.1.is_none() => {
-                        last.1 = Some(meta);
-                    }
-                    _ => {
-                        return Err(ServeError::corrupt(format!(
-                            "WAL outcome for op {} does not follow its op record",
-                            meta.id
-                        )));
-                    }
-                },
-            }
-        }
         // Only the final record may lack an outcome (crash mid-op).
-        let n_pending = pending.len();
+        let n_logged = logged.len();
         let mut tail: Option<(SequencedOp, u32)> = None;
-        for (i, (sop, meta, attempts)) in pending.into_iter().enumerate() {
-            if sop.id <= daemon.last_op_id {
-                continue; // already folded into the snapshot
+        for (i, entry) in logged.into_iter().enumerate() {
+            if entry.op.id <= daemon.last_op_id {
+                continue; // already folded into the base or checkpoint
             }
-            match meta {
-                Some(m) => daemon.replay(&sop, &m)?,
-                None if i + 1 == n_pending => tail = Some((sop, attempts)),
+            match entry.outcome {
+                Some(m) => daemon.replay(&entry.op, &m)?,
+                None if i + 1 == n_logged => tail = Some((entry.op, entry.attempts)),
                 None => {
                     return Err(ServeError::corrupt(format!(
                         "WAL op {} has no outcome but is not the final record",
-                        sop.id
+                        entry.op.id
                     )));
                 }
             }
         }
-        if daemon.last_op_id > snapshot_op {
+        if daemon.last_op_id > daemon.snapshot_op {
             // Replayed repairs are not re-certified one by one; the
             // tally of the replayed state is rebuilt in one pass.
             daemon.tally = certify_tally(&daemon.instance, &daemon.plan).1;
         }
-        daemon.wal = Some(WalWriter::open_append(&state_dir.join(wal::WAL_FILE))?);
+        daemon.wal = Some(WalWriter::open_append(&wal_path, intact)?);
         if let Some((sop, attempts)) = tail {
             let poisoned = daemon
                 .config
@@ -637,16 +644,7 @@ impl Daemon {
                 }
                 Err(e) => {
                     if e.kind == FailureKind::BadInput {
-                        // Malformed op: no amount of re-solving helps.
-                        // Advance the cursor, keep the certified plan.
-                        self.last_op_id = sop.id;
-                        self.stats.rejected += 1;
-                        epplan_obs::counter_add("serve.ops_rejected", 1);
-                        return (
-                            OutcomeMode::Reject,
-                            false,
-                            self.response(sop.id, "rejected", 0, retries, Some(e.to_string())),
-                        );
+                        return self.reject_bad_input(sop.id, retries, &e);
                     }
                     if e.is_retryable() && retries < self.config.max_retries {
                         retries += 1;
@@ -658,6 +656,12 @@ impl Daemon {
                     break;
                 }
             }
+        }
+        // The repair can fail before it validated the op (an exhausted
+        // budget, an ingest fault): a malformed op must not reach the
+        // instance.
+        if let Err(e) = IncrementalPlanner::validate_op(&self.instance, op) {
+            return self.reject_bad_input(sop.id, retries, &e);
         }
         // Graceful degradation: rebuild the plan from scratch on the
         // post-op instance; keep it only if it certifies.
@@ -702,6 +706,24 @@ impl Daemon {
                 )
             }
         }
+    }
+
+    /// Rejects a malformed op: no amount of re-solving helps. Advances
+    /// the cursor and keeps the certified plan.
+    fn reject_bad_input(
+        &mut self,
+        id: u64,
+        retries: u32,
+        e: &SolveError,
+    ) -> (OutcomeMode, bool, OpResponse) {
+        self.last_op_id = id;
+        self.stats.rejected += 1;
+        epplan_obs::counter_add("serve.ops_rejected", 1);
+        (
+            OutcomeMode::Reject,
+            false,
+            self.response(id, "rejected", 0, retries, Some(e.to_string())),
+        )
     }
 
     /// Re-applies one WAL record during recovery, following the
@@ -821,9 +843,10 @@ impl Daemon {
             .is_some_and(|t| self.drift >= t)
     }
 
-    /// Snapshots current state atomically, then truncates the WAL
-    /// (the snapshot supersedes it). Called at start and every
-    /// `snapshot_every` ops.
+    /// Persists the state at a snapshot point, atomically: the base
+    /// image (and a fresh WAL) at start, afterwards a checkpoint — or
+    /// a compaction, once the WAL since the base has grown to the base
+    /// image's size. Called at start and every `snapshot_every` ops.
     ///
     /// Nothing reaches disk before the whole state passes the
     /// from-scratch [`certify`] and its recount matches the delta
@@ -835,24 +858,69 @@ impl Daemon {
         let mut sp = epplan_obs::span("serve.snapshot");
         sp.add_iters(1);
         self.audit()?;
-        if let Some(w) = self.wal.as_mut() {
-            w.sync()?;
+        match self.wal.as_mut() {
+            // Only a starting session has no WAL yet.
+            None => self.write_base(&dir)?,
+            Some(w) => {
+                w.sync()?;
+                if w.bytes() >= self.base_bytes {
+                    self.compact(&dir)?;
+                } else {
+                    wal::write_checkpoint(
+                        &dir,
+                        &CheckpointRef {
+                            base: self.base,
+                            last_op_id: self.last_op_id,
+                            drift: self.drift,
+                            overload: &self.overload,
+                            plan: &self.plan,
+                        },
+                    )?;
+                }
+            }
         }
-        let snap = Snapshot {
-            version: FORMAT_VERSION,
-            last_op_id: self.last_op_id,
-            drift: self.drift,
-            overload: self.overload.clone(),
-            instance: self.instance.clone(),
-            plan: self.plan.clone(),
-        };
-        wal::write_snapshot(&dir, &snap)?;
-        // A crash between the rename above and the truncate below is
-        // benign: replay skips ops at or below snap.last_op_id.
-        self.wal = Some(WalWriter::create(&dir.join(wal::WAL_FILE))?);
         self.snapshot_op = self.last_op_id;
         self.stats.snapshots += 1;
         epplan_obs::counter_add("serve.snapshots", 1);
+        Ok(())
+    }
+
+    /// Replaces the base image with the current state and truncates
+    /// the WAL, which bounds both restore replay and disk use at about
+    /// twice the base image.
+    fn compact(&mut self, dir: &Path) -> Result<(), ServeError> {
+        let mut sp = epplan_obs::span("serve.compact");
+        sp.add_iters(1);
+        self.write_base(dir)?;
+        self.stats.compactions += 1;
+        epplan_obs::counter_add("serve.compactions", 1);
+        Ok(())
+    }
+
+    /// Writes the base image from the live state, drops the
+    /// checkpoint of the previous base, and starts an empty WAL. A
+    /// crash between the steps is benign: replay skips ops at or below
+    /// the base's `last_op_id`, and restore ignores a checkpoint of
+    /// another base.
+    fn write_base(&mut self, dir: &Path) -> Result<(), ServeError> {
+        let written = wal::write_base(
+            dir,
+            &SnapshotRef {
+                version: wal::FORMAT_VERSION,
+                last_op_id: self.last_op_id,
+                drift: self.drift,
+                overload: &self.overload,
+                instance: &self.instance,
+                plan: &self.plan,
+            },
+        )?;
+        wal::remove_checkpoint(dir)?;
+        self.wal = Some(WalWriter::create(&dir.join(wal::WAL_FILE))?);
+        self.base = BaseId {
+            last_op_id: self.last_op_id,
+            checksum: written.checksum,
+        };
+        self.base_bytes = written.bytes;
         Ok(())
     }
 
@@ -1051,9 +1119,106 @@ impl Daemon {
     }
 }
 
+/// One op as the WAL logged it.
+struct Logged {
+    op: SequencedOp,
+    /// `None` only for a torn tail op (logged, never completed).
+    outcome: Option<OutcomeMeta>,
+    /// How many sessions logged the op: consecutive op records with
+    /// the same id and no outcome in between are *attempt markers*,
+    /// each one a session that died executing the op.
+    attempts: u32,
+}
+
+/// Pairs every op record of `records` with the outcome that follows
+/// it, folding attempt markers into one entry.
+fn pair_records(records: Vec<WalRecord>) -> Result<Vec<Logged>, ServeError> {
+    let mut logged: Vec<Logged> = Vec::new();
+    for rec in records {
+        match rec {
+            WalRecord::Op(sop) => match logged.last_mut() {
+                Some(last) if last.outcome.is_none() && last.op.id == sop.id => {
+                    last.attempts = last.attempts.saturating_add(1);
+                }
+                _ => logged.push(Logged {
+                    op: sop,
+                    outcome: None,
+                    attempts: 1,
+                }),
+            },
+            WalRecord::Outcome(meta) => match logged.last_mut() {
+                Some(last) if last.op.id == meta.id && last.outcome.is_none() => {
+                    last.outcome = Some(meta);
+                }
+                _ => {
+                    return Err(ServeError::corrupt(format!(
+                        "WAL outcome for op {} does not follow its op record",
+                        meta.id
+                    )));
+                }
+            },
+        }
+    }
+    Ok(logged)
+}
+
+/// Applies to `instance` the instance transitions of the logged ops
+/// with ids in `(after, through]`, driven by their recorded outcomes:
+/// a repair or re-solve applied the op's transition, a rejected, shed
+/// or quarantined op left the instance alone. No repair and no solve
+/// runs. Every op in the range must have an outcome, and the op with
+/// id `through` must be logged, unless `through == after`.
+fn replay_transitions(
+    instance: &mut Instance,
+    logged: &[Logged],
+    after: u64,
+    through: u64,
+) -> Result<(), ServeError> {
+    if through < after {
+        return Err(ServeError::corrupt(format!(
+            "checkpoint at op {through} precedes its base image at op {after}"
+        )));
+    }
+    let mut reached = through == after;
+    for entry in logged.iter().filter(|l| l.op.id > after && l.op.id <= through) {
+        let Some(meta) = entry.outcome else {
+            return Err(ServeError::corrupt(format!(
+                "WAL op {} has no outcome but the checkpoint at op {through} follows it",
+                entry.op.id
+            )));
+        };
+        if matches!(
+            meta.mode,
+            OutcomeMode::Repair | OutcomeMode::RepairResolve | OutcomeMode::Resolve
+        ) {
+            let _ = IncrementalPlanner::apply_to_instance_in_place(instance, &entry.op.op);
+        }
+        reached |= entry.op.id == through;
+    }
+    if !reached {
+        return Err(ServeError::corrupt(format!(
+            "checkpoint at op {through} is ahead of the WAL"
+        )));
+    }
+    Ok(())
+}
+
+/// The instance at a checkpoint, rebuilt the way restore rebuilds it:
+/// `instance` (a base image's, taken at op `after`) plus the instance
+/// transitions of the ops `records` logged in `(after, through]`.
+pub fn replay_instance(
+    instance: &mut Instance,
+    records: Vec<WalRecord>,
+    after: u64,
+    through: u64,
+) -> Result<(), ServeError> {
+    replay_transitions(instance, &pair_records(records)?, after, through)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::Snapshot;
     use epplan_core::incremental::AtomicOp;
     use epplan_core::model::{EventId, UserId};
     use epplan_datagen::{generate, GeneratorConfig, OpStreamSampler};
@@ -1207,6 +1372,44 @@ mod tests {
     }
 
     #[test]
+    fn a_torn_wal_tail_is_cut_before_the_restored_session_appends() {
+        let instance = small_instance();
+        let dir = tmp_dir("torn-tail");
+        let config = ServeConfig::default();
+        let mut reference = Daemon::start(instance.clone(), config.clone(), None).unwrap();
+        let ops = ops_for(reference.instance(), reference.plan(), 12);
+        for sop in &ops {
+            reference.process(sop).unwrap();
+        }
+        {
+            let mut d = Daemon::start(instance, config.clone(), Some(&dir)).unwrap();
+            for sop in &ops[..6] {
+                d.process(sop).unwrap();
+            }
+        }
+        // Die mid-append: op 6's outcome record is torn.
+        let path = dir.join(wal::WAL_FILE);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        {
+            let mut d = Daemon::restore(config.clone(), &dir).unwrap();
+            assert_eq!(d.last_op_id(), 6, "the torn op is finished live");
+            for sop in &ops[6..9] {
+                d.process(sop).unwrap();
+            }
+        }
+        // The appends after the restore follow the last intact frame,
+        // so a second restore reads a clean log.
+        let mut restored = Daemon::restore(config, &dir).unwrap();
+        assert_eq!(restored.last_op_id(), 9);
+        for sop in &ops {
+            restored.process(sop).unwrap();
+        }
+        assert_eq!(plan_bytes(&restored), plan_bytes(&reference));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn admission_sheds_stale_ops_and_restore_retraces_them() {
         let instance = small_instance();
         let dir = tmp_dir("shed");
@@ -1318,7 +1521,8 @@ mod tests {
         // Simulate two sessions that each durably logged op 3 and then
         // died executing it: two op records, no outcome in between.
         {
-            let mut w = WalWriter::open_append(&dir.join(wal::WAL_FILE)).unwrap();
+            let path = dir.join(wal::WAL_FILE);
+            let mut w = WalWriter::open_append(&path, fs::metadata(&path).unwrap().len()).unwrap();
             w.append_op(&ops[2]).unwrap();
             w.append_op(&ops[2]).unwrap();
             w.sync().unwrap();
@@ -1363,7 +1567,8 @@ mod tests {
             d.process(&ops[0]).unwrap();
         }
         {
-            let mut w = WalWriter::open_append(&dir.join(wal::WAL_FILE)).unwrap();
+            let path = dir.join(wal::WAL_FILE);
+            let mut w = WalWriter::open_append(&path, fs::metadata(&path).unwrap().len()).unwrap();
             w.append_op(&ops[1]).unwrap();
             w.sync().unwrap();
         }
@@ -1452,6 +1657,7 @@ mod tests {
         let mut d = Daemon::start(small_instance(), ServeConfig::default(), Some(&dir)).unwrap();
         let snapshot = || fs::read(dir.join(wal::SNAPSHOT_FILE)).unwrap();
         let before = snapshot();
+        let no_checkpoint = || !dir.join(wal::CHECKPOINT_FILE).exists();
 
         // A dropped assignment breaks no hard constraint, but it
         // bypassed the delta certifier: the recount disagrees with the
@@ -1462,10 +1668,12 @@ mod tests {
             .find_map(|u| d.plan.user_plan(u).first().map(|&e| (u, e)))
             .expect("the initial plan assigns someone");
         d.plan.remove(u, e);
+        // The empty WAL is smaller than the base: a checkpoint point.
         let err = d.write_snapshot().unwrap_err();
         assert_eq!(err.exit_code(), 6, "{}", err.message);
         assert!(err.message.contains("tally"), "{}", err.message);
         assert_eq!(snapshot(), before, "nothing persisted");
+        assert!(no_checkpoint(), "no checkpoint persisted");
 
         // Every user on that event: over η, named in the error.
         for u in d.instance.user_ids().collect::<Vec<_>>() {
@@ -1475,6 +1683,14 @@ mod tests {
         assert_eq!(err.exit_code(), 6, "{}", err.message);
         assert!(err.message.contains("eta-upper-bound"), "{}", err.message);
         assert_eq!(snapshot(), before, "nothing persisted");
+        assert!(no_checkpoint(), "no checkpoint persisted");
+
+        // A compaction point audits the same way.
+        d.base_bytes = 0;
+        let err = d.write_snapshot().unwrap_err();
+        assert_eq!(err.exit_code(), 6, "{}", err.message);
+        assert_eq!(snapshot(), before, "nothing persisted");
+        assert_eq!(d.stats().compactions, 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 

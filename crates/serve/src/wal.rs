@@ -1,23 +1,36 @@
-//! Write-ahead log and snapshot persistence for `epplan serve`.
+//! Write-ahead log, base image and checkpoint persistence for
+//! `epplan serve`.
 //!
 //! ## On-disk format
 //!
-//! The WAL (`wal.log`), the snapshot (`snapshot.bin`), and the
-//! dead-letter log (`dead_letter.log`) are sequences of
-//! self-delimiting *frames*:
+//! The WAL (`wal.log`), the base image (`snapshot.bin`), the
+//! checkpoint (`checkpoint.bin`) and the dead-letter log
+//! (`dead_letter.log`) are sequences of self-delimiting *frames*:
 //!
 //! ```text
 //! [ tag: u8 ][ len: u32 LE ][ checksum: u32 LE ][ payload: len bytes ]
 //! ```
 //!
 //! The payload is the JSON encoding of the record; the checksum is
-//! FNV-1a over the payload bytes. Four tags exist: `1` = op record
+//! FNV-1a over the payload bytes. Five tags exist: `1` = op record
 //! (a [`SequencedOp`], appended *before* the op is applied), `2` =
 //! outcome record (op id + [`OutcomeMeta`], appended *after* the op
 //! is decided — including `shed` and `quarantine` decisions, which
-//! are durable before they are acted on), `3` = snapshot (the whole
-//! daemon state, sole frame of `snapshot.bin`), `4` = dead-letter
-//! record (a quarantined op, appended to `dead_letter.log`).
+//! are durable before they are acted on), `3` = base image (a
+//! [`Snapshot`] of the whole daemon state, sole frame of
+//! `snapshot.bin`), `4` = dead-letter record (a quarantined op,
+//! appended to `dead_letter.log`), `5` = checkpoint (a
+//! [`Checkpoint`]: the plan-side state and the identity of the base
+//! it extends, sole frame of `checkpoint.bin`).
+//!
+//! ## Base, checkpoints and the log
+//!
+//! The instance is written whole only in the base image, at start and
+//! at compaction. The WAL holds every op since the base. A checkpoint
+//! holds no instance: restore rebuilds it from the base and the
+//! instance transitions of the logged ops up to the checkpoint, then
+//! takes the plan from the checkpoint. Compaction writes a new base
+//! and truncates the WAL.
 //!
 //! ## Crash semantics
 //!
@@ -28,14 +41,14 @@
 //!   corruption and is reported as a typed error (CLI exit code 4)
 //!   naming the byte offset and frame tag of the damaged frame;
 //!   recovery never silently skips a damaged record.
-//! * Snapshots are written to `snapshot.bin.tmp`, synced, then
-//!   atomically renamed over `snapshot.bin` — a crash mid-write
-//!   leaves the previous good snapshot in place. After a successful
-//!   snapshot the WAL is truncated; a crash *between* rename and
-//!   truncate is safe because replay skips ops at or below the
-//!   snapshot's `last_op_id`.
+//! * Base images and checkpoints are written to a `.tmp` file,
+//!   synced, then atomically renamed into place — a crash mid-write
+//!   leaves the previous good file. A compaction writes the base,
+//!   removes the checkpoint, then truncates the WAL; a crash between
+//!   any two steps is safe because replay skips ops at or below the
+//!   base's `last_op_id` and a checkpoint of another base is ignored.
 //! * The dead-letter log is append-only and never truncated — a
-//!   quarantined op must survive every later snapshot so
+//!   quarantined op must survive every later compaction so
 //!   `--dump-dead-letter` can export it.
 
 use std::fs::{self, File, OpenOptions};
@@ -45,28 +58,36 @@ use std::path::{Path, PathBuf};
 use epplan_core::incremental::SequencedOp;
 use epplan_core::model::Instance;
 use epplan_core::plan::Plan;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 
 use crate::overload::OverloadState;
 use crate::ServeError;
 
 /// WAL file name inside the state directory.
 pub const WAL_FILE: &str = "wal.log";
-/// Snapshot file name inside the state directory.
+/// Base-image file name inside the state directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-/// Temporary snapshot name; only ever observed after a crash between
-/// write and rename, and ignored by recovery.
+/// Temporary base-image name; only ever observed after a crash
+/// between write and rename, and ignored by recovery.
 pub const SNAPSHOT_TMP_FILE: &str = "snapshot.bin.tmp";
+/// Checkpoint file name inside the state directory.
+pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
+/// Temporary checkpoint name, ignored by recovery like
+/// [`SNAPSHOT_TMP_FILE`].
+pub const CHECKPOINT_TMP_FILE: &str = "checkpoint.bin.tmp";
 /// Dead-letter log file name inside the state directory.
 pub const DEAD_LETTER_FILE: &str = "dead_letter.log";
 /// Version stamp embedded in every snapshot; bumped on layout change.
 /// v2 added the overload-controller state ([`OverloadState`]).
 pub const FORMAT_VERSION: u32 = 2;
+/// Version stamp embedded in every checkpoint.
+pub const CHECKPOINT_VERSION: u32 = 1;
 
 const TAG_OP: u8 = 1;
 const TAG_OUTCOME: u8 = 2;
 const TAG_SNAPSHOT: u8 = 3;
 const TAG_DEADLETTER: u8 = 4;
+const TAG_CHECKPOINT: u8 = 5;
 const FRAME_HEADER_LEN: usize = 9;
 
 /// 32-bit FNV-1a over `bytes` — the frame checksum. Deliberately a
@@ -222,9 +243,9 @@ pub struct DeadLetterRec {
     pub op: SequencedOp,
 }
 
-/// The full daemon state persisted at a snapshot point. Restoring a
-/// snapshot and replaying the WAL suffix reproduces the pre-crash
-/// certified plan bit-for-bit.
+/// The base image: the full daemon state, written at start and at
+/// compaction. Restoring it and replaying the WAL reproduces the
+/// pre-crash certified plan bit-for-bit.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Layout version ([`FORMAT_VERSION`]).
@@ -240,6 +261,120 @@ pub struct Snapshot {
     pub instance: Instance,
     /// The certified plan as of `last_op_id`.
     pub plan: Plan,
+}
+
+/// A [`Snapshot`] of borrowed state: what the daemon encodes, so a
+/// base write copies neither the instance nor the plan. Encodes to the
+/// same bytes as the owned [`Snapshot`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SnapshotRef<'a> {
+    /// Layout version ([`FORMAT_VERSION`]).
+    pub version: u32,
+    /// Highest op id folded into the image.
+    pub last_op_id: u64,
+    /// Accumulated `dif` since the last full solve.
+    pub drift: u64,
+    /// Overload-controller state as of `last_op_id`.
+    pub overload: &'a OverloadState,
+    /// The instance as of `last_op_id`.
+    pub instance: &'a Instance,
+    /// The certified plan as of `last_op_id`.
+    pub plan: &'a Plan,
+}
+
+// Hand-written (the serde shim derives no borrowed fields): the
+// derived layout of `Snapshot`, field for field.
+impl Serialize for SnapshotRef<'_> {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("version".to_string(), self.version.to_content()),
+            ("last_op_id".to_string(), self.last_op_id.to_content()),
+            ("drift".to_string(), self.drift.to_content()),
+            ("overload".to_string(), self.overload.to_content()),
+            ("instance".to_string(), self.instance.to_content()),
+            ("plan".to_string(), self.plan.to_content()),
+        ])
+    }
+}
+
+impl<'a> From<&'a Snapshot> for SnapshotRef<'a> {
+    fn from(snap: &'a Snapshot) -> Self {
+        SnapshotRef {
+            version: snap.version,
+            last_op_id: snap.last_op_id,
+            drift: snap.drift,
+            overload: &snap.overload,
+            instance: &snap.instance,
+            plan: &snap.plan,
+        }
+    }
+}
+
+/// Which base image a checkpoint extends: the base's `last_op_id` and
+/// the checksum of its frame.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BaseId {
+    /// `last_op_id` of the base image.
+    pub last_op_id: u64,
+    /// FNV-1a checksum of the base image's frame payload.
+    pub checksum: u32,
+}
+
+/// A base image as read from disk, with its identity and file size.
+#[derive(Debug, Clone)]
+pub struct Base {
+    /// The decoded image.
+    pub snapshot: Snapshot,
+    /// Its identity, which a checkpoint must name to apply to it.
+    pub id: BaseId,
+    /// Size of `snapshot.bin` in bytes.
+    pub bytes: u64,
+}
+
+/// The plan-side daemon state at a checkpoint. It holds no instance:
+/// restore rebuilds that from the base image it names and the WAL.
+#[derive(Debug, Clone, Deserialize)]
+pub struct Checkpoint {
+    /// Layout version ([`CHECKPOINT_VERSION`]).
+    pub version: u32,
+    /// The base image this checkpoint extends.
+    pub base: BaseId,
+    /// Highest op id folded into this checkpoint.
+    pub last_op_id: u64,
+    /// Accumulated `dif` since the last full solve.
+    pub drift: u64,
+    /// Overload-controller state as of `last_op_id`.
+    pub overload: OverloadState,
+    /// The certified plan as of `last_op_id`.
+    pub plan: Plan,
+}
+
+/// A [`Checkpoint`] of borrowed state: what the daemon encodes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CheckpointRef<'a> {
+    /// The base image this checkpoint extends.
+    pub base: BaseId,
+    /// Highest op id folded into this checkpoint.
+    pub last_op_id: u64,
+    /// Accumulated `dif` since the last full solve.
+    pub drift: u64,
+    /// Overload-controller state as of `last_op_id`.
+    pub overload: &'a OverloadState,
+    /// The certified plan as of `last_op_id`.
+    pub plan: &'a Plan,
+}
+
+impl Serialize for CheckpointRef<'_> {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("version".to_string(), CHECKPOINT_VERSION.to_content()),
+            ("base".to_string(), self.base.to_content()),
+            ("last_op_id".to_string(), self.last_op_id.to_content()),
+            ("drift".to_string(), self.drift.to_content()),
+            ("overload".to_string(), self.overload.to_content()),
+            ("plan".to_string(), self.plan.to_content()),
+        ])
+    }
 }
 
 fn io_err(context: &str, e: std::io::Error) -> ServeError {
@@ -271,6 +406,8 @@ fn to_json<T: Serialize>(what: &str, value: &T) -> Result<Vec<u8>, ServeError> {
 pub struct WalWriter {
     out: BufWriter<File>,
     path: PathBuf,
+    /// Bytes in the file: what it held when opened plus every append.
+    bytes: u64,
 }
 
 impl WalWriter {
@@ -281,20 +418,32 @@ impl WalWriter {
         Ok(WalWriter {
             out: BufWriter::new(file),
             path: path.to_path_buf(),
+            bytes: 0,
         })
     }
 
-    /// Opens the WAL at `path` for appending (creating it if absent).
-    pub fn open_append(path: &Path) -> Result<Self, ServeError> {
+    /// Opens the WAL at `path` (creating it if absent) for appending
+    /// after its first `intact` bytes, the complete frames
+    /// [`read_wal_intact`] found. A torn tail beyond them is cut off:
+    /// appended after it, it would sit mid-log, where the next restore
+    /// reads it as corruption.
+    pub fn open_append(path: &Path, intact: u64) -> Result<Self, ServeError> {
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
+            .and_then(|f| f.set_len(intact).map(|()| f))
             .map_err(|e| io_err(&format!("opening WAL {}", path.display()), e))?;
         Ok(WalWriter {
             out: BufWriter::new(file),
             path: path.to_path_buf(),
+            bytes: intact,
         })
+    }
+
+    /// Size of the log in bytes, appends included.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 
     /// Durably logs an op *before* it is applied. Fault site
@@ -332,7 +481,9 @@ impl WalWriter {
         self.out
             .write_all(&frame)
             .and_then(|()| self.out.flush())
-            .map_err(|e| io_err(&format!("appending to WAL {}", self.path.display()), e))
+            .map_err(|e| io_err(&format!("appending to WAL {}", self.path.display()), e))?;
+        self.bytes += frame.len() as u64;
+        Ok(())
     }
 
     /// Forces the log to stable storage (`fdatasync`).
@@ -441,18 +592,28 @@ fn decode_frames(bytes: &[u8], source: &str) -> Result<Vec<(u8, usize, Vec<u8>)>
 /// Reads and validates the whole WAL. A missing file is an empty log;
 /// a torn tail is tolerated; corruption anywhere else is an error.
 pub fn read_wal(path: &Path) -> Result<Vec<WalRecord>, ServeError> {
+    Ok(read_wal_intact(path)?.0)
+}
+
+/// [`read_wal`], plus the byte length of the log's complete frames:
+/// everything after it is a torn tail.
+pub fn read_wal_intact(path: &Path) -> Result<(Vec<WalRecord>, u64), ServeError> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
             f.read_to_end(&mut bytes)
                 .map_err(|e| io_err(&format!("reading WAL {}", path.display()), e))?;
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(io_err(&format!("opening WAL {}", path.display()), e)),
     }
     let source = format!("WAL {}", path.display());
+    let frames = decode_frames(&bytes, &source)?;
+    let intact = frames
+        .last()
+        .map_or(0, |(_, off, payload)| off + FRAME_HEADER_LEN + payload.len());
     let mut records = Vec::new();
-    for (tag, off, payload) in decode_frames(&bytes, &source)? {
+    for (tag, off, payload) in frames {
         let text = std::str::from_utf8(&payload)
             .map_err(|e| ServeError::corrupt(format!("{source}: non-UTF-8 payload: {e}")))?;
         match tag {
@@ -488,54 +649,118 @@ pub fn read_wal(path: &Path) -> Result<Vec<WalRecord>, ServeError> {
             }
         }
     }
-    Ok(records)
+    Ok((records, intact as u64))
 }
 
-/// Writes `snap` atomically into `dir`: temp file, sync, rename.
-/// Fault site `serve.snapshot.write` fires before the temp file is
-/// created, so an injected failure leaves the previous snapshot (and
-/// the WAL) fully intact.
-pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> Result<(), ServeError> {
+/// What an atomic single-frame write put on disk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Written {
+    /// FNV-1a checksum of the frame payload.
+    pub checksum: u32,
+    /// File size in bytes.
+    pub bytes: u64,
+}
+
+/// Writes `value` as the sole `tag` frame of `dir/name` atomically:
+/// `dir/tmp`, sync, rename. Fault site `serve.snapshot.write` fires
+/// before the temp file is created, so an injected failure leaves the
+/// previous file (and the WAL) fully intact.
+fn write_frame_file<T: Serialize>(
+    dir: &Path,
+    tmp: &str,
+    name: &str,
+    tag: u8,
+    value: &T,
+) -> Result<Written, ServeError> {
     if let Some(action) = epplan_fault::point("serve.snapshot.write") {
         return Err(ServeError::io(format!(
             "injected fault at serve.snapshot.write ({action})"
         )));
     }
-    let payload = to_json("snapshot", snap)?;
-    let frame = encode_frame(TAG_SNAPSHOT, &payload);
-    let tmp = dir.join(SNAPSHOT_TMP_FILE);
-    let fin = dir.join(SNAPSHOT_FILE);
+    let payload = to_json(name, value)?;
+    let frame = encode_frame(tag, &payload);
+    let tmp = dir.join(tmp);
+    let fin = dir.join(name);
     let mut file = File::create(&tmp)
-        .map_err(|e| io_err(&format!("creating snapshot temp {}", tmp.display()), e))?;
+        .map_err(|e| io_err(&format!("creating temp file {}", tmp.display()), e))?;
     file.write_all(&frame)
         .and_then(|()| file.sync_all())
-        .map_err(|e| io_err(&format!("writing snapshot temp {}", tmp.display()), e))?;
+        .map_err(|e| io_err(&format!("writing temp file {}", tmp.display()), e))?;
     drop(file);
     fs::rename(&tmp, &fin).map_err(|e| {
         io_err(
-            &format!("renaming snapshot {} -> {}", tmp.display(), fin.display()),
+            &format!("renaming {} -> {}", tmp.display(), fin.display()),
             e,
         )
+    })?;
+    // The payload checksum `encode_frame` stored in the header.
+    let mut checksum = [0u8; 4];
+    checksum.copy_from_slice(&frame[5..FRAME_HEADER_LEN]);
+    Ok(Written {
+        checksum: u32::from_le_bytes(checksum),
+        bytes: frame.len() as u64,
     })
 }
 
-/// Loads the snapshot from `dir`. `Ok(None)` when no snapshot exists;
-/// corruption (bad checksum, torn frame, version mismatch) is an
-/// error — a snapshot is written atomically and must never be torn.
-pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, ServeError> {
-    let path = dir.join(SNAPSHOT_FILE);
+/// Writes `snap` atomically into `dir` as the base image.
+pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> Result<(), ServeError> {
+    write_base(dir, &SnapshotRef::from(snap)).map(|_| ())
+}
+
+/// Writes the base image `snap` atomically into `dir` (see
+/// [`write_frame_file`] for the fault site) and returns its checksum
+/// and size.
+pub(crate) fn write_base(dir: &Path, snap: &SnapshotRef<'_>) -> Result<Written, ServeError> {
+    write_frame_file(dir, SNAPSHOT_TMP_FILE, SNAPSHOT_FILE, TAG_SNAPSHOT, snap)
+}
+
+/// Writes the checkpoint `ckpt` atomically into `dir`, through the
+/// same `serve.snapshot.write` fault site as a base image.
+pub(crate) fn write_checkpoint(dir: &Path, ckpt: &CheckpointRef<'_>) -> Result<(), ServeError> {
+    write_frame_file(
+        dir,
+        CHECKPOINT_TMP_FILE,
+        CHECKPOINT_FILE,
+        TAG_CHECKPOINT,
+        ckpt,
+    )
+    .map(|_| ())
+}
+
+/// Deletes the checkpoint in `dir`, if there is one.
+pub(crate) fn remove_checkpoint(dir: &Path) -> Result<(), ServeError> {
+    let path = dir.join(CHECKPOINT_FILE);
+    match fs::remove_file(&path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_err(
+            &format!("removing checkpoint {}", path.display()),
+            e,
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Reads the sole `tag` frame of `dir/name` and decodes its payload.
+/// `Ok(None)` when the file does not exist; a damaged, torn, extra or
+/// mistagged frame is corruption — these files are written atomically
+/// and must never be torn.
+fn read_frame_file<T: Deserialize>(
+    dir: &Path,
+    name: &str,
+    tag: u8,
+) -> Result<Option<(T, Written)>, ServeError> {
+    let path = dir.join(name);
     let mut bytes = Vec::new();
     match File::open(&path) {
         Ok(mut f) => {
             f.read_to_end(&mut bytes)
-                .map_err(|e| io_err(&format!("reading snapshot {}", path.display()), e))?;
+                .map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(io_err(&format!("opening snapshot {}", path.display()), e)),
+        Err(e) => return Err(io_err(&format!("opening {}", path.display()), e)),
     }
-    let source = format!("snapshot {}", path.display());
+    let source = path.display().to_string();
     let frames = decode_frames(&bytes, &source)?;
-    let (tag, payload) = match frames.as_slice() {
+    let (found, payload) = match frames.as_slice() {
         [single] => (single.0, &single.2),
         _ => {
             return Err(ServeError::corrupt(format!(
@@ -544,22 +769,68 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, ServeError> {
             )));
         }
     };
-    if tag != TAG_SNAPSHOT {
+    if found != tag {
         return Err(ServeError::corrupt(format!(
-            "{source}: unexpected frame tag {tag}"
+            "{source}: unexpected frame tag {found} at byte 0"
         )));
     }
     let text = std::str::from_utf8(payload)
         .map_err(|e| ServeError::corrupt(format!("{source}: non-UTF-8 payload: {e}")))?;
-    let snap: Snapshot = serde_json::from_str(text)
-        .map_err(|e| ServeError::corrupt(format!("{source}: undecodable snapshot: {e}")))?;
-    if snap.version != FORMAT_VERSION {
+    let value = serde_json::from_str(text)
+        .map_err(|e| ServeError::corrupt(format!("{source}: undecodable frame tag {tag}: {e}")))?;
+    let written = Written {
+        checksum: fnv1a(payload),
+        bytes: bytes.len() as u64,
+    };
+    Ok(Some((value, written)))
+}
+
+/// Loads the base image from `dir`. `Ok(None)` when there is none;
+/// corruption (bad checksum, torn frame, version mismatch) is an
+/// error.
+pub fn read_base(dir: &Path) -> Result<Option<Base>, ServeError> {
+    let Some((snapshot, written)) = read_frame_file::<Snapshot>(dir, SNAPSHOT_FILE, TAG_SNAPSHOT)?
+    else {
+        return Ok(None);
+    };
+    if snapshot.version != FORMAT_VERSION {
         return Err(ServeError::corrupt(format!(
-            "{source}: format version {} (supported: {FORMAT_VERSION})",
-            snap.version
+            "base image in {}: format version {} (supported: {FORMAT_VERSION})",
+            dir.display(),
+            snapshot.version
         )));
     }
-    Ok(Some(snap))
+    let id = BaseId {
+        last_op_id: snapshot.last_op_id,
+        checksum: written.checksum,
+    };
+    Ok(Some(Base {
+        snapshot,
+        id,
+        bytes: written.bytes,
+    }))
+}
+
+/// Loads the base image from `dir` (see [`read_base`]).
+pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, ServeError> {
+    Ok(read_base(dir)?.map(|base| base.snapshot))
+}
+
+/// Loads the checkpoint from `dir`, whichever base it names.
+/// `Ok(None)` when there is none; corruption is an error.
+pub fn read_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, ServeError> {
+    let Some((ckpt, _)) = read_frame_file::<Checkpoint>(dir, CHECKPOINT_FILE, TAG_CHECKPOINT)?
+    else {
+        return Ok(None);
+    };
+    if ckpt.version != CHECKPOINT_VERSION {
+        return Err(ServeError::corrupt(format!(
+            "checkpoint in {}: format version {} (supported: {CHECKPOINT_VERSION})",
+            dir.display(),
+            ckpt.version
+        )));
+    }
+    Ok(Some(ckpt))
 }
 
 #[cfg(test)]
@@ -699,6 +970,59 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_snapshot_encodes_like_the_owned_one() {
+        let instance = epplan_datagen::paper_example();
+        let mut plan = Plan::for_instance(&instance);
+        plan.add(epplan_core::model::UserId(1), EventId(2));
+        let mut overload = OverloadState::default();
+        overload.absorb(&OutcomeMeta::plain(5, OutcomeMode::Repair));
+        let snap = Snapshot {
+            version: FORMAT_VERSION,
+            last_op_id: 5,
+            drift: 3,
+            overload,
+            instance,
+            plan,
+        };
+        assert_eq!(
+            to_json("owned", &snap).unwrap(),
+            to_json("borrowed", &SnapshotRef::from(&snap)).unwrap()
+        );
+    }
+
+    #[test]
+    fn checkpoint_round_trips_and_is_removed_without_a_trace() {
+        let dir = tmp_dir("checkpoint");
+        assert!(read_checkpoint(&dir).unwrap().is_none());
+        let instance = epplan_datagen::paper_example();
+        let plan = Plan::for_instance(&instance);
+        let overload = OverloadState::default();
+        let base = BaseId {
+            last_op_id: 0,
+            checksum: 7,
+        };
+        let ckpt = CheckpointRef {
+            base,
+            last_op_id: 9,
+            drift: 4,
+            overload: &overload,
+            plan: &plan,
+        };
+        write_checkpoint(&dir, &ckpt).unwrap();
+        assert!(!dir.join(CHECKPOINT_TMP_FILE).exists());
+        let back = read_checkpoint(&dir).unwrap().unwrap();
+        assert_eq!(back.base, base);
+        assert_eq!((back.last_op_id, back.drift), (9, 4));
+        assert_eq!(back.overload, overload);
+        assert_eq!(back.plan, plan);
+        remove_checkpoint(&dir).unwrap();
+        assert!(read_checkpoint(&dir).unwrap().is_none());
+        // Removing an absent checkpoint is not an error.
+        remove_checkpoint(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn snapshot_round_trips_and_rejects_wrong_version() {
         let dir = tmp_dir("snap");
         let instance = epplan_datagen::paper_example();
@@ -713,7 +1037,14 @@ mod tests {
             instance,
             plan,
         };
-        write_snapshot(&dir, &snap).unwrap();
+        let written = write_base(&dir, &SnapshotRef::from(&snap)).unwrap();
+        let base = read_base(&dir).unwrap().unwrap();
+        assert_eq!(base.id.checksum, written.checksum);
+        assert_eq!(base.id.last_op_id, 42);
+        assert_eq!(
+            base.bytes,
+            fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len()
+        );
         let back = read_snapshot(&dir).unwrap().unwrap();
         assert_eq!(back.last_op_id, 42);
         assert_eq!(back.drift, 7);

@@ -1,6 +1,7 @@
 //! A served op's stage table: one processed op records `iep.apply`,
-//! `solve.certify` and `serve.wal` under its `serve.op` span, and the
-//! op that triggers a snapshot also records `serve.snapshot`.
+//! `solve.certify` and `serve.wal` under its `serve.op` span, the op
+//! that triggers a checkpoint also records `serve.snapshot` but not
+//! `serve.compact`, and the op that triggers a compaction records both.
 //!
 //! The trace sink is process-global, so this file holds a single test.
 
@@ -52,6 +53,7 @@ fn one_op_records_apply_certify_and_wal_and_the_snapshot_op_its_snapshot() {
         .collect();
     epplan_obs::uninstall_sink();
     assert_eq!(statuses, ["applied", "applied"]);
+    assert_eq!(daemon.stats().compactions, 0, "the second op checkpoints");
 
     let events = sink.events();
     let op_spans: Vec<u64> = events
@@ -71,6 +73,35 @@ fn one_op_records_apply_certify_and_wal_and_the_snapshot_op_its_snapshot() {
             k == 1,
             "only the second op snapshots: {names:?}"
         );
+        assert!(
+            !names.contains("serve.compact"),
+            "op {k} compacts: {names:?}"
+        );
     }
+
+    // Feed on until a snapshot point compacts: the WAL has grown to
+    // the base image's size. That op records both spans.
+    let more: Vec<SequencedOp> =
+        OpStreamSampler::new(5).sequenced_stream(daemon.instance(), daemon.plan(), 400, 3);
+    let sink = Arc::new(CollectingSink::new());
+    epplan_obs::install_sink(sink.clone());
+    for sop in &more {
+        daemon.process(sop).unwrap();
+        if daemon.stats().compactions > 0 {
+            break;
+        }
+    }
+    epplan_obs::uninstall_sink();
+    assert_eq!(daemon.stats().compactions, 1, "the stream compacts");
+    let events = sink.events();
+    let last_op = events
+        .iter()
+        .filter(|e| e.span == "serve.op")
+        .map(|e| e.id)
+        .next_back()
+        .unwrap();
+    let names = descendants(&events, last_op);
+    assert!(names.contains("serve.snapshot"), "{names:?}");
+    assert!(names.contains("serve.compact"), "{names:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
