@@ -12,10 +12,11 @@
 //! with every other operation reducible to them (Section IV's opening
 //! discussion: "solving for all other atomic operations can be reduced
 //! to one of these"). [`IncrementalPlanner::try_apply_in_place`]
-//! performs the dispatch on the live instance and plan under an undo
-//! journal ([`OpJournal`]) and reports the negative impact `dif(P, P′)`
-//! together with the new global utility;
-//! [`IncrementalPlanner::try_apply_budgeted`] runs it on copies.
+//! performs the dispatch on the live instance and plan and returns
+//! only its undo journal ([`OpJournal`]), whose saved lists give the
+//! negative impact `dif(P, P′)`;
+//! [`IncrementalPlanner::try_apply_budgeted`] runs it on copies and
+//! also reports the new global utility and the shortfall.
 
 mod eta_decrease;
 mod exact_iep;
@@ -407,26 +408,25 @@ impl IncrementalPlanner {
         let mut inst = instance.clone();
         let mut new_plan = plan.clone();
         match self.try_apply_in_place(&mut inst, &mut new_plan, op, budget) {
-            Ok(applied) => Ok(IncrementalOutcome {
-                instance: inst,
-                plan: new_plan,
-                dif: applied.dif,
-                utility: applied.utility,
-                shortfall: applied.shortfall,
-            }),
+            Ok(journal) => {
+                let dif = journal.plan().dif(&new_plan);
+                Ok(Self::outcome(inst, new_plan, dif))
+            }
             // A failed operation leaves the copies as they were.
             Err(e) => Err(e
                 .discard_partial()
-                .with_partial(Self::unchanged_outcome(inst, new_plan))),
+                .with_partial(Self::outcome(inst, new_plan, 0))),
         }
     }
 
     /// The in-place core every applying path shares: the serving
     /// daemon, its WAL replay, [`IncrementalPlanner::try_apply_budgeted`]
-    /// and batches. Mutates `(instance, plan)` and returns the
-    /// operation's [`OpJournal`], whose [`OpJournal::rollback`] restores
-    /// the exact pre-op state — the caller's way out when it rejects the
-    /// result (say, on certification).
+    /// and batches. Mutates `(instance, plan)` and returns only the
+    /// operation's [`OpJournal`]: its saved lists give `dif` in
+    /// O(touched), and [`OpJournal::rollback`] restores the exact pre-op
+    /// state — the caller's way out when it rejects the result (say, on
+    /// certification). Global utility and shortfalls are the caller's
+    /// to compute, if it needs them.
     ///
     /// Malformed operations are rejected with a typed `BadInput` error
     /// instead of panicking deep inside the model layer. The budget is
@@ -442,7 +442,7 @@ impl IncrementalPlanner {
         plan: &mut Plan,
         op: &AtomicOp,
         budget: SolveBudget,
-    ) -> Result<AppliedOp, SolveError<()>> {
+    ) -> Result<OpJournal, SolveError<()>> {
         let mut guard = BudgetGuard::new(budget);
         guard.tick(STAGE)?;
         Self::validate_op(instance, op)?;
@@ -451,14 +451,14 @@ impl IncrementalPlanner {
         if let Some(action) = epplan_fault::point("core.iep.apply") {
             return Err(SolveError::from_fault(STAGE, "core.iep.apply", action));
         }
-        let applied = Self::apply_validated(instance, plan, op);
+        let journal = Self::apply_validated(instance, plan, op);
         if let Err(e) = guard.check_deadline(STAGE) {
             // The repair finished but blew the deadline: the repair
             // result must not leak past a broken budget contract.
-            applied.journal.rollback(instance, plan);
+            journal.rollback(instance, plan);
             return Err(e);
         }
-        Ok(applied)
+        Ok(journal)
     }
 
     /// The pure state transition of `op` on the instance alone, in
@@ -519,15 +519,13 @@ impl IncrementalPlanner {
         InstanceJournal(undo)
     }
 
-    /// The identity outcome: nothing applied, nothing changed.
-    fn unchanged_outcome(instance: Instance, plan: Plan) -> IncrementalOutcome {
+    /// The outcome of a `(instance, plan)` state reached with negative
+    /// impact `dif` (0 for the unchanged state).
+    fn outcome(instance: Instance, plan: Plan, dif: usize) -> IncrementalOutcome {
         IncrementalOutcome {
-            dif: 0,
+            dif,
             utility: plan.total_utility(&instance),
-            shortfall: instance
-                .event_ids()
-                .filter(|&e| plan.attendance(e) < instance.event(e).lower)
-                .collect(),
+            shortfall: plan.shortfall(&instance),
             instance,
             plan,
         }
@@ -539,13 +537,12 @@ impl IncrementalPlanner {
     pub fn apply(&self, instance: &Instance, plan: &Plan, op: &AtomicOp) -> IncrementalOutcome {
         self.try_apply_budgeted(instance, plan, op, SolveBudget::UNLIMITED)
             .unwrap_or_else(|e| {
-                e.partial.unwrap_or_else(|| {
-                    Self::unchanged_outcome(instance.clone(), plan.clone())
-                })
+                e.partial
+                    .unwrap_or_else(|| Self::outcome(instance.clone(), plan.clone(), 0))
             })
     }
 
-    fn apply_validated(instance: &mut Instance, plan: &mut Plan, op: &AtomicOp) -> AppliedOp {
+    fn apply_validated(instance: &mut Instance, plan: &mut Plan, op: &AtomicOp) -> OpJournal {
         // Per-operation repair cost: the measurement the incremental
         // tables (paper §V/§VI) are built from.
         let mut sp = epplan_obs::span("iep.apply");
@@ -658,18 +655,9 @@ impl IncrementalPlanner {
             },
         }
 
-        let plan_journal = plan.end_journal();
-        AppliedOp {
-            dif: plan_journal.dif(plan),
-            utility: plan.total_utility(inst),
-            shortfall: inst
-                .event_ids()
-                .filter(|&e| plan.attendance(e) < inst.event(e).lower)
-                .collect(),
-            journal: OpJournal {
-                instance: instance_journal,
-                plan: plan_journal,
-            },
+        OpJournal {
+            instance: instance_journal,
+            plan: plan.end_journal(),
         }
     }
 
@@ -699,7 +687,7 @@ impl IncrementalPlanner {
         for (k, op) in ops.iter().enumerate() {
             // A rejected operation leaves the prefix state untouched.
             match self.try_apply_in_place(&mut inst, &mut cur, op, SolveBudget::UNLIMITED) {
-                Ok(applied) => step_difs.push(applied.dif),
+                Ok(journal) => step_difs.push(journal.plan().dif(&cur)),
                 Err(e) => {
                     failure = Some(SolveError::new(
                         e.kind,
@@ -710,21 +698,15 @@ impl IncrementalPlanner {
                 }
             }
         }
-        let utility = cur.total_utility(&inst);
-        let shortfall = inst
-            .event_ids()
-            .filter(|&e| cur.attendance(e) < inst.event(e).lower)
-            .collect();
         // The original plan may cover fewer events than the final one
         // (NewEvent ops); `dif` handles that asymmetry.
-        let net_dif = dif(plan, &cur);
         let outcome = BatchOutcome {
+            net_dif: dif(plan, &cur),
+            step_difs,
+            utility: cur.total_utility(&inst),
+            shortfall: cur.shortfall(&inst),
             instance: inst,
             plan: cur,
-            net_dif,
-            step_difs,
-            utility,
-            shortfall,
         };
         match failure {
             None => Ok(outcome),
@@ -796,20 +778,6 @@ impl OpJournal {
         plan.rollback(self.plan);
         self.instance.rollback(instance);
     }
-}
-
-/// An operation applied in place by
-/// [`IncrementalPlanner::try_apply_in_place`].
-#[derive(Debug)]
-pub struct AppliedOp {
-    /// Undoes the operation.
-    pub journal: OpJournal,
-    /// Negative impact `dif(P, P′)`.
-    pub dif: usize,
-    /// Global utility of `P′` under the updated instance.
-    pub utility: f64,
-    /// Events whose lower bound could not be restored.
-    pub shortfall: Vec<EventId>,
 }
 
 #[cfg(test)]

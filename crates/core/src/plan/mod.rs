@@ -263,6 +263,15 @@ impl Plan {
             .sum()
     }
 
+    /// The events whose attendance is below their lower bound `ξ`, in
+    /// id order.
+    pub fn shortfall(&self, instance: &Instance) -> Vec<EventId> {
+        instance
+            .event_ids()
+            .filter(|&e| self.attendance(e) < instance.event(e).lower)
+            .collect()
+    }
+
     /// One user's utility `μ_i`.
     pub fn user_utility(&self, instance: &Instance, u: UserId) -> f64 {
         self.user_plan(u)

@@ -141,7 +141,7 @@ impl GepcSolver for LnsSolver {
         // Seed with the paper's greedy two-step solution.
         let mut best = GreedySolver::seeded(self.seed).solve(instance).plan;
         let mut best_utility = plan_utility(instance, &best);
-        let mut best_shortfall = count_shortfall(instance, &best);
+        let mut best_shortfall = best.shortfall(instance).len();
 
         let mut current = best.clone();
         for _ in 0..self.iterations {
@@ -170,7 +170,7 @@ impl GepcSolver for LnsSolver {
                     .with_partial(Solution::from_plan(instance, best)));
             }
             let utility = plan_utility(instance, &current);
-            let shortfall = count_shortfall(instance, &current);
+            let shortfall = current.shortfall(instance).len();
             // Accept lexicographically: fewer shortfalls first, then
             // higher utility.
             if shortfall < best_shortfall
@@ -202,25 +202,6 @@ impl GepcSolver for LnsSolver {
     fn name(&self) -> &'static str {
         "lns"
     }
-}
-
-fn count_shortfall(instance: &Instance, plan: &Plan) -> usize {
-    // Exact integer reduction: chunked counting is associative, so the
-    // parallel count always equals the serial one.
-    epplan_par::par_range_reduce(
-        instance.n_events(),
-        SCORE_MIN_CHUNK,
-        |events| {
-            events
-                .filter(|&ei| {
-                    let e = crate::model::EventId(ei as u32);
-                    plan.attendance(e) < instance.event(e).lower
-                })
-                .count()
-        },
-        |a, b| a + b,
-    )
-    .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -64,15 +64,10 @@ pub struct Solution {
 impl Solution {
     /// Wraps a plan, computing utility and lower-bound shortfalls.
     pub fn from_plan(instance: &Instance, plan: Plan) -> Self {
-        let utility = plan.total_utility(instance);
-        let shortfall = instance
-            .event_ids()
-            .filter(|&e| plan.attendance(e) < instance.event(e).lower)
-            .collect();
         Solution {
+            utility: plan.total_utility(instance),
+            shortfall: plan.shortfall(instance),
             plan,
-            utility,
-            shortfall,
             report: SolveReport::default(),
         }
     }

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use epplan_core::certify::{certify, certify_delta, certify_tally};
-use epplan_core::incremental::{AppliedOp, IncrementalPlanner, SequencedOp};
+use epplan_core::incremental::{IncrementalPlanner, SequencedOp};
 use epplan_core::model::Instance;
 use epplan_core::plan::{dif, Plan};
 use epplan_core::solver::{GapBasedSolver, GepcSolver, LnsSolver};
@@ -67,7 +67,9 @@ pub struct ServeConfig {
     /// unboundedly).
     pub snapshot_every: Option<u64>,
     /// Test hook: `abort()` the process after fully processing this
-    /// many ops — a deterministic stand-in for `SIGKILL`.
+    /// many ops — a deterministic stand-in for `SIGKILL`. A restored
+    /// session counts from its last snapshot point, replayed ops
+    /// included.
     pub crash_after_ops: Option<u64>,
     /// SLO target for the *windowed* p99 op latency, microseconds.
     /// While the windowed p99 exceeds this, the daemon counts burn
@@ -154,16 +156,18 @@ fn escalated(base: SolveBudget, attempt: u32) -> SolveBudget {
 pub struct Daemon {
     instance: Instance,
     plan: Plan,
-    utility: f64,
-    /// The certifier's running totals of the visible plan, patched by
-    /// each certified delta and rebuilt by every full certification.
+    /// The certifier's running totals of the visible plan, `U_P`
+    /// included: patched by each certified delta, recounted at every
+    /// snapshot point and by every full solve.
     tally: CertTally,
     /// Highest op id folded into the visible plan.
     last_op_id: u64,
     /// Accumulated `dif` since the last full solve.
     drift: u64,
-    /// Non-skipped ops processed this session (drives snapshots and
-    /// the crash hook, *not* recovery — that uses `last_op_id`).
+    /// Non-skipped, non-quarantined ops processed, counted from the
+    /// last snapshot point before a restore (replayed ops included),
+    /// so it drives the snapshot cadence and the crash hook the same
+    /// in a restored session — *not* recovery, which uses `last_op_id`.
     processed: u64,
     wal: Option<WalWriter>,
     state_dir: Option<PathBuf>,
@@ -210,12 +214,11 @@ impl Daemon {
         config: ServeConfig,
         state_dir: Option<&Path>,
     ) -> Result<Daemon, ServeError> {
-        let (plan, utility, tally) = Self::full_solve(&instance, config.resolve_budget, false)?;
+        let (plan, tally) = Self::full_solve(&instance, config.resolve_budget, false)?;
         let window = latency_window(&config);
         let mut daemon = Daemon {
             instance,
             plan,
-            utility,
             tally,
             last_op_id: 0,
             drift: 0,
@@ -250,8 +253,9 @@ impl Daemon {
     /// the checkpoint from the logged ops' instance transitions and
     /// takes the plan from the checkpoint. The restored state is
     /// re-certified (disk is never trusted); then the rest of the WAL
-    /// is replayed honoring recorded [`OutcomeMeta`]s, and a torn tail
-    /// op (logged but never completed) is finished live — or, when
+    /// is replayed honoring recorded [`OutcomeMeta`]s, each replayed
+    /// repair certified against the tally like a live one, and a torn
+    /// tail op (logged but never completed) is finished live — or, when
     /// the tail op has already died `--quarantine-after` times,
     /// quarantined to the dead-letter log instead.
     pub fn restore(config: ServeConfig, state_dir: &Path) -> Result<Daemon, ServeError> {
@@ -291,12 +295,10 @@ impl Daemon {
                 "restored snapshot plan does not fit its instance or miscounts attendance",
             ));
         }
-        let utility = plan.total_utility(&instance);
         let window = latency_window(&config);
         let mut daemon = Daemon {
             instance,
             plan,
-            utility,
             tally: CertTally::default(),
             last_op_id,
             drift,
@@ -321,7 +323,7 @@ impl Daemon {
         }
         daemon.tally = tally;
         // Warm the candidate-list cache before the WAL replay: replayed
-        // ops repair through the same sparse paths as live ones.
+        // ops repair and certify through the same paths as live ones.
         let _ = daemon.instance.candidates();
         // Only the final record may lack an outcome (crash mid-op).
         let n_logged = logged.len();
@@ -340,11 +342,6 @@ impl Daemon {
                     )));
                 }
             }
-        }
-        if daemon.last_op_id > daemon.snapshot_op {
-            // Replayed repairs are not re-certified one by one; the
-            // tally of the replayed state is rebuilt in one pass.
-            daemon.tally = certify_tally(&daemon.instance, &daemon.plan).1;
         }
         daemon.wal = Some(WalWriter::open_append(&wal_path, intact)?);
         if let Some((sop, attempts)) = tail {
@@ -431,10 +428,8 @@ impl Daemon {
         self.stats.shed += 1;
         epplan_obs::counter_add("serve.ops_shed", 1);
         self.processed += 1;
-        if let Some(every) = self.config.snapshot_every {
-            if every > 0 && self.processed.is_multiple_of(every) {
-                self.write_snapshot()?;
-            }
+        if self.at_snapshot_point() {
+            self.write_snapshot()?;
         }
         let resp = self.response(
             sop.id,
@@ -481,10 +476,8 @@ impl Daemon {
         self.overload.absorb(&meta);
         self.publish_gauges();
         self.processed += 1;
-        if let Some(every) = self.config.snapshot_every {
-            if every > 0 && self.processed.is_multiple_of(every) {
-                self.write_snapshot()?;
-            }
+        if self.at_snapshot_point() {
+            self.write_snapshot()?;
         }
         resp.slo_burning = self.slo_burning;
         if let Some(n) = self.config.crash_after_ops {
@@ -583,66 +576,49 @@ impl Daemon {
         let repair_budget = overload::shrink_budget(self.config.op_budget, self.overload.level);
         loop {
             // A failed attempt leaves the state as it was.
-            let attempt: Result<AppliedOp, SolveError> =
-                match epplan_fault::point("serve.op.ingest") {
-                    Some(action) => {
-                        Err(SolveError::from_fault(STAGE, "serve.op.ingest", action))
-                    }
-                    None => IncrementalPlanner.try_apply_in_place(
-                        &mut self.instance,
-                        &mut self.plan,
-                        op,
-                        escalated(repair_budget, retries),
-                    ),
-                };
+            let attempt = match epplan_fault::point("serve.op.ingest") {
+                Some(action) => Err(RepairError::Failed(SolveError::from_fault(
+                    STAGE,
+                    "serve.op.ingest",
+                    action,
+                ))),
+                None => self.certified_repair(sop, escalated(repair_budget, retries)),
+            };
             match attempt {
-                Ok(applied) => {
-                    let cert = certify_delta(
-                        &self.instance,
-                        &self.plan,
-                        op,
-                        applied.journal.plan(),
-                        &mut self.tally,
-                    );
-                    if cert.hard_ok() {
-                        let op_dif = applied.dif as u64;
-                        self.utility = applied.utility;
-                        self.drift += op_dif;
-                        self.last_op_id = sop.id;
-                        // Drift-triggered background re-solve, gated
-                        // by the ops-denominated backoff from earlier
-                        // failures (exponential in op ids, no clock).
-                        let mut rsfail = false;
-                        if self.drift_exceeded() && self.overload.backoff_clear(sop.id) {
-                            match self.resolve_in_place() {
-                                Ok(()) => {
-                                    self.stats.resolved += 1;
-                                    epplan_obs::counter_add("serve.ops_resolved", 1);
-                                    self.publish_gauges();
-                                    return (
-                                        OutcomeMode::RepairResolve,
-                                        false,
-                                        self.response(sop.id, "resolved", op_dif, retries, None),
-                                    );
-                                }
-                                Err(_) => rsfail = true,
+                Ok(op_dif) => {
+                    // Drift-triggered background re-solve, gated by the
+                    // ops-denominated backoff from earlier failures
+                    // (exponential in op ids, no clock).
+                    let mut rsfail = false;
+                    if self.drift_exceeded() && self.overload.backoff_clear(sop.id) {
+                        match self.resolve_in_place() {
+                            Ok(()) => {
+                                self.stats.resolved += 1;
+                                epplan_obs::counter_add("serve.ops_resolved", 1);
+                                self.publish_gauges();
+                                return (
+                                    OutcomeMode::RepairResolve,
+                                    false,
+                                    self.response(sop.id, "resolved", op_dif, retries, None),
+                                );
                             }
+                            Err(_) => rsfail = true,
                         }
-                        self.stats.applied += 1;
-                        epplan_obs::counter_add("serve.ops_applied", 1);
-                        self.publish_gauges();
-                        return (
-                            OutcomeMode::Repair,
-                            rsfail,
-                            self.response(sop.id, "applied", op_dif, retries, None),
-                        );
                     }
-                    applied.journal.rollback(&mut self.instance, &mut self.plan);
-                    repair_failure =
-                        format!("repair rejected by certification: {cert}");
+                    self.stats.applied += 1;
+                    epplan_obs::counter_add("serve.ops_applied", 1);
+                    self.publish_gauges();
+                    return (
+                        OutcomeMode::Repair,
+                        rsfail,
+                        self.response(sop.id, "applied", op_dif, retries, None),
+                    );
+                }
+                Err(RepairError::Uncertified(cert)) => {
+                    repair_failure = format!("repair rejected by certification: {cert}");
                     break;
                 }
-                Err(e) => {
+                Err(RepairError::Failed(e)) => {
                     if e.kind == FailureKind::BadInput {
                         return self.reject_bad_input(sop.id, retries, &e);
                     }
@@ -668,10 +644,9 @@ impl Daemon {
         let transition = IncrementalPlanner::apply_to_instance_in_place(&mut self.instance, op);
         let degraded = self.overload.level >= 2;
         match Self::full_solve(&self.instance, self.config.resolve_budget, degraded) {
-            Ok((new_plan, utility, tally)) => {
+            Ok((new_plan, tally)) => {
                 let op_dif = dif(&self.plan, &new_plan) as u64;
                 self.plan = new_plan;
-                self.utility = utility;
                 self.tally = tally;
                 self.drift = 0;
                 self.last_op_id = sop.id;
@@ -726,6 +701,35 @@ impl Daemon {
         )
     }
 
+    /// The certified-repair step live ops and WAL replay share: applies
+    /// `sop` in place under `budget`, certifies the delta against the
+    /// tally, and either folds the op in — the tally patched, its `dif`
+    /// added to drift and returned — or rolls the state back.
+    fn certified_repair(
+        &mut self,
+        sop: &SequencedOp,
+        budget: SolveBudget,
+    ) -> Result<u64, RepairError> {
+        let journal = IncrementalPlanner
+            .try_apply_in_place(&mut self.instance, &mut self.plan, &sop.op, budget)
+            .map_err(RepairError::Failed)?;
+        let cert = certify_delta(
+            &self.instance,
+            &self.plan,
+            &sop.op,
+            journal.plan(),
+            &mut self.tally,
+        );
+        if !cert.hard_ok() {
+            journal.rollback(&mut self.instance, &mut self.plan);
+            return Err(RepairError::Uncertified(cert));
+        }
+        let op_dif = cert.dif.unwrap_or(0) as u64;
+        self.drift += op_dif;
+        self.last_op_id = sop.id;
+        Ok(op_dif)
+    }
+
     /// Re-applies one WAL record during recovery, following the
     /// recorded decision instead of re-deciding (budget escalation
     /// and drift triggers are not re-derivable after a crash).
@@ -752,27 +756,34 @@ impl Daemon {
         // The controller fold is driven by the recorded fields — the
         // same absorb the live run applied after writing the record.
         self.overload.absorb(meta);
+        // The op counts toward the snapshot cadence as it did live, so
+        // the restored session's snapshot points fall on the
+        // uninterrupted session's ops. A replayed one recounts `U_P` as
+        // the live one did before its write (which may have died), and
+        // persists nothing: the WAL already holds the state.
+        if meta.mode != OutcomeMode::Quarantine {
+            self.processed += 1;
+            if self.at_snapshot_point() {
+                self.audit()?;
+            }
+        }
         Ok(())
     }
 
+    /// A logged repair is certified op by op like a live one; one that
+    /// no longer certifies means the log does not describe this state.
     fn replay_repair(&mut self, sop: &SequencedOp) -> Result<(), ServeError> {
-        let applied = IncrementalPlanner
-            .try_apply_in_place(
-                &mut self.instance,
-                &mut self.plan,
-                &sop.op,
-                SolveBudget::UNLIMITED,
-            )
-            .map_err(|e| {
-                ServeError::solve(
-                    e.kind,
-                    format!("replaying op {}: {}", sop.id, e.message),
-                )
-            })?;
-        self.drift += applied.dif as u64;
-        self.utility = applied.utility;
-        self.last_op_id = sop.id;
-        Ok(())
+        match self.certified_repair(sop, SolveBudget::UNLIMITED) {
+            Ok(_) => Ok(()),
+            Err(RepairError::Failed(e)) => Err(ServeError::solve(
+                e.kind,
+                format!("replaying op {}: {}", sop.id, e.message),
+            )),
+            Err(RepairError::Uncertified(cert)) => Err(ServeError::corrupt(format!(
+                "replayed op {} failed certification: {cert}",
+                sop.id
+            ))),
+        }
     }
 
     /// Full re-solve of the *current* instance; the result replaces
@@ -780,10 +791,8 @@ impl Daemon {
     /// [`Daemon::full_solve`]). Resets drift.
     fn resolve_in_place(&mut self) -> Result<(), ServeError> {
         let degraded = self.overload.level >= 2;
-        let (plan, utility, tally) =
-            Self::full_solve(&self.instance, self.config.resolve_budget, degraded)?;
+        let (plan, tally) = Self::full_solve(&self.instance, self.config.resolve_budget, degraded)?;
         self.plan = plan;
-        self.utility = utility;
         self.tally = tally;
         self.drift = 0;
         self.stats.resolves += 1;
@@ -792,7 +801,7 @@ impl Daemon {
     }
 
     /// Solves `instance` from scratch and certifies the result,
-    /// returning the plan with its `U_P` and certifier tally.
+    /// returning the plan with its certifier tally (`U_P` included).
     /// Degrades to the solver's partial (fallback) plan when one
     /// exists, but *never* returns an uncertified plan. At brownout
     /// level ≥ 2 (`degraded`), the gap-based pipeline is swapped for
@@ -802,7 +811,7 @@ impl Daemon {
         instance: &Instance,
         budget: SolveBudget,
         degraded: bool,
-    ) -> Result<(Plan, f64, CertTally), ServeError> {
+    ) -> Result<(Plan, CertTally), ServeError> {
         let mut sp = epplan_obs::span("serve.resolve");
         sp.add_iters(1);
         let attempt = if degraded {
@@ -835,7 +844,15 @@ impl Daemon {
                 format!("full solve produced an uncertifiable plan: {cert}"),
             ));
         }
-        Ok((solution.plan, cert.utility, tally))
+        Ok((solution.plan, tally))
+    }
+
+    /// Whether the op just counted in `processed` ends at a snapshot
+    /// point.
+    fn at_snapshot_point(&self) -> bool {
+        self.config
+            .snapshot_every
+            .is_some_and(|every| every > 0 && self.processed.is_multiple_of(every))
     }
 
     fn drift_exceeded(&self) -> bool {
@@ -843,21 +860,25 @@ impl Daemon {
             .is_some_and(|t| self.drift >= t)
     }
 
-    /// Persists the state at a snapshot point, atomically: the base
-    /// image (and a fresh WAL) at start, afterwards a checkpoint — or
-    /// a compaction, once the WAL since the base has grown to the base
-    /// image's size. Called at start and every `snapshot_every` ops.
+    /// A snapshot point: audits the state (restarting the tally from
+    /// the recount), then, with a state dir, persists it atomically:
+    /// the base image (and a fresh WAL) at start, afterwards a
+    /// checkpoint — or a compaction, once the WAL since the base has
+    /// grown to the base image's size. Called at start and every
+    /// `snapshot_every` ops.
     ///
     /// Nothing reaches disk before the whole state passes the
     /// from-scratch [`certify`] and its recount matches the delta
     /// certifier's tally; either failure is an `Infeasible` error.
     fn write_snapshot(&mut self) -> Result<(), ServeError> {
+        let mut sp = epplan_obs::span("serve.snapshot");
+        sp.add_iters(1);
+        // Every snapshot point recounts `U_P`, persisted or not, so the
+        // responses depend only on the op stream and `snapshot_every`.
+        self.audit()?;
         let Some(dir) = self.state_dir.clone() else {
             return Ok(());
         };
-        let mut sp = epplan_obs::span("serve.snapshot");
-        sp.add_iters(1);
-        self.audit()?;
         match self.wal.as_mut() {
             // Only a starting session has no WAL yet.
             None => self.write_base(&dir)?,
@@ -953,7 +974,7 @@ impl Daemon {
 
     fn publish_gauges(&self) {
         epplan_obs::gauge_set("serve.drift", self.drift as f64);
-        epplan_obs::gauge_set("serve.utility", self.utility);
+        epplan_obs::gauge_set("serve.utility", self.tally.utility());
         epplan_obs::gauge_set("serve.brownout.level", f64::from(self.overload.level));
     }
 
@@ -1000,7 +1021,7 @@ impl Daemon {
             status: status.to_string(),
             dif: op_dif,
             drift: self.drift,
-            utility: self.utility,
+            utility: self.tally.utility(),
             retries,
             error,
             slo_burning: self.slo_burning,
@@ -1026,7 +1047,7 @@ impl Daemon {
             resolves: self.stats.resolves,
             snapshots: self.stats.snapshots,
             drift: self.drift,
-            utility: self.utility,
+            utility: self.tally.utility(),
             certified: certify(&self.instance, &self.plan).hard_ok(),
             wall_s,
             ops_per_sec: if wall_s > 0.0 { ops as f64 / wall_s } else { 0.0 },
@@ -1059,9 +1080,11 @@ impl Daemon {
         &self.instance
     }
 
-    /// Global utility of the visible plan.
+    /// Global utility `U_P` of the visible plan: the delta certifier's
+    /// running tally, recounted at every snapshot point and by every
+    /// full solve.
     pub fn utility(&self) -> f64 {
-        self.utility
+        self.tally.utility()
     }
 
     /// Accumulated `dif` since the last full solve.
@@ -1117,6 +1140,15 @@ impl Daemon {
     pub fn wal_pending_ops(&self) -> u64 {
         self.last_op_id.saturating_sub(self.snapshot_op)
     }
+}
+
+/// Why a repair attempt was not folded in.
+enum RepairError {
+    /// The in-place core failed; the state is as it was.
+    Failed(SolveError),
+    /// The repaired state failed delta certification and was rolled
+    /// back.
+    Uncertified(Certificate),
 }
 
 /// One op as the WAL logged it.
@@ -1692,6 +1724,30 @@ mod tests {
         assert_eq!(snapshot(), before, "nothing persisted");
         assert_eq!(d.stats().compactions, 0);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_replayed_repair_that_does_not_certify_is_corruption() {
+        let mut d = Daemon::start(small_instance(), ServeConfig::default(), None).unwrap();
+        // η cut below an event's attendance behind the tally's back:
+        // the replayed op changes no list, but its delta certificate
+        // re-checks every event's bounds.
+        let e = d
+            .instance
+            .event_ids()
+            .find(|&e| d.plan.attendance(e) > 0)
+            .expect("the initial plan fills some event");
+        d.instance.set_event_bounds(e, 0, d.plan.attendance(e) - 1);
+        let (instance, plan) = (d.instance.clone(), plan_bytes(&d));
+        let sop = SequencedOp::new(1, AtomicOp::XiDecrease { event: e, new_lower: 0 });
+        let err = d
+            .replay(&sop, &OutcomeMeta::plain(1, OutcomeMode::Repair))
+            .unwrap_err();
+        assert_eq!(err.exit_code(), 4, "{}", err.message);
+        assert!(err.message.contains("eta-upper-bound"), "{}", err.message);
+        assert_eq!(d.instance, instance, "the uncertified op is rolled back");
+        assert_eq!(plan_bytes(&d), plan);
+        assert_eq!(d.last_op_id(), 0);
     }
 
     #[test]

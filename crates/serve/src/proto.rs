@@ -41,7 +41,10 @@ pub struct OpResponse {
     pub dif: u64,
     /// Accumulated `dif` since the last full solve, after this op.
     pub drift: u64,
-    /// Global utility `U_P` of the (certified) visible plan.
+    /// Global utility `U_P` of the (certified) visible plan: the delta
+    /// certifier's running tally, recounted from scratch at every
+    /// snapshot point and by every full solve, patched op by op in
+    /// between (so it can differ from a recount in the last digits).
     pub utility: f64,
     /// Budget-escalation retries consumed by this op.
     pub retries: u32,

@@ -9,6 +9,8 @@
 //!   [`certify_incremental`] of the pre-op plan against the post-op one
 //!   on `hard_ok`, violated constraint names, soft shortfalls and `dif`,
 //!   with `U_P` within 1e-9 relative;
+//! * the tally's running `U_P` stays within 1e-9 relative of a
+//!   from-scratch [`certify`], rejected ops included;
 //! * rolling the op back restores the pre-op instance and plan, by
 //!   `PartialEq` and by serialized bytes, and re-applying it reproduces
 //!   the first application exactly;
@@ -22,7 +24,7 @@
 //! and checks that the delta certificate names the same violated
 //! constraint as the full certifier.
 
-use epplan_core::certify::{certify_delta, certify_incremental, certify_tally};
+use epplan_core::certify::{certify, certify_delta, certify_incremental, certify_tally};
 use epplan_core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan_core::model::{Event, EventId, Instance, TimeInterval, User, UserId, UtilityMatrix};
 use epplan_core::plan::{dif, Plan, PlanJournal};
@@ -30,7 +32,7 @@ use epplan_core::solver::{GepcSolver, GreedySolver};
 use epplan_datagen::{generate, GeneratorConfig, OpStreamSampler};
 use epplan_geo::Point;
 use epplan_solve::certify::constraint;
-use epplan_solve::{Certificate, FailureKind, SolveBudget};
+use epplan_solve::{CertTally, Certificate, FailureKind, SolveBudget};
 use proptest::prelude::*;
 
 /// A malformed op for stream position `k`: each is rejected by
@@ -70,13 +72,21 @@ fn assert_same_verdict(delta: &Certificate, full: &Certificate, what: &str) {
     );
     assert_eq!(delta.soft_violations, full.soft_violations, "{what}");
     assert_eq!(delta.dif, full.dif, "{what}");
-    let scale = full.utility.abs().max(1.0);
+    assert_close(delta.utility, full.utility, what);
+}
+
+/// `U_P` values agree within 1e-9 relative.
+fn assert_close(running: f64, recount: f64, what: &str) {
+    let scale = recount.abs().max(1.0);
     assert!(
-        (delta.utility - full.utility).abs() <= 1e-9 * scale,
-        "{what}: U_P {} vs {}",
-        delta.utility,
-        full.utility
+        (running - recount).abs() <= 1e-9 * scale,
+        "{what}: U_P {running} vs {recount}"
     );
+}
+
+/// The tally's running `U_P` agrees with a from-scratch recount.
+fn assert_tally_utility(tally: &CertTally, instance: &Instance, plan: &Plan, what: &str) {
+    assert_close(tally.utility(), certify(instance, plan).utility, what);
 }
 
 /// Runs one stream at `threads`, checking every op; returns the plan
@@ -104,25 +114,26 @@ fn run_stream(seed: u64, pruned: bool, threads: usize) -> Vec<String> {
         let what = format!("seed {seed} op {k} {op:?}");
         let (inst0, plan0) = (instance.clone(), plan.clone());
         let (inst0_bytes, plan0_bytes) = (bytes(&instance), bytes(&plan));
-        let applied = match IncrementalPlanner.try_apply_in_place(
+        let journal = match IncrementalPlanner.try_apply_in_place(
             &mut instance,
             &mut plan,
             &op,
             SolveBudget::UNLIMITED,
         ) {
-            Ok(applied) => applied,
+            Ok(journal) => journal,
             Err(e) => {
                 assert_eq!(e.kind, FailureKind::BadInput, "{what}");
                 assert!(instance == inst0 && plan == plan0, "{what}: rejection changed state");
+                assert_tally_utility(&tally, &instance, &plan, &what);
                 trail.push(bytes(&plan));
                 continue;
             }
         };
-        assert_eq!(applied.dif, dif(&plan0, &plan), "{what}");
+        assert_eq!(journal.plan().dif(&plan), dif(&plan0, &plan), "{what}");
         let (inst1, plan1) = (instance.clone(), plan.clone());
 
         // Roll back, compare with the pre-op state, then re-apply.
-        applied.journal.clone().rollback(&mut instance, &mut plan);
+        journal.clone().rollback(&mut instance, &mut plan);
         assert!(instance == inst0, "{what}: instance not restored");
         assert!(plan == plan0, "{what}: plan not restored");
         assert_eq!(bytes(&instance), inst0_bytes, "{what}: instance bytes");
@@ -131,10 +142,9 @@ fn run_stream(seed: u64, pruned: bool, threads: usize) -> Vec<String> {
             .try_apply_in_place(&mut instance, &mut plan, &op, SolveBudget::UNLIMITED)
             .unwrap_or_else(|e| panic!("{what}: re-apply failed: {e}"));
         assert!(instance == inst1 && plan == plan1, "{what}: re-apply diverged");
-        assert_eq!(again.dif, applied.dif, "{what}");
-        assert_eq!(again.utility, applied.utility, "{what}");
+        assert_eq!(again.plan().users(), journal.plan().users(), "{what}");
 
-        let delta = certify_delta(&instance, &plan, &op, again.journal.plan(), &mut tally);
+        let delta = certify_delta(&instance, &plan, &op, again.plan(), &mut tally);
         let full = certify_incremental(&instance, &plan0, &plan);
         assert_same_verdict(&delta, &full, &what);
         if !full.hard_ok() {
@@ -142,6 +152,7 @@ fn run_stream(seed: u64, pruned: bool, threads: usize) -> Vec<String> {
         }
         let recount = certify_tally(&instance, &plan).1;
         assert_eq!(tally.attendance(), recount.attendance(), "{what}: tally drifted");
+        assert_tally_utility(&tally, &instance, &plan, &what);
         trail.push(bytes(&plan));
     }
     trail

@@ -12,11 +12,17 @@
 //! * a corrupted checkpoint frame fails restore with exit 4, naming
 //!   offset and tag;
 //! * a state dir in the earlier layout (base image plus WAL suffix, no
-//!   checkpoint) restores.
+//!   checkpoint) restores;
+//! * a restore between two checkpoints reproduces `U_P` and every later
+//!   response of the uninterrupted session byte for byte: replayed
+//!   repairs patch the `U_P` tally as live ones do, and the restored
+//!   session recounts it at the same snapshot points, also when the
+//!   process died inside a snapshot point's write.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use epplan::core::certify::certify;
 use epplan::core::incremental::SequencedOp;
 use epplan::core::model::Instance;
 use epplan::datagen::{generate, GeneratorConfig, OpStreamSampler};
@@ -87,13 +93,29 @@ fn serve(
     extra: &[&str],
     env: &[(&str, &str)],
 ) -> Output {
+    let mut extra = extra.to_vec();
+    extra.push("--quiet");
+    serve_acked(inst, ops, state, plan, threads, &extra, env)
+}
+
+/// [`serve`] without `--quiet`: stdout holds one JSON response per op,
+/// then the summary.
+fn serve_acked(
+    inst: &Path,
+    ops: &Path,
+    state: &Path,
+    plan: &Path,
+    threads: &str,
+    extra: &[&str],
+    env: &[(&str, &str)],
+) -> Output {
     bin()
         .args(["serve", "--instance", inst.to_str().unwrap()])
         .args(["--state-dir", state.to_str().unwrap()])
         .args(["--ops", ops.to_str().unwrap()])
         .args(["--snapshot-every", &EVERY.to_string()])
         .args(["--drift-threshold", "60", "--max-retries", "2"])
-        .args(["--out", plan.to_str().unwrap(), "--quiet"])
+        .args(["--out", plan.to_str().unwrap()])
         .args(extra)
         .env("EPPLAN_THREADS", threads)
         .envs(env.iter().copied())
@@ -361,6 +383,133 @@ fn state_dir_without_checkpoints_restores() {
         assert_eq!(plan_bytes(&restored), plan_bytes(&live));
         assert_eq!(restored.instance(), live.instance());
         assert_eq!(restored.drift(), live.drift());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Feeds `ops`, returning each response's JSON and `U_P` after it.
+fn responses(d: &mut Daemon, ops: &[SequencedOp]) -> Vec<(String, f64)> {
+    ops.iter()
+        .map(|sop| {
+            let resp = d.process(sop).unwrap();
+            (serde_json::to_string(&resp).unwrap(), d.utility())
+        })
+        .collect()
+}
+
+#[test]
+fn restore_between_checkpoints_reproduces_every_later_response() {
+    for threads in [1, 4] {
+        epplan::par::set_threads(threads);
+        let dir = tmp_dir(&format!("responses-{threads}"));
+        let mut live = Daemon::start(small_instance(), config(), Some(&dir.join("live"))).unwrap();
+        let ops = stream(&live, 40);
+        let expected = responses(&mut live, &ops);
+        // Checkpoints after ops 7 and 14; the crash comes at 12.
+        const CRASH: usize = 12;
+        let state = dir.join("state");
+        {
+            let mut d = Daemon::start(small_instance(), config(), Some(&state)).unwrap();
+            responses(&mut d, &ops[..CRASH]);
+            assert_eq!(d.snapshot_op(), 7);
+            assert_eq!(d.stats().compactions, 0, "op 7 is a checkpoint");
+            // Premise: at the crash the running `U_P` is not a recount,
+            // so a restore that recounted it could not pass below.
+            let recount = certify(d.instance(), d.plan()).utility;
+            assert_ne!(d.utility().to_bits(), recount.to_bits());
+        }
+        let mut restored = Daemon::restore(config(), &state).unwrap();
+        assert_eq!(restored.last_op_id(), CRASH as u64);
+        assert_eq!(
+            restored.utility().to_bits(),
+            expected[CRASH - 1].1.to_bits()
+        );
+        let replayed = responses(&mut restored, &ops[CRASH..]);
+        for (k, (got, want)) in replayed.iter().zip(&expected[CRASH..]).enumerate() {
+            let what = format!("{threads} threads, op {}", CRASH + k + 1);
+            assert_eq!(got.0, want.0, "{what}");
+            assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}");
+        }
+        assert_eq!(
+            live.stats().compactions,
+            0,
+            "the live session only checkpoints"
+        );
+        assert_eq!(plan_bytes(&restored), plan_bytes(&live));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    epplan::par::set_threads(1);
+}
+
+/// The lines `epplan serve` printed: its op responses, then (for a
+/// session that finished) the summary and the `--out` notice.
+fn stdout_lines(out: &Output) -> Vec<String> {
+    String::from_utf8(out.stdout.clone())
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// The `utility` field of a summary line.
+fn summary_utility(line: &str) -> f64 {
+    #[derive(serde::Deserialize)]
+    struct Summary {
+        utility: f64,
+    }
+    serde_json::from_str::<Summary>(line).unwrap().utility
+}
+
+#[test]
+fn snapshot_write_fault_then_restore_reproduces_every_later_response() {
+    let dir = tmp_dir("write-fault-responses");
+    let (inst, ops) = make_fixture(&dir, 300, 20, 40);
+    for threads in ["1", "4"] {
+        let run = |tag: &str, extra: &[&str], env: &[(&str, &str)]| {
+            let state = dir.join(format!("state-{tag}-{threads}"));
+            let plan = dir.join(format!("plan-{tag}-{threads}.json"));
+            serve_acked(&inst, &ops, &state, &plan, threads, extra, env)
+        };
+        let reference = run("ref", &[], &[]);
+        assert!(reference.status.success());
+        let expected = stdout_lines(&reference);
+        assert_eq!(expected.len(), 42, "40 responses, summary, notice");
+
+        // Hit 1 of the fault site is the base write at start, hit 2
+        // the checkpoint after op 7, hit 3 the one after op 14: op 14's
+        // outcome is durable, its checkpoint is not.
+        let env = [("EPPLAN_FAULTS", "serve.snapshot.write@3=error")];
+        let faulted = run("fault", &[], &env);
+        assert_eq!(
+            faulted.status.code(),
+            Some(3),
+            "{}",
+            String::from_utf8_lossy(&faulted.stderr)
+        );
+        assert_eq!(stdout_lines(&faulted), expected[..13], "threads {threads}");
+        let state = dir.join(format!("state-fault-{threads}"));
+        let ckpt = wal::read_checkpoint(&state).unwrap().expect("a checkpoint");
+        assert_eq!(ckpt.last_op_id, EVERY, "the write after op 14 died");
+
+        let restored = run("fault", &["--restore"], &[]);
+        assert!(
+            restored.status.success(),
+            "{}",
+            String::from_utf8_lossy(&restored.stderr)
+        );
+        let got = stdout_lines(&restored);
+        assert_eq!(got.len(), 42);
+        for line in &got[..14] {
+            assert!(line.contains("\"skipped\""), "{line}");
+        }
+        // Op 14's snapshot point recounted `U_P` before the write died;
+        // the replay recounts it there too, so every later response
+        // matches byte for byte.
+        assert_eq!(got[14..40], expected[14..40], "threads {threads}");
+        assert_eq!(
+            summary_utility(&got[40]).to_bits(),
+            summary_utility(&expected[40]).to_bits()
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
