@@ -6,10 +6,9 @@
 //! per-user travel cost against `B_i`, per-event attendance against
 //! `η`/`ξ`, per-assignment utility, `U_P`, and — for the incremental
 //! variant — `dif(P, P′)`) **from scratch** through the raw instance
-//! accessors. It deliberately does not reuse [`Plan::validate`], the
-//! solver-side validator: the two implementations are independent, so a
-//! defect (or an injected fault) in one cannot silently vouch for
-//! itself through the other.
+//! accessors, never from the plan's own attendance counts. It is the
+//! one GEPC constraint checker: solvers, the CLI and the serving daemon
+//! all judge plans through it.
 //!
 //! [`certify_delta`] is the serving daemon's per-op form: the same
 //! checks over only the users and events an in-place operation could
@@ -164,6 +163,7 @@ mod tests {
     use crate::plan::dif;
     use epplan_geo::Point;
     use epplan_solve::certify::constraint;
+    use epplan_solve::CertViolation;
 
     fn inst() -> Instance {
         let users = vec![
@@ -184,8 +184,36 @@ mod tests {
         Instance::new(users, events, utilities).unwrap()
     }
 
+    /// Two users, three events: e0 and e1 overlap in time, e2 is later
+    /// and far away; u1 has budget 1 and scores e1 at 0.
+    fn bounds_inst() -> Instance {
+        let users = vec![
+            User::new(Point::new(0.0, 0.0), 10.0),
+            User::new(Point::new(1.0, 0.0), 1.0),
+        ];
+        let events = vec![
+            Event::new(Point::new(0.0, 1.0), 1, 1, TimeInterval::new(60, 120)),
+            Event::new(Point::new(0.0, 2.0), 0, 2, TimeInterval::new(90, 150)),
+            Event::new(Point::new(50.0, 0.0), 2, 3, TimeInterval::new(200, 260)),
+        ];
+        let utilities = UtilityMatrix::from_rows(vec![
+            vec![0.5, 0.5, 0.5],
+            vec![0.5, 0.0, 0.5],
+        ]).unwrap();
+        Instance::new(users, events, utilities).unwrap()
+    }
+
+    /// The violation details reported for `constraint`.
+    fn details(violations: &[CertViolation], constraint: &str) -> Vec<String> {
+        violations
+            .iter()
+            .filter(|v| v.constraint == constraint)
+            .map(|v| v.detail.clone())
+            .collect()
+    }
+
     #[test]
-    fn feasible_plan_certifies_and_matches_solver_validation() {
+    fn feasible_plan_certifies_with_its_utility() {
         let instance = inst();
         let mut plan = Plan::for_instance(&instance);
         plan.add(UserId(0), EventId(0));
@@ -193,7 +221,89 @@ mod tests {
         let cert = certify(&instance, &plan);
         assert!(cert.hard_ok(), "violations: {:?}", cert.hard_violations);
         assert!((cert.utility - (0.9 + 0.8)).abs() < 1e-12);
-        assert!(plan.validate(&instance).hard_ok());
+    }
+
+    #[test]
+    fn empty_plan_reports_only_shortfalls() {
+        let instance = bounds_inst();
+        let plan = Plan::for_instance(&instance);
+        let cert = certify(&instance, &plan);
+        assert!(cert.hard_ok());
+        assert_eq!(
+            details(&cert.soft_violations, constraint::XI_LOWER_BOUND),
+            [
+                "event 0 has 0 attendees under lower bound 1",
+                "event 2 has 0 attendees under lower bound 2",
+            ],
+            "events with ξ > 0 are short"
+        );
+        assert_eq!(cert.soft_violations.len(), 2);
+        assert_eq!(plan.shortfall(&instance), vec![EventId(0), EventId(2)]);
+    }
+
+    #[test]
+    fn detects_time_conflict() {
+        let instance = bounds_inst();
+        let mut plan = Plan::for_instance(&instance);
+        plan.add(UserId(0), EventId(0));
+        plan.add(UserId(0), EventId(1));
+        let cert = certify(&instance, &plan);
+        assert!(!cert.hard_ok());
+        assert_eq!(
+            details(&cert.hard_violations, constraint::TIME_CONFLICT),
+            ["user 0 attends overlapping events 0 and 1"]
+        );
+    }
+
+    #[test]
+    fn detects_budget_overrun() {
+        let instance = bounds_inst();
+        let mut plan = Plan::for_instance(&instance);
+        plan.add(UserId(1), EventId(2)); // round trip ~98 ≫ budget 1
+        let cert = certify(&instance, &plan);
+        let busts = details(&cert.hard_violations, constraint::TRAVEL_BUDGET);
+        assert_eq!(busts.len(), 1);
+        assert!(busts[0].starts_with("user 1 travel cost"), "{busts:?}");
+    }
+
+    #[test]
+    fn detects_upper_bound() {
+        let instance = bounds_inst();
+        let mut plan = Plan::for_instance(&instance);
+        plan.add(UserId(0), EventId(0));
+        plan.add(UserId(1), EventId(0)); // η = 1
+        let cert = certify(&instance, &plan);
+        assert_eq!(
+            details(&cert.hard_violations, constraint::ETA_UPPER_BOUND),
+            ["event 0 has 2 attendees over upper bound 1"]
+        );
+    }
+
+    #[test]
+    fn detects_zero_utility_assignment() {
+        let instance = bounds_inst();
+        let mut plan = Plan::for_instance(&instance);
+        plan.add(UserId(1), EventId(1)); // μ = 0
+        let cert = certify(&instance, &plan);
+        assert_eq!(
+            details(&cert.hard_violations, constraint::ZERO_UTILITY),
+            ["user 1 assigned to event 1 with utility 0"]
+        );
+    }
+
+    #[test]
+    fn feasible_plan_passes() {
+        let instance = bounds_inst();
+        let mut plan = Plan::for_instance(&instance);
+        plan.add(UserId(0), EventId(0)); // fills ξ_0 = 1, cost 2 ≤ 10
+        // e2 (ξ=2) stays short; hard constraints all fine.
+        let cert = certify(&instance, &plan);
+        assert!(cert.hard_ok(), "violations: {:?}", cert.hard_violations);
+        assert_eq!(
+            details(&cert.soft_violations, constraint::XI_LOWER_BOUND),
+            ["event 2 has 0 attendees under lower bound 2"]
+        );
+        assert_eq!(plan.shortfall(&instance), vec![EventId(2)]);
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub fn eta_decrease(instance: &Instance, plan: &mut Plan, event: EventId) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{Event, TimeInterval, User, UtilityMatrix};
     use epplan_geo::Point;
 
@@ -99,7 +100,7 @@ mod tests {
         // u1 and u2 can now also attend e1 (no conflict, budget fine).
         assert!(plan.contains(UserId(1), EventId(1)));
         assert!(plan.contains(UserId(2), EventId(1)));
-        assert!(plan.validate(&instance).hard_ok());
+        assert!(certify(&instance, &plan).hard_ok());
     }
 
     #[test]

@@ -783,6 +783,7 @@ impl OpJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{User, UtilityMatrix};
     use crate::solver::{GepcSolver, GreedySolver};
 
@@ -855,8 +856,8 @@ mod tests {
         ];
         for op in ops {
             let out = planner.apply(&instance, &plan, &op);
-            let v = out.plan.validate(&out.instance);
-            assert!(v.hard_ok(), "op {op:?} broke the plan: {:?}", v.violations);
+            let v = certify(&out.instance, &out.plan);
+            assert!(v.hard_ok(), "op {op:?} broke the plan: {:?}", v.hard_violations);
         }
     }
 
@@ -940,7 +941,7 @@ mod tests {
         );
         assert!(!out.plan.contains(victim, EventId(1)));
         assert!(out.dif >= 1);
-        assert!(out.plan.validate(&out.instance).hard_ok());
+        assert!(certify(&out.instance, &out.plan).hard_ok());
     }
 
     #[test]
@@ -974,7 +975,7 @@ mod tests {
             },
         );
         assert!(out.plan.user_plan(u).is_empty());
-        assert!(out.plan.validate(&out.instance).hard_ok());
+        assert!(certify(&out.instance, &out.plan).hard_ok());
         assert_eq!(out.dif, plan.user_plan(u).len());
     }
 
@@ -1008,7 +1009,7 @@ mod tests {
         assert_eq!(batch.plan, cur);
         assert_eq!(batch.instance, inst);
         assert_eq!(batch.step_difs.len(), 3);
-        assert!(batch.plan.validate(&batch.instance).hard_ok());
+        assert!(certify(&batch.instance, &batch.plan).hard_ok());
         // Net dif never exceeds the sum of step difs.
         assert!(batch.net_dif <= batch.step_difs.iter().sum());
     }
@@ -1041,8 +1042,8 @@ mod tests {
                 new_fee: 5.0,
             },
         );
-        let v = out.plan.validate(&out.instance);
-        assert!(v.hard_ok(), "{:?}", v.violations);
+        let v = certify(&out.instance, &out.plan);
+        assert!(v.hard_ok(), "{:?}", v.hard_violations);
         // Every remaining attendee can still afford route + fee.
         for u in out.plan.attendees(e) {
             assert!(
@@ -1068,7 +1069,7 @@ mod tests {
         );
         assert_eq!(out.dif, 0);
         assert!(out.plan.attendance(EventId(2)) > 0, "refilled once affordable");
-        assert!(out.plan.validate(&out.instance).hard_ok());
+        assert!(certify(&out.instance, &out.plan).hard_ok());
     }
 
     #[test]
@@ -1175,7 +1176,7 @@ mod tests {
         let partial = err.partial.expect("prefix outcome travels as partial");
         // Only the first op was applied.
         assert_eq!(partial.step_difs.len(), 1);
-        assert!(partial.plan.validate(&partial.instance).hard_ok());
+        assert!(certify(&partial.instance, &partial.plan).hard_ok());
     }
 
     /// Every op kind, well-formed against the [`setup`] instance.

@@ -119,6 +119,7 @@ pub fn shed_to_budget(instance: &Instance, plan: &mut Plan, user: UserId) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{Event, InstanceBuilder, TimeInterval, User, UtilityMatrix};
     use epplan_geo::Point;
     use proptest::prelude::*;
@@ -344,7 +345,7 @@ mod tests {
         fn donor_pass_matches_per_event_sweep(seed in 0u64..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
             let (inst, start) = random_case(&mut rng);
-            prop_assert!(start.validate(&inst).hard_ok());
+            prop_assert!(certify(&inst, &start).hard_ok());
             for event in inst.event_ids() {
                 // Targets from 0 (already reached) past `η` (never reached).
                 let target = rng.gen_range(0..=inst.event(event).upper + 2);
@@ -355,7 +356,7 @@ mod tests {
                 prop_assert_eq!(&got.moved, &want.moved, "moved, seed {} event {}", seed, event);
                 prop_assert_eq!(got.reached, want.reached, "reached, seed {} event {}", seed, event);
                 prop_assert!(plan == expected, "plan differs, seed {} event {}", seed, event);
-                prop_assert!(plan.validate(&inst).hard_ok());
+                prop_assert!(certify(&inst, &plan).hard_ok());
             }
         }
     }

@@ -86,6 +86,7 @@ pub fn time_change(instance: &Instance, plan: &mut Plan, event: EventId) -> Time
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{Event, TimeInterval, User, UtilityMatrix};
     use epplan_geo::Point;
 
@@ -135,7 +136,7 @@ mod tests {
         assert!(out.reached);
         assert!(plan.contains(UserId(1), EventId(0)));
         assert!(plan.contains(UserId(0), EventId(1)), "u0 keeps e1");
-        assert!(plan.validate(&instance).hard_ok());
+        assert!(certify(&instance, &plan).hard_ok());
     }
 
     #[test]
@@ -161,7 +162,7 @@ mod tests {
         assert!(plan.contains(UserId(0), EventId(0)));
         assert!(!plan.contains(UserId(0), EventId(1)));
         assert!(plan.contains(UserId(1), EventId(1)));
-        assert!(plan.validate(&instance).hard_ok());
+        assert!(certify(&instance, &plan).hard_ok());
     }
 
     #[test]
@@ -186,7 +187,7 @@ mod tests {
         let out = time_change(&instance, &mut plan, EventId(0));
         assert!(out.removed.contains(&UserId(0)));
         assert!(!plan.contains(UserId(0), EventId(0)));
-        assert!(plan.validate(&instance).hard_ok());
+        assert!(certify(&instance, &plan).hard_ok());
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub fn xi_increase(instance: &Instance, plan: &mut Plan, event: EventId) -> Tran
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{Event, TimeInterval, User, UserId, UtilityMatrix};
     use epplan_geo::Point;
 
@@ -91,7 +92,7 @@ mod tests {
         // (60–119, no conflict, η=3 has room) via the filler — exactly
         // the paper's "check if the users can attend other events".
         assert!(plan.contains(UserId(0), EventId(1)));
-        assert!(plan.validate(&instance).hard_ok());
+        assert!(certify(&instance, &plan).hard_ok());
     }
 
     #[test]

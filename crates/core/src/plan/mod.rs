@@ -1,20 +1,18 @@
-//! Global plans and their validation/metrics.
+//! Global plans and their metrics.
 //!
 //! A global plan `P = {P_i : P_i ⊆ E}` assigns each user a set of
 //! events (Section II). [`Plan`] maintains the per-user sets and the
-//! per-event attendance counts `n_j`; [`Validation`] classifies every
-//! constraint violation of Definition 1; metrics (global utility,
-//! travel costs, the IEP negative impact [`dif`]) live alongside.
+//! per-event attendance counts `n_j`; metrics (global utility, travel
+//! costs, the IEP negative impact [`dif`]) live alongside. Checking a
+//! plan against Definition 1 is [`crate::certify`]'s job.
 
 mod itinerary;
 mod metrics;
 mod stats;
-mod validate;
 
 pub use itinerary::{all_itineraries, Itinerary, Stop};
 pub use metrics::dif;
 pub use stats::{user_utilities, PlanStatistics};
-pub use validate::{Validation, Violation};
 
 use crate::model::{EventId, Instance, UserId};
 use serde::{Content, DeError, Deserialize, Serialize};
@@ -283,12 +281,6 @@ impl Plan {
     /// One user's travel cost `D_i` under `instance`.
     pub fn travel_cost(&self, instance: &Instance, u: UserId) -> f64 {
         instance.travel_cost(u, self.user_plan(u))
-    }
-
-    /// Validates the plan against every GEPC constraint; see
-    /// [`Validation`].
-    pub fn validate(&self, instance: &Instance) -> Validation {
-        validate::validate(self, instance)
     }
 }
 

@@ -231,6 +231,7 @@ pub fn budget_repair(instance: &Instance, plan: &mut Plan) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{Event, TimeInterval, User, UtilityMatrix};
     use epplan_geo::Point;
 
@@ -261,7 +262,7 @@ mod tests {
         // removed and offered to u1 (0.8, highest among others).
         let raw = vec![vec![EventId(0), EventId(1)], vec![], vec![]];
         let plan = conflict_adjust(&inst, raw);
-        assert!(plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &plan).hard_ok());
         assert!(plan.contains(UserId(0), EventId(1)));
         assert!(plan.contains(UserId(1), EventId(0)));
     }
@@ -272,7 +273,7 @@ mod tests {
         // GAP assigned two copies of e2 to u0.
         let raw = vec![vec![EventId(2), EventId(2)], vec![], vec![]];
         let plan = conflict_adjust(&inst, raw);
-        assert!(plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &plan).hard_ok());
         assert_eq!(plan.attendance(EventId(2)), 2);
         assert!(plan.contains(UserId(0), EventId(2)));
         // The spare copy goes to u2 (0.5 > 0.4 of u1).
@@ -287,7 +288,7 @@ mod tests {
         inst.set_utility(UserId(2), EventId(0), 0.0);
         let raw = vec![vec![EventId(0), EventId(1)], vec![], vec![]];
         let plan = conflict_adjust(&inst, raw);
-        assert!(plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &plan).hard_ok());
         assert_eq!(plan.attendance(EventId(0)), 0);
         assert!(plan.contains(UserId(0), EventId(1)));
     }
@@ -302,7 +303,7 @@ mod tests {
             vec![],
         ];
         let plan = conflict_adjust(&inst, raw);
-        assert!(plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &plan).hard_ok());
         // e0 (utility 0.5 < 0.9) leaves u0; u1 blocked (has e1);
         // u2 takes it.
         assert!(plan.contains(UserId(2), EventId(0)));
@@ -315,7 +316,7 @@ mod tests {
         // multiset beyond the user count: all tolerated.
         let raw = vec![vec![EventId(0), EventId(99)]];
         let plan = conflict_adjust(&inst, raw);
-        assert!(plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &plan).hard_ok());
         assert!(plan.contains(UserId(0), EventId(0)));
         assert_eq!(plan.attendance(EventId(0)), 1);
 
@@ -349,7 +350,7 @@ mod tests {
         instance.set_utility(UserId(1), EventId(2), 0.0);
         instance.set_utility(UserId(2), EventId(2), 0.0);
         let dropped = budget_repair(&instance, &mut plan);
-        assert!(plan.validate(&instance).hard_ok());
+        assert!(certify(&instance, &plan).hard_ok());
         // e2 has utility 0.3 < 0.5 → removed first; nobody takes it.
         assert_eq!(dropped, 1);
         assert!(plan.contains(UserId(0), EventId(0)));
@@ -367,7 +368,7 @@ mod tests {
         assert_eq!(dropped, 0);
         // e2 moved to another user (u2 has 0.5 ≥ u1's 0.4).
         assert!(plan.contains(UserId(2), EventId(2)));
-        assert!(plan.validate(&instance).hard_ok());
+        assert!(certify(&instance, &plan).hard_ok());
     }
 
     #[test]

@@ -232,6 +232,7 @@ impl GepcSolver for ExactSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{Event, TimeInterval, User, UtilityMatrix};
     use epplan_geo::Point;
 
@@ -262,7 +263,8 @@ mod tests {
         // = 1.9 → 2.0.
         assert!((sol.utility - 2.0).abs() < 1e-9);
         assert!(sol.fully_feasible());
-        assert!(sol.plan.validate(&instance).is_feasible());
+        let cert = certify(&instance, &sol.plan);
+        assert!(cert.hard_ok() && cert.soft_violations.is_empty(), "{cert}");
     }
 
     #[test]
@@ -350,7 +352,8 @@ mod tests {
         let sol = ExactSolver::default()
             .try_solve(&instance, SolveBudget::UNLIMITED)
             .unwrap();
-        assert!(sol.plan.validate(&instance).is_feasible());
+        let cert = certify(&instance, &sol.plan);
+        assert!(cert.hard_ok() && cert.soft_violations.is_empty(), "{cert}");
         // u0 can only do e0; u1 must pick one of e0/e1 (conflict).
         for u in instance.user_ids() {
             assert!(sol.plan.user_plan(u).len() <= 1 || u == UserId(1));

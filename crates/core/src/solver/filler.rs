@@ -321,6 +321,7 @@ fn pop_max(arena: &mut [Candidate], lo: usize, hi: &mut usize) -> Option<Candida
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{Event, TimeInterval, User, UtilityMatrix};
     use epplan_geo::Point;
 
@@ -353,7 +354,7 @@ mod tests {
         assert_eq!(added, 5);
         assert!(plan.contains(UserId(1), EventId(2)));
         assert!(!plan.contains(UserId(0), EventId(2)));
-        assert!(plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &plan).hard_ok());
     }
 
     #[test]
@@ -393,7 +394,7 @@ mod tests {
         fill_to_upper(&inst, &mut plan, Some(&[UserId(0)]));
         // Greedy adds e0 (μ=.9, cost 2 ≤ 4); then e1 alone would cost 4
         // but combined route 1+1+2 = 4 ≤ 4 → allowed; e2 pushes beyond.
-        let v = plan.validate(&inst);
+        let v = certify(&inst, &plan);
         assert!(v.hard_ok());
         assert!(plan.travel_cost(&inst, UserId(0)) <= 4.0 + 1e-9);
     }
@@ -446,7 +447,7 @@ mod tests {
         let err = try_fill_to_upper(&inst, &mut plan, None, &flag);
         assert_eq!(err, Err(DeadlineExceeded));
         // Whatever prefix landed before the trip is still hard-feasible.
-        assert!(plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &plan).hard_ok());
         // Restricted mode polls too.
         let err = try_fill_to_upper(&inst, &mut plan, Some(&[UserId(0)]), &flag);
         assert_eq!(err, Err(DeadlineExceeded));

@@ -59,10 +59,11 @@ pub struct GapBasedSolver {
     pub gap: GapConfig,
     /// Run step 2 (capacity filler) after ξ-GEPC.
     pub two_step: bool,
-    /// Independently certify every tier's plan (see [`crate::certify`])
-    /// and escalate to the next fallback tier when certification
-    /// rejects one. The winning tier's [`Certificate`] is attached to
-    /// the report.
+    /// Independently certify the GAP tier's plan (see
+    /// [`crate::certify`]) and escalate to the fallback tiers when
+    /// certification rejects it, attaching the winning tier's
+    /// [`Certificate`] to the report. The greedy fallback is certified
+    /// either way.
     pub certify: bool,
 }
 
@@ -86,7 +87,8 @@ impl GapBasedSolver {
         }
     }
 
-    /// Toggles independent certification of every tier's plan.
+    /// Toggles independent certification of the GAP tier's plan and
+    /// the attached certificate (see [`GapBasedSolver::certify`]).
     pub fn with_certify(mut self, certify: bool) -> Self {
         self.certify = certify;
         self
@@ -279,8 +281,8 @@ impl GapBasedSolver {
     ///
     /// Carries the `core.greedy.fallback` fault site: `PoisonValue`
     /// deterministically corrupts the greedy plan (every user piled
-    /// onto every event) so validation — or certification — must catch
-    /// it; any other action fails the greedy tier typed.
+    /// onto every event) so certification must catch it; any other
+    /// action fails the greedy tier typed.
     fn fallback_tiers(
         &self,
         instance: &Instance,
@@ -318,25 +320,20 @@ impl GapBasedSolver {
             }
         }
 
+        // The fallback is always certified; `self.certify` only decides
+        // whether the certificate rides on the report.
         let mut certificate = None;
         if greedy_failure.is_none() {
-            if self.certify {
-                let cert = crate::certify::certify(instance, &fallback.plan);
-                if cert.hard_ok() {
-                    certificate = Some(cert);
-                } else {
-                    greedy_failure = Some((
-                        FailureKind::NumericalInstability,
-                        format!(
-                            "certification rejected the greedy fallback: {}",
-                            cert.violated_constraints().join(", ")
-                        ),
-                    ));
-                }
-            } else if !fallback.plan.validate(instance).hard_ok() {
+            let cert = crate::certify::certify(instance, &fallback.plan);
+            if cert.hard_ok() {
+                certificate = self.certify.then_some(cert);
+            } else {
                 greedy_failure = Some((
                     FailureKind::NumericalInstability,
-                    "greedy fallback produced a hard-infeasible plan".to_string(),
+                    format!(
+                        "certification rejected the greedy fallback: {}",
+                        cert.violated_constraints().join(", ")
+                    ),
                 ));
             }
         }
@@ -373,12 +370,12 @@ impl GepcSolver for GapBasedSolver {
     /// The degradation chain of the GEPC facade: GAP-based solve first;
     /// on any failure (budget exhaustion, numerical trouble, bad GAP
     /// reduction) fall back to the total [`GreedySolver`]; if even the
-    /// greedy plan fails hard validation, degrade to an empty (trivially
+    /// greedy plan fails certification, degrade to an empty (trivially
     /// hard-feasible) plan. The chain of attempts is recorded in the
     /// returned solution's [`SolveReport`].
     ///
     /// Failures still surface as `Err` with the *original* failure kind,
-    /// but the error always carries the validated fallback solution in
+    /// but the error always carries the certified fallback solution in
     /// [`SolveError::partial`], so callers choose between strictness and
     /// graceful degradation.
     fn try_solve(
@@ -460,6 +457,7 @@ impl GepcSolver for GapBasedSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{Event, TimeInterval, User, UserId, UtilityMatrix};
     use epplan_geo::Point;
 
@@ -485,7 +483,7 @@ mod tests {
     fn produces_hard_feasible_plan() {
         let inst = small();
         let sol = GapBasedSolver::default().solve(&inst);
-        assert!(sol.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &sol.plan).hard_ok());
     }
 
     #[test]
@@ -547,7 +545,7 @@ mod tests {
         inst.set_utility(UserId(1), EventId(0), 0.0);
         inst.set_utility(UserId(2), EventId(0), 0.0);
         let sol = GapBasedSolver::default().solve(&inst);
-        assert!(sol.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &sol.plan).hard_ok());
         assert!(sol.shortfall.contains(&EventId(0)));
     }
 
@@ -578,7 +576,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, epplan_solve::FailureKind::BudgetExhausted);
         let fallback = err.partial.expect("fallback plan travels as partial");
-        assert!(fallback.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &fallback.plan).hard_ok());
         // The degradation chain is on record: gap_based failed, the
         // greedy fallback won.
         assert!(fallback.report.degraded());
@@ -602,7 +600,7 @@ mod tests {
         // The trait entry point stays total: the internal budget blows
         // up the GAP pipeline, the greedy fallback takes over.
         let sol = solver.solve(&inst);
-        assert!(sol.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &sol.plan).hard_ok());
         assert!(sol.report.degraded());
     }
 

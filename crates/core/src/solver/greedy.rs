@@ -181,6 +181,7 @@ impl GepcSolver for GreedySolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{Event, EventId, TimeInterval, User, UserId, UtilityMatrix};
     use epplan_geo::Point;
 
@@ -204,7 +205,7 @@ mod tests {
         let inst = small();
         let sol = GreedySolver::seeded(1).solve(&inst);
         assert!(sol.fully_feasible(), "shortfall: {:?}", sol.shortfall);
-        assert!(sol.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &sol.plan).hard_ok());
         for e in inst.event_ids() {
             assert!(sol.plan.attendance(e) >= inst.event(e).lower);
         }
@@ -253,7 +254,7 @@ mod tests {
         inst.set_budget(UserId(0), 2.0); // can reach e0 (round trip 2) only
         inst.set_budget(UserId(1), 0.0);
         let sol = GreedySolver::seeded(5).solve(&inst);
-        assert!(sol.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &sol.plan).hard_ok());
         assert!(sol.plan.user_plan(UserId(1)).is_empty());
     }
 
@@ -262,7 +263,7 @@ mod tests {
         let mut inst = small();
         inst.set_event_time(EventId(1), TimeInterval::new(0, 59));
         let sol = GreedySolver::seeded(2).solve(&inst);
-        assert!(sol.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &sol.plan).hard_ok());
         for u in inst.user_ids() {
             assert!(sol.plan.user_plan(u).len() <= 1);
         }

@@ -207,6 +207,7 @@ impl GepcSolver for LnsSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify;
     use crate::model::{InstanceBuilder, TimeInterval};
     use epplan_geo::Point;
 
@@ -247,8 +248,8 @@ mod tests {
         for seed in 0..4 {
             let inst = random_instance(seed, 25, 7);
             let sol = LnsSolver::seeded(seed).solve(&inst);
-            let v = sol.plan.validate(&inst);
-            assert!(v.hard_ok(), "seed {seed}: {:?}", v.violations);
+            let v = certify(&inst, &sol.plan);
+            assert!(v.hard_ok(), "seed {seed}: {:?}", v.hard_violations);
         }
     }
 
@@ -303,7 +304,7 @@ mod tests {
         assert_eq!(err.kind, FailureKind::BudgetExhausted);
         let partial = err.partial.expect("best-so-far travels as the partial");
         // The partial is the greedy seed (or better) and hard-feasible.
-        assert!(partial.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &partial.plan).hard_ok());
         let greedy = GreedySolver::seeded(4).solve(&inst);
         assert!(partial.utility >= greedy.utility - 1e-9);
     }
@@ -315,7 +316,7 @@ mod tests {
             .try_solve(&inst, SolveBudget::from_iteration_cap(3))
             .unwrap_err();
         assert_eq!(err.kind, FailureKind::BudgetExhausted);
-        assert!(err.partial.unwrap().plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &err.partial.unwrap().plan).hard_ok());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! Utilities are quantized to quarters so that ties are common and the
 //! `(user, event)` tie-breaks decide the order.
 
+use epplan_core::certify::certify;
 use epplan_core::model::{Event, EventId, Instance, InstanceBuilder, TimeInterval, UserId};
 use epplan_core::plan::Plan;
 use epplan_core::solver::filler::{fill_event, fill_to_upper};
@@ -187,7 +188,7 @@ proptest! {
     fn filler_matches_single_heap_oracle(seed in 0u64..u64::MAX) {
         let probe = instance(seed);
         let start = prefilled_plan(&probe, seed);
-        prop_assert!(start.validate(&probe).hard_ok());
+        prop_assert!(certify(&probe, &start).hard_ok());
         let users = user_list(&probe, seed);
 
         let mut expected = start.clone();
@@ -202,7 +203,7 @@ proptest! {
             let added = fill_to_upper(&inst, &mut plan, users.as_deref());
             prop_assert_eq!(added, expected_added, "add count, seed {} threads {}", seed, threads);
             prop_assert!(plan == expected, "plan differs from the oracle, seed {} threads {}", seed, threads);
-            prop_assert!(plan.validate(&inst).hard_ok());
+            prop_assert!(certify(&inst, &plan).hard_ok());
         }
     }
 
@@ -217,7 +218,7 @@ proptest! {
             let added = fill_event(&inst, &mut plan, event);
             prop_assert_eq!(added, expected_added, "add count, seed {} event {}", seed, event);
             prop_assert!(plan == expected, "plan differs from the oracle, seed {} event {}", seed, event);
-            prop_assert!(plan.validate(&inst).hard_ok());
+            prop_assert!(certify(&inst, &plan).hard_ok());
         }
     }
 }

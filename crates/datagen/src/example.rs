@@ -62,6 +62,7 @@ pub fn paper_example() -> Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epplan_core::certify::certify;
     use epplan_core::model::{EventId, UserId};
     use epplan_core::plan::Plan;
 
@@ -99,8 +100,8 @@ mod tests {
         plan.add(UserId(3), EventId(2));
         plan.add(UserId(3), EventId(3));
         plan.add(UserId(4), EventId(3));
-        let v = plan.validate(&inst);
-        assert!(v.is_feasible(), "violations: {:?}", v.violations);
+        let v = certify(&inst, &plan);
+        assert!(v.hard_ok() && v.soft_violations.is_empty(), "{v}");
         assert!((plan.total_utility(&inst) - 6.3).abs() < 1e-9);
     }
 

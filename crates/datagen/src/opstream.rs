@@ -379,6 +379,7 @@ impl BurstSpec {
 mod tests {
     use super::*;
     use crate::{generate, GeneratorConfig};
+    use epplan_core::certify::certify;
     use epplan_core::incremental::IncrementalPlanner;
     use epplan_core::solver::{GepcSolver, GreedySolver};
 
@@ -456,7 +457,7 @@ mod tests {
         let out = IncrementalPlanner
             .try_apply_batch(&inst, &plan, &ops)
             .unwrap();
-        assert!(out.plan.validate(&out.instance).hard_ok());
+        assert!(certify(&out.instance, &out.plan).hard_ok());
         assert_eq!(out.step_difs.len(), 15);
     }
 

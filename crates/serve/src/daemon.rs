@@ -241,9 +241,6 @@ impl Daemon {
             })?;
             daemon.write_snapshot()?; // the base image and a fresh WAL
         }
-        // Warm the candidate-list cache so the first op's repair pays
-        // the O(candidates) build here, not inside its latency budget.
-        let _ = daemon.instance.candidates();
         daemon.publish_gauges();
         Ok(daemon)
     }
@@ -322,9 +319,6 @@ impl Daemon {
             )));
         }
         daemon.tally = tally;
-        // Warm the candidate-list cache before the WAL replay: replayed
-        // ops repair and certify through the same paths as live ones.
-        let _ = daemon.instance.candidates();
         // Only the final record may lack an outcome (crash mid-op).
         let n_logged = logged.len();
         let mut tail: Option<(SequencedOp, u32)> = None;

@@ -4,8 +4,8 @@
 //! incremental plan) is exactly the artifact most likely to silently
 //! violate the paper's feasibility constraints (§II): the code paths
 //! that produced it are the least-travelled ones. This module is the
-//! "verify-then-trust" half of the robustness story — a checker that
-//! shares **no code** with the solvers or with `Plan::validate`, and
+//! "verify-then-trust" half of the robustness story, and the one GEPC
+//! constraint checker: it shares **no code** with the solvers and
 //! recomputes everything (attendance, travel costs, the global utility
 //! `U_P`, the IEP `dif(P, P′)`) from the raw assignment lists.
 //!
@@ -31,8 +31,8 @@
 //! | `invalid-assignment`   | assigned event/user ids are in range        |
 //!
 //! Optimality is certified separately where the math gives a cheap
-//! certificate ([`OptimalityCert`]): dual feasibility at simplex exit
-//! and the LP-relaxation lower bound for the GAP rounding pipeline.
+//! certificate ([`OptimalityCert`]): the LP-relaxation lower bound for
+//! the GAP rounding pipeline.
 
 use std::fmt;
 
@@ -102,13 +102,6 @@ impl fmt::Display for CertViolation {
 /// A cheap optimality certificate attached when the math provides one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptimalityCert {
-    /// Simplex exited with every reduced cost non-negative (re-scanned
-    /// after the fact): the primal solution is provably optimal for
-    /// the LP.
-    LpDualFeasible {
-        /// The certified objective value.
-        objective: f64,
-    },
     /// The GAP rounding achieved `achieved` against the LP-relaxation
     /// lower bound `bound` — certifies the approximation gap, not
     /// optimality.
@@ -124,9 +117,6 @@ pub enum OptimalityCert {
 impl fmt::Display for OptimalityCert {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OptimalityCert::LpDualFeasible { objective } => {
-                write!(f, "lp dual-feasible (objective {objective:.6})")
-            }
             OptimalityCert::LpLowerBound { bound, achieved } => {
                 write!(f, "lp lower bound {bound:.6} ≤ achieved {achieved:.6}")
             }
@@ -647,7 +637,6 @@ mod tests {
     #[test]
     fn optimality_certs_render() {
         let mut cert = certify_plan(&TestView::feasible(), None);
-        cert.optimality.push(OptimalityCert::LpDualFeasible { objective: 1.0 });
         cert.optimality.push(OptimalityCert::LpLowerBound {
             bound: 1.0,
             achieved: 1.5,

@@ -39,7 +39,7 @@ fn main() {
         let start = Instant::now();
         let sol = solver.solve(&instance);
         let secs = start.elapsed().as_secs_f64();
-        let v = sol.plan.validate(&instance);
+        let v = certify(&instance, &sol.plan);
         assert!(v.hard_ok());
 
         let attending: usize = instance

@@ -106,7 +106,7 @@ fn main() {
             rerun_time,
             (rerun_time / inc_time.max(1e-9)).round()
         );
-        assert!(outcome.plan.validate(&outcome.instance).hard_ok());
+        assert!(certify(&outcome.instance, &outcome.plan).hard_ok());
 
         instance = outcome.instance;
         plan = outcome.plan;
@@ -143,6 +143,6 @@ fn main() {
         outcome.utility,
         outcome.shortfall.len()
     );
-    assert!(outcome.plan.validate(&outcome.instance).hard_ok());
+    assert!(certify(&outcome.instance, &outcome.plan).hard_ok());
     println!("  plan still satisfies every hard constraint.");
 }

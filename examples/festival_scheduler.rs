@@ -110,7 +110,7 @@ fn main() {
     // --- GEPC: lower bounds enforced -------------------------------
     let gepc = GreedySolver::seeded(5).solve(&instance);
     report(&instance, "GEPC (minimums planned for)", &gepc.plan);
-    assert!(gepc.plan.validate(&instance).hard_ok());
+    assert!(certify(&instance, &gepc.plan).hard_ok());
 
     let (gep_real, _) = realized_utility(&instance, &gep.plan);
     let (gepc_real, _) = realized_utility(&instance, &gepc.plan);

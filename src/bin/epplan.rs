@@ -74,7 +74,8 @@
 //! | 2    | `usage`            | bad flags / unknown subcommand             |
 //! | 3    | `io`               | file unreadable or unwritable              |
 //! | 4    | `parse`            | malformed JSON in an input file            |
-//! | 5    | `invalid-instance` | instance fails strict model validation     |
+//! | 5    | `invalid-instance` | instance fails strict model validation, or |
+//! |      |                    | a plan file does not fit its instance      |
 //! | 6    | `infeasible`       | plan violates hard constraints / no plan   |
 //! | 7    | `budget-exhausted` | solve budget ran out (partial plan saved)  |
 
@@ -83,6 +84,7 @@ use epplan::core::plan::Plan;
 use epplan::core::solver::{FailureKind, SolveBudget};
 use epplan::datagen::{generate, City, GeneratorConfig};
 use epplan::prelude::*;
+use epplan::solve::Certificate;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::Path;
@@ -310,14 +312,28 @@ fn load_instance(flags: &HashMap<String, String>) -> Instance {
     instance
 }
 
-fn load_plan(flags: &HashMap<String, String>) -> Plan {
+/// Reads `--plan` and checks it against `instance`: deserialization
+/// bypasses every `Plan` invariant, so a plan shaped for another
+/// instance, listing an event twice or miscounting attendance is
+/// rejected here rather than panicking later.
+fn load_plan(flags: &HashMap<String, String>, instance: &Instance) -> Plan {
     let path = flags
         .get("plan")
         .unwrap_or_else(|| fail(FailClass::Usage, "--plan <file> is required"));
     let data = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(FailClass::Io, &format!("cannot read plan {path}: {e}")));
-    serde_json::from_str(&data)
-        .unwrap_or_else(|e| fail(FailClass::Parse, &format!("cannot parse plan {path}: {e}")))
+    let plan: Plan = serde_json::from_str(&data)
+        .unwrap_or_else(|e| fail(FailClass::Parse, &format!("cannot parse plan {path}: {e}")));
+    if !plan.is_consistent(instance) {
+        fail(
+            FailClass::InvalidInstance,
+            &format!(
+                "invalid plan {path}: it does not fit the instance, lists an event twice \
+                 or miscounts attendance"
+            ),
+        );
+    }
+    plan
 }
 
 fn to_json<T: serde::Serialize>(value: &T, pretty: bool) -> String {
@@ -333,18 +349,28 @@ fn write_json<T: serde::Serialize>(value: &T, path: &str) {
     let json = to_json(value, true);
     std::fs::write(path, json)
         .unwrap_or_else(|e| fail(FailClass::Io, &format!("cannot write {path}: {e}")));
-    println!("wrote {path}");
+    eprintln!("wrote {path}");
 }
 
-fn summarize(instance: &Instance, plan: &Plan) {
-    let v = plan.validate(instance);
+/// The certificate of a solve's plan: the one its report carries, else
+/// a fresh check, so each path certifies a plan once.
+fn certificate_of(instance: &Instance, solution: &Solution) -> Certificate {
+    solution
+        .report
+        .certificate
+        .clone()
+        .unwrap_or_else(|| certify(instance, &solution.plan))
+}
+
+/// Prints the plan summary; `cert` is `plan`'s certificate.
+fn summarize(instance: &Instance, plan: &Plan, cert: &Certificate) {
     println!("utility        : {:.3}", plan.total_utility(instance));
     println!("assignments    : {}", plan.total_assignments());
     println!(
         "hard-feasible  : {}",
-        if v.hard_ok() { "yes" } else { "NO" }
+        if cert.hard_ok() { "yes" } else { "NO" }
     );
-    let shortfalls = v.shortfall_events();
+    let shortfalls = plan.shortfall(instance);
     println!(
         "events below xi: {}{}",
         shortfalls.len(),
@@ -525,14 +551,12 @@ fn cmd_solve(flags: HashMap<String, String>) {
                 e.message,
                 partial.report
             );
+            let cert = certificate_of(&instance, &partial);
             if certify {
-                let cert = partial.report.certificate.clone().unwrap_or_else(|| {
-                    epplan::core::certify::certify(&instance, &partial.plan)
-                });
                 println!("certificate    : {cert}");
             }
             finish_obs(&obs);
-            summarize(&instance, &partial.plan);
+            summarize(&instance, &partial.plan, &cert);
             if let Some(path) = flags.get("out") {
                 write_json(&partial.plan, path);
             }
@@ -547,15 +571,11 @@ fn cmd_solve(flags: HashMap<String, String>) {
     if !solution.report.attempts.is_empty() {
         println!("solve chain    : {}", solution.report);
     }
+    // The gap solver certifies tier-internally with --certify (the
+    // certificate rides on the report); other plans are checked here.
+    // Either way a --certify run never exits 0 on an uncertified plan.
+    let cert = certificate_of(&instance, &solution);
     if certify {
-        // The gap solver certifies tier-internally (the certificate
-        // rides on the report); other solvers are checked here. Either
-        // way an uncertified plan never exits 0.
-        let cert = solution
-            .report
-            .certificate
-            .clone()
-            .unwrap_or_else(|| epplan::core::certify::certify(&instance, &solution.plan));
         println!("certificate    : {cert}");
         if !cert.hard_ok() {
             finish_obs(&obs);
@@ -565,7 +585,7 @@ fn cmd_solve(flags: HashMap<String, String>) {
             );
         }
     }
-    summarize(&instance, &solution.plan);
+    summarize(&instance, &solution.plan, &cert);
     if flags.contains_key("stats") {
         println!("\n{}", epplan::core::plan::PlanStatistics::of(&instance, &solution.plan));
         let hist =
@@ -580,23 +600,23 @@ fn cmd_solve(flags: HashMap<String, String>) {
 
 fn cmd_validate(flags: HashMap<String, String>) {
     let instance = load_instance(&flags);
-    let plan = load_plan(&flags);
-    summarize(&instance, &plan);
-    let v = plan.validate(&instance);
-    for violation in &v.violations {
-        println!("  {violation:?}");
+    let plan = load_plan(&flags, &instance);
+    let cert = certify(&instance, &plan);
+    summarize(&instance, &plan, &cert);
+    for violation in cert.hard_violations.iter().chain(&cert.soft_violations) {
+        println!("  {violation}");
     }
-    if !v.hard_ok() {
+    if !cert.hard_ok() {
         fail(
             FailClass::Infeasible,
-            &format!("plan violates {} hard constraint(s)", v.violations.len()),
+            &format!("plan violates {} hard constraint(s)", cert.hard_violations.len()),
         );
     }
 }
 
 fn cmd_apply(flags: HashMap<String, String>) {
     let instance = load_instance(&flags);
-    let plan = load_plan(&flags);
+    let plan = load_plan(&flags, &instance);
     let ops_path = flags
         .get("ops")
         .unwrap_or_else(|| fail(FailClass::Usage, "--ops <file> is required"));
@@ -614,7 +634,11 @@ fn cmd_apply(flags: HashMap<String, String>) {
     };
     println!("step difs      : {:?}", outcome.step_difs);
     println!("net dif        : {}", outcome.net_dif);
-    summarize(&outcome.instance, &outcome.plan);
+    summarize(
+        &outcome.instance,
+        &outcome.plan,
+        &certify(&outcome.instance, &outcome.plan),
+    );
     if let Some(path) = flags.get("out-instance") {
         write_json(&outcome.instance, path);
     }
@@ -627,7 +651,7 @@ fn cmd_example(flags: HashMap<String, String>) {
     let instance = epplan::datagen::paper_example();
     println!("the paper's Example 1: 5 users, 4 events");
     let solution = ExactSolver::default().solve(&instance);
-    summarize(&instance, &solution.plan);
+    summarize(&instance, &solution.plan, &certificate_of(&instance, &solution));
     if let Some(path) = flags.get("out") {
         epplan::datagen::save_instance(&instance, Path::new(path))
             .unwrap_or_else(|e| fail(FailClass::Io, &format!("cannot write {path}: {e}")));

@@ -20,7 +20,7 @@
 //! let instance = epplan::datagen::paper_example();
 //! let solver = GreedySolver::seeded(42);
 //! let solution = solver.solve(&instance);
-//! assert!(solution.plan.validate(&instance).hard_ok());
+//! assert!(certify(&instance, &solution.plan).hard_ok());
 //! ```
 
 // Solver-adjacent code must not panic (uniform workspace gate; the
@@ -45,8 +45,9 @@ pub mod prelude {
     pub use epplan_core::incremental::{
         AtomicOp, BatchOutcome, IncrementalOutcome, IncrementalPlanner,
     };
+    pub use epplan_core::certify::certify;
     pub use epplan_core::model::{Event, EventId, Instance, TimeInterval, User, UserId};
-    pub use epplan_core::plan::{Plan, Validation};
+    pub use epplan_core::plan::Plan;
     pub use epplan_core::solver::{
         ExactSolver, GapBasedSolver, GepcSolver, GreedySolver, Solution,
     };

@@ -161,7 +161,7 @@ fn flow_fault_during_rounding_lands_in_greedy_fallback_with_stages() {
         .as_ref()
         .expect("certificate requested");
     assert!(cert.hard_ok());
-    assert!(fallback.plan.validate(&inst).hard_ok());
+    assert!(certify(&inst, &fallback.plan).hard_ok());
 }
 
 #[test]
@@ -186,7 +186,7 @@ fn poison_escapes_without_certification_but_not_with_it() {
             .try_solve(&inst, SolveBudget::UNLIMITED)
             .unwrap_or_else(|e| panic!("uncertified poison run failed outright: {}", e.message));
         assert!(
-            !sol.plan.validate(&inst).hard_ok(),
+            !certify(&inst, &sol.plan).hard_ok(),
             "this instance must actually corrupt under the poison, or the certify case tests nothing"
         );
     }
@@ -206,7 +206,7 @@ fn poison_escapes_without_certification_but_not_with_it() {
         );
         let fallback = err.partial.expect("fallback plan travels as partial");
         assert_eq!(fallback.report.winner(), Some("greedy"));
-        assert!(fallback.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &fallback.plan).hard_ok());
         let cert = fallback.report.certificate.as_ref().expect("certificate");
         assert!(cert.hard_ok());
     }

@@ -2,8 +2,8 @@
 //! validate → apply, all through real process invocations and JSON
 //! files.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_epplan"))
@@ -198,24 +198,118 @@ fn infeasible_plan_validation_exits_6() {
     let inst = dir.join("inst.json");
     let plan = dir.join("plan.json");
     // One user, one event the user cannot attend (zero utility), but a
-    // plan that assigns it anyway.
+    // plan that assigns it anyway; a second event nobody attends falls
+    // short of its ξ = 1, which is soft.
     std::fs::write(
         &inst,
         r#"{"users":[{"location":{"x":0.0,"y":0.0},"budget":10.0}],
             "events":[{"location":{"x":1.0,"y":0.0},"lower":0,"upper":1,
-                       "time":{"start":0,"end":60},"fee":0.0}],
-            "utilities":{"n_users":1,"n_events":1,"values":[0.0]}}"#,
+                       "time":{"start":0,"end":60},"fee":0.0},
+                      {"location":{"x":1.0,"y":0.0},"lower":1,"upper":1,
+                       "time":{"start":90,"end":120},"fee":0.0}],
+            "utilities":{"n_users":1,"n_events":2,"values":[0.0,0.5]}}"#,
     )
     .unwrap();
-    std::fs::write(&plan, r#"{"assignments":[[0]],"attendance":[1]}"#).unwrap();
+    std::fs::write(&plan, r#"{"assignments":[[0]],"attendance":[1,0]}"#).unwrap();
     let out = bin()
         .args(["validate", "--instance", inst.to_str().unwrap()])
         .args(["--plan", plan.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(6), "{}", String::from_utf8_lossy(&out.stderr));
-    let (class, _) = parse_error_object(&out.stderr);
+    let (class, line) = parse_error_object(&out.stderr);
     assert_eq!(class, "infeasible");
+    assert!(line.contains("plan violates 1 hard constraint(s)"), "{line}");
+    // Every finding is printed as its certificate line, soft ones too.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("hard-feasible  : NO"), "{stdout}");
+    assert!(
+        stdout.contains("  zero-utility: user 0 assigned to event 0 with utility 0\n"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("  xi-lower-bound: event 1 has 0 attendees under lower bound 1\n"),
+        "{stdout}"
+    );
+}
+
+/// Generates an instance and solves a greedy plan for it, returning
+/// their paths.
+fn solved(dir: &Path, tag: &str, users: &str, events: &str, seed: &str) -> (PathBuf, PathBuf) {
+    let inst = dir.join(format!("inst-{tag}.json"));
+    let plan = dir.join(format!("plan-{tag}.json"));
+    let out = bin()
+        .args(["generate", "--users", users, "--events", events, "--seed", seed])
+        .args(["--out", inst.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = bin()
+        .args(["solve", "--instance", inst.to_str().unwrap()])
+        .args(["--out", plan.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    (inst, plan)
+}
+
+/// Asserts `out` is the invalid-plan failure: exit 5 with the typed
+/// JSON error object naming the plan file.
+fn assert_invalid_plan(out: &Output, plan: &Path) {
+    assert_eq!(out.status.code(), Some(5), "{}", String::from_utf8_lossy(&out.stderr));
+    let (class, line) = parse_error_object(&out.stderr);
+    assert_eq!(class, "invalid-instance");
+    assert!(line.contains("invalid plan"), "{line}");
+    assert!(line.contains(plan.file_name().unwrap().to_str().unwrap()), "{line}");
+}
+
+#[test]
+fn validate_rejects_a_plan_that_does_not_fit_with_exit_5() {
+    let dir = tmp_dir("validate-misfit");
+    let (_, plan) = solved(&dir, "a", "20", "5", "1");
+    let (other, _) = solved(&dir, "b", "30", "6", "2");
+    let out = bin()
+        .args(["validate", "--instance", other.to_str().unwrap()])
+        .args(["--plan", plan.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_invalid_plan(&out, &plan);
+
+    // A plan listing one event twice for a user is malformed, not a
+    // time conflict of the event with itself.
+    let inst = dir.join("one.json");
+    let twice = dir.join("twice.json");
+    std::fs::write(
+        &inst,
+        r#"{"users":[{"location":{"x":0.0,"y":0.0},"budget":10.0}],
+            "events":[{"location":{"x":1.0,"y":0.0},"lower":0,"upper":2,
+                       "time":{"start":0,"end":60},"fee":0.0}],
+            "utilities":{"n_users":1,"n_events":1,"values":[0.5]}}"#,
+    )
+    .unwrap();
+    std::fs::write(&twice, r#"{"assignments":[[0,0]],"attendance":[2]}"#).unwrap();
+    let out = bin()
+        .args(["validate", "--instance", inst.to_str().unwrap()])
+        .args(["--plan", twice.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_invalid_plan(&out, &twice);
+}
+
+#[test]
+fn apply_rejects_a_plan_that_does_not_fit_with_exit_5() {
+    let dir = tmp_dir("apply-misfit");
+    let (_, plan) = solved(&dir, "a", "20", "5", "1");
+    let (other, _) = solved(&dir, "b", "30", "6", "2");
+    let ops = dir.join("ops.json");
+    std::fs::write(&ops, "[]").unwrap();
+    let out = bin()
+        .args(["apply", "--instance", other.to_str().unwrap()])
+        .args(["--plan", plan.to_str().unwrap()])
+        .args(["--ops", ops.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_invalid_plan(&out, &plan);
 }
 
 #[test]

@@ -27,12 +27,12 @@ fn both_solvers_produce_hard_feasible_plans() {
             Box::new(GapBasedSolver::default()),
         ] {
             let sol = solver.solve(&inst);
-            let v = sol.plan.validate(&inst);
+            let v = certify(&inst, &sol.plan);
             assert!(
                 v.hard_ok(),
                 "{} seed {seed}: {:?}",
                 solver.name(),
-                v.violations
+                v.hard_violations
             );
         }
     }
@@ -42,8 +42,10 @@ fn both_solvers_produce_hard_feasible_plans() {
 fn solution_shortfall_matches_validation() {
     let inst = generate(&small_cfg(3));
     let sol = GreedySolver::seeded(0).solve(&inst);
-    let v = sol.plan.validate(&inst);
-    assert_eq!(sol.shortfall, v.shortfall_events());
+    let v = certify(&inst, &sol.plan);
+    assert_eq!(sol.shortfall, sol.plan.shortfall(&inst));
+    // The certifier recounts attendance: one ξ finding per short event.
+    assert_eq!(v.soft_violations.len(), sol.shortfall.len());
 }
 
 #[test]
@@ -137,7 +139,7 @@ fn city_preset_roundtrip_through_solver() {
     // Beijing-sized end-to-end smoke test (113 × 16, Table IV).
     let inst = City::Beijing.instance();
     let sol = GreedySolver::seeded(2).solve(&inst);
-    assert!(sol.plan.validate(&inst).hard_ok());
+    assert!(certify(&inst, &sol.plan).hard_ok());
     assert!(sol.utility > 0.0);
 }
 
@@ -179,9 +181,9 @@ fn zero_utility_assignments_never_made() {
 fn lp_lower_bound(sol: &Solution) -> Option<(f64, f64)> {
     use epplan::solve::OptimalityCert;
     let cert = sol.report.certificate.as_ref()?;
-    cert.optimality.iter().find_map(|c| match *c {
-        OptimalityCert::LpLowerBound { bound, achieved } => Some((bound, achieved)),
-        _ => None,
+    cert.optimality.first().map(|c| {
+        let OptimalityCert::LpLowerBound { bound, achieved } = *c;
+        (bound, achieved)
     })
 }
 

@@ -82,11 +82,11 @@ fn random_op_stream_preserves_feasibility() {
     for step in 0..40 {
         let op = random_op(&inst, &plan, &mut rng);
         let out = planner.apply(&inst, &plan, &op);
-        let v = out.plan.validate(&out.instance);
+        let v = certify(&out.instance, &out.plan);
         assert!(
             v.hard_ok(),
             "step {step} op {op:?} violations {:?}",
-            v.violations
+            v.hard_violations
         );
         inst = out.instance;
         plan = out.plan;
@@ -231,7 +231,7 @@ fn new_event_is_reduction_to_xi_increase() {
         out.plan.attendance(new_id) >= 4 || out.shortfall.contains(&new_id),
         "either the lower bound is met or it is reported"
     );
-    assert!(out.plan.validate(&out.instance).hard_ok());
+    assert!(certify(&out.instance, &out.plan).hard_ok());
 }
 
 #[test]
@@ -251,7 +251,7 @@ fn utility_zero_forces_removal_everywhere() {
                 },
             );
             assert!(!out.plan.contains(u, e));
-            assert!(out.plan.validate(&out.instance).hard_ok());
+            assert!(certify(&out.instance, &out.plan).hard_ok());
         }
     }
 }

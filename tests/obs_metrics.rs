@@ -29,7 +29,7 @@ fn gap_solve_emits_stage_metrics() {
         ..Default::default()
     });
     let solution = solver.solve(&instance);
-    assert!(solution.plan.validate(&instance).hard_ok());
+    assert!(certify(&instance, &solution.plan).hard_ok());
     assert!(
         obs::counter_value("lp.iterations") > 0,
         "simplex solve recorded no LP pivots"
@@ -58,7 +58,7 @@ fn gap_solve_emits_stage_metrics() {
         ..Default::default()
     });
     let solution = solver.solve(&instance);
-    assert!(solution.plan.validate(&instance).hard_ok());
+    assert!(certify(&instance, &solution.plan).hard_ok());
     assert!(
         obs::counter_value("packing.epochs") > 0,
         "MW solve recorded no packing epochs"
@@ -72,7 +72,7 @@ fn gap_solve_emits_stage_metrics() {
     // their own span.
     obs::reset_metrics();
     let solution = GreedySolver::seeded(1).solve(&instance);
-    assert!(solution.plan.validate(&instance).hard_ok());
+    assert!(certify(&instance, &solution.plan).hard_ok());
     let stages: Vec<String> = obs::stage_stats().into_iter().map(|s| s.name).collect();
     assert!(
         stages.iter().any(|s| s == "solve.greedy") && stages.iter().any(|s| s == "solve.fill"),

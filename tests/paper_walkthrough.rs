@@ -32,8 +32,8 @@ fn example_2_plan(inst: &Instance) -> Plan {
 fn example_2_plan_feasible_with_utility_6_3() {
     let inst = paper_example();
     let plan = example_2_plan(&inst);
-    let v = plan.validate(&inst);
-    assert!(v.is_feasible(), "{:?}", v.violations);
+    let v = certify(&inst, &plan);
+    assert!(v.hard_ok() && v.soft_violations.is_empty(), "{v}");
     assert!((plan.total_utility(&inst) - 6.3).abs() < 1e-9);
 }
 
@@ -66,7 +66,7 @@ fn example_3_eta_decrease_to_1() {
     assert!(!out.plan.contains(UserId(3), EventId(3)), "u4 loses e4");
     assert!(out.plan.contains(UserId(4), EventId(3)), "u5 keeps e4");
     assert!(out.plan.contains(UserId(3), EventId(1)), "u4 gains e2");
-    assert!(out.plan.validate(&out.instance).hard_ok());
+    assert!(certify(&out.instance, &out.plan).hard_ok());
 }
 
 #[test]
@@ -120,7 +120,7 @@ fn example_7_xi_increase_transfers_best_delta() {
         },
     );
     assert!(out.plan.attendance(EventId(3)) >= 3, "lower bound met");
-    assert!(out.plan.validate(&out.instance).hard_ok());
+    assert!(certify(&out.instance, &out.plan).hard_ok());
     assert_eq!(out.dif, 1, "exactly one user loses one event");
 }
 
@@ -148,7 +148,7 @@ fn example_8_time_change_removes_conflicted_and_refills() {
     // conflict with the new slot, and e4 (6:00–8:00) which doesn't
     // either, so u4 is indeed eligible.
     assert!(out.plan.attendance(EventId(0)) >= 1, "ξ1 restored");
-    assert!(out.plan.validate(&out.instance).hard_ok());
+    assert!(certify(&out.instance, &out.plan).hard_ok());
 }
 
 #[test]
@@ -163,7 +163,7 @@ fn greedy_on_paper_example_matches_table_iii_shape() {
             "ξ-GEPC never exceeds ξ in step 1"
         );
     }
-    assert!(sol.plan.validate(&inst).hard_ok());
+    assert!(certify(&inst, &sol.plan).hard_ok());
 }
 
 #[test]
@@ -176,7 +176,7 @@ fn all_solvers_feasible_on_paper_example() {
     ] {
         let sol = solver.solve(&inst);
         assert!(
-            sol.plan.validate(&inst).hard_ok(),
+            certify(&inst, &sol.plan).hard_ok(),
             "{} infeasible",
             solver.name()
         );

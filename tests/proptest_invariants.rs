@@ -32,16 +32,16 @@ proptest! {
     fn greedy_always_hard_feasible(cfg in arb_config(), seed in 0u64..100) {
         let inst = generate(&cfg);
         let sol = GreedySolver::seeded(seed).solve(&inst);
-        let v = sol.plan.validate(&inst);
-        prop_assert!(v.hard_ok(), "{:?}", v.violations);
+        let v = certify(&inst, &sol.plan);
+        prop_assert!(v.hard_ok(), "{:?}", v.hard_violations);
     }
 
     #[test]
     fn gap_always_hard_feasible(cfg in arb_config()) {
         let inst = generate(&cfg);
         let sol = GapBasedSolver::default().solve(&inst);
-        let v = sol.plan.validate(&inst);
-        prop_assert!(v.hard_ok(), "{:?}", v.violations);
+        let v = certify(&inst, &sol.plan);
+        prop_assert!(v.hard_ok(), "{:?}", v.hard_violations);
     }
 
     #[test]
@@ -101,8 +101,8 @@ proptest! {
             },
         };
         let out = IncrementalPlanner.apply(&inst, &plan, &op);
-        let v = out.plan.validate(&out.instance);
-        prop_assert!(v.hard_ok(), "op {:?}: {:?}", op, v.violations);
+        let v = certify(&out.instance, &out.plan);
+        prop_assert!(v.hard_ok(), "op {:?}: {:?}", op, v.hard_violations);
         // dif is consistent with the plans.
         prop_assert_eq!(out.dif, dif(&plan, &out.plan));
     }

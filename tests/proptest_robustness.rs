@@ -148,22 +148,22 @@ proptest! {
     #[test]
     fn greedy_is_total_on_adversarial_instances(inst in arb_adversarial(), seed in 0u64..50) {
         let sol = GreedySolver::seeded(seed).solve(&inst);
-        let v = sol.plan.validate(&inst);
-        prop_assert!(v.hard_ok(), "{:?}", v.violations);
+        let v = certify(&inst, &sol.plan);
+        prop_assert!(v.hard_ok(), "{:?}", v.hard_violations);
     }
 
     #[test]
     fn gap_try_solve_is_ok_or_typed_error(inst in arb_adversarial()) {
         match GapBasedSolver::default().try_solve(&inst, SolveBudget::UNLIMITED) {
             Ok(sol) => {
-                let v = sol.plan.validate(&inst);
-                prop_assert!(v.hard_ok(), "{:?}", v.violations);
+                let v = certify(&inst, &sol.plan);
+                prop_assert!(v.hard_ok(), "{:?}", v.hard_violations);
             }
             Err(e) => {
                 prop_assert!(!e.stage.is_empty());
                 if let Some(partial) = e.partial {
-                    let v = partial.plan.validate(&inst);
-                    prop_assert!(v.hard_ok(), "{:?}", v.violations);
+                    let v = certify(&inst, &partial.plan);
+                    prop_assert!(v.hard_ok(), "{:?}", v.hard_violations);
                 }
             }
         }
@@ -174,13 +174,13 @@ proptest! {
         let budget = SolveBudget::from_iteration_cap(1);
         match GapBasedSolver::default().try_solve(&inst, budget) {
             Ok(sol) => {
-                prop_assert!(sol.plan.validate(&inst).hard_ok());
+                prop_assert!(certify(&inst, &sol.plan).hard_ok());
             }
             Err(e) => {
                 // The degradation chain guarantees a usable fallback.
                 let partial = e.partial.as_ref().expect("chain always yields a plan");
-                let v = partial.plan.validate(&inst);
-                prop_assert!(v.hard_ok(), "{:?}", v.violations);
+                let v = certify(&inst, &partial.plan);
+                prop_assert!(v.hard_ok(), "{:?}", v.hard_violations);
                 prop_assert!(partial.report.degraded());
             }
         }
@@ -193,7 +193,7 @@ proptest! {
         let inst = adversarial_instance(u, e, regime, seed);
         match ExactSolver::default().try_solve(&inst, SolveBudget::UNLIMITED) {
             Ok(sol) => {
-                prop_assert!(sol.plan.validate(&inst).hard_ok());
+                prop_assert!(certify(&inst, &sol.plan).hard_ok());
             }
             Err(err) => {
                 prop_assert!(matches!(
@@ -203,7 +203,7 @@ proptest! {
                         | FailureKind::BudgetExhausted
                 ));
                 if let Some(partial) = err.partial {
-                    prop_assert!(partial.plan.validate(&inst).hard_ok());
+                    prop_assert!(certify(&inst, &partial.plan).hard_ok());
                 }
             }
         }
@@ -226,21 +226,18 @@ proptest! {
                 // A structurally valid op may still be unsatisfiable
                 // (e.g. ξ raised beyond the population). The planner
                 // then reports the affected events in `shortfall`
-                // rather than failing; any remaining hard violation
-                // must be exactly such a declared lower-bound gap.
-                let v = out.plan.validate(&out.instance);
-                for viol in &v.violations {
-                    match viol {
-                        epplan::core::plan::Violation::LowerBoundShortfall { event, .. } => {
-                            prop_assert!(
-                                out.shortfall.contains(event),
-                                "undeclared shortfall: {viol:?}"
-                            );
-                        }
-                        other => {
-                            prop_assert!(false, "hard violation after op {op:?}: {other:?}")
-                        }
-                    }
+                // rather than failing; the plan must hold every hard
+                // constraint, and its ξ shortfalls must be exactly the
+                // declared ones.
+                let v = certify(&out.instance, &out.plan);
+                prop_assert!(v.hard_ok(), "hard violation after op {:?}: {}", op, v);
+                prop_assert_eq!(v.soft_violations.len(), out.shortfall.len());
+                for e in &out.shortfall {
+                    let head = format!("event {} has", e.index());
+                    prop_assert!(
+                        v.soft_violations.iter().any(|s| s.detail.starts_with(&head)),
+                        "declared shortfall {:?} not certified: {}", e, v
+                    );
                 }
             }
             Err(e) => {
@@ -259,25 +256,25 @@ fn empty_instance_is_survivable_by_every_solver() {
     let inst = Instance::new(Vec::new(), Vec::new(), UtilityMatrix::zeros(0, 0)).unwrap();
 
     let sol = GreedySolver::seeded(7).solve(&inst);
-    assert!(sol.plan.validate(&inst).hard_ok());
+    assert!(certify(&inst, &sol.plan).hard_ok());
     assert_eq!(sol.plan.total_assignments(), 0);
 
     let sol = GapBasedSolver::default()
         .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect("empty instance is trivially solvable");
-    assert!(sol.plan.validate(&inst).hard_ok());
+    assert!(certify(&inst, &sol.plan).hard_ok());
 
     let sol = ExactSolver::default()
         .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect("empty instance is trivially optimal");
-    assert!(sol.plan.validate(&inst).hard_ok());
+    assert!(certify(&inst, &sol.plan).hard_ok());
 }
 
 #[test]
 fn zero_budget_users_produce_empty_but_valid_plans() {
     let inst = adversarial_instance(6, 3, REGIME_ZERO_BUDGET, 11);
     let sol = GreedySolver::seeded(3).solve(&inst);
-    assert!(sol.plan.validate(&inst).hard_ok());
+    assert!(certify(&inst, &sol.plan).hard_ok());
     // Every event is 5 units away and every budget is 0: nobody travels.
     assert_eq!(sol.plan.total_assignments(), 0);
 }
@@ -287,16 +284,16 @@ fn eta_equals_xi_saturation_never_overfills() {
     let inst = adversarial_instance(9, 4, REGIME_SATURATED, 23);
     for seed in 0..5 {
         let sol = GreedySolver::seeded(seed).solve(&inst);
-        assert!(sol.plan.validate(&inst).hard_ok());
+        assert!(certify(&inst, &sol.plan).hard_ok());
         for e in inst.event_ids() {
             assert!(sol.plan.attendance(e) <= inst.event(e).upper);
         }
     }
     match GapBasedSolver::default().try_solve(&inst, SolveBudget::UNLIMITED) {
-        Ok(sol) => assert!(sol.plan.validate(&inst).hard_ok()),
+        Ok(sol) => assert!(certify(&inst, &sol.plan).hard_ok()),
         Err(e) => {
             if let Some(partial) = e.partial {
-                assert!(partial.plan.validate(&inst).hard_ok());
+                assert!(certify(&inst, &partial.plan).hard_ok());
             }
         }
     }

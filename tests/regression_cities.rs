@@ -52,7 +52,7 @@ fn beijing_utility_band() {
         "greedy utility {} left the documented band",
         greedy.utility
     );
-    assert!(greedy.plan.validate(&inst).hard_ok());
+    assert!(certify(&inst, &greedy.plan).hard_ok());
     let gap = GapBasedSolver::default().solve(&inst);
     assert!(
         gap.utility >= greedy.utility * 0.85,

@@ -460,6 +460,35 @@ fn summary_utility(line: &str) -> f64 {
     serde_json::from_str::<Summary>(line).unwrap().utility
 }
 
+/// Asserts that `lines` is a JSON-lines stream of op responses, one
+/// per op in id order, ending with a certified summary — what `serve`
+/// promises on stdout.
+fn assert_json_stream(lines: &[String]) {
+    #[derive(serde::Deserialize)]
+    struct Response {
+        id: u64,
+    }
+    #[derive(serde::Deserialize)]
+    struct Summary {
+        ops: u64,
+        certified: bool,
+    }
+    let (summary, responses) = lines.split_last().expect("a summary line");
+    let ids: Vec<u64> = responses
+        .iter()
+        .map(|line| {
+            serde_json::from_str::<Response>(line)
+                .unwrap_or_else(|e| panic!("not a response ({e}): {line}"))
+                .id
+        })
+        .collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+    let summary = serde_json::from_str::<Summary>(summary)
+        .unwrap_or_else(|e| panic!("not a summary ({e}): {summary}"));
+    assert_eq!(summary.ops, ids.len() as u64);
+    assert!(summary.certified);
+}
+
 #[test]
 fn snapshot_write_fault_then_restore_reproduces_every_later_response() {
     let dir = tmp_dir("write-fault-responses");
@@ -473,7 +502,8 @@ fn snapshot_write_fault_then_restore_reproduces_every_later_response() {
         let reference = run("ref", &[], &[]);
         assert!(reference.status.success());
         let expected = stdout_lines(&reference);
-        assert_eq!(expected.len(), 42, "40 responses, summary, notice");
+        assert_eq!(expected.len(), 41, "40 responses, summary");
+        assert_json_stream(&expected);
 
         // Hit 1 of the fault site is the base write at start, hit 2
         // the checkpoint after op 7, hit 3 the one after op 14: op 14's
@@ -498,7 +528,8 @@ fn snapshot_write_fault_then_restore_reproduces_every_later_response() {
             String::from_utf8_lossy(&restored.stderr)
         );
         let got = stdout_lines(&restored);
-        assert_eq!(got.len(), 42);
+        assert_eq!(got.len(), 41);
+        assert_json_stream(&got);
         for line in &got[..14] {
             assert!(line.contains("\"skipped\""), "{line}");
         }
