@@ -14,7 +14,8 @@
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
 use crate::solver::{GepcSolver, Solution};
-use epplan_solve::{BudgetGuard, SolveBudget, SolveError, SolveReport, SolveStatus};
+use epplan_solve::{BudgetGuard, SolveBudget, SolveError, SolveStatus};
+use std::time::Duration;
 
 const STAGE: &str = "core.exact";
 
@@ -186,7 +187,7 @@ impl GepcSolver for ExactSolver {
         };
         let search = dfs(&mut ctx, 0, 0.0);
 
-        let reconstruct = |chosen: &[u32]| {
+        let reconstruct = |chosen: &[u32], status: SolveStatus| {
             let mut plan = Plan::for_instance(instance);
             for (u, mask) in chosen.iter().enumerate() {
                 // epplan-lint: allow(sparse/dense-scan) — unpacking a per-user subset bitmask is O(|E|) by construction; exact instances are tiny
@@ -197,27 +198,29 @@ impl GepcSolver for ExactSolver {
                 }
             }
             let mut sol = Solution::from_plan(instance, plan);
-            sol.report = SolveReport::single("exact", SolveStatus::Optimal);
+            sol.report.record_success("exact", status, Duration::ZERO);
             sol
         };
 
         match search {
-            Ok(()) => ctx.best.as_deref().map(reconstruct).ok_or_else(|| {
-                SolveError::infeasible(
-                    STAGE,
-                    "no plan satisfies every constraint including the lower bounds",
-                )
-                .with_partial(Solution::from_plan(instance, Plan::for_instance(instance)))
-            }),
+            Ok(()) => ctx
+                .best
+                .as_deref()
+                .map(|chosen| reconstruct(chosen, SolveStatus::Optimal))
+                .ok_or_else(|| {
+                    SolveError::infeasible(
+                        STAGE,
+                        "no plan satisfies every constraint including the lower bounds",
+                    )
+                    .with_partial(Solution::from_plan(instance, Plan::for_instance(instance)))
+                }),
             Err(e) => {
                 // Budget ran out mid-search: surface the best incumbent
                 // (a fully feasible but possibly sub-optimal plan) when
                 // one was found.
                 let mut out: SolveError<Solution> = e.discard_partial();
                 if let Some(chosen) = ctx.best.as_deref() {
-                    let mut sol = reconstruct(chosen);
-                    sol.report = SolveReport::single("exact", SolveStatus::BestEffort);
-                    out = out.with_partial(sol);
+                    out = out.with_partial(reconstruct(chosen, SolveStatus::BestEffort));
                 }
                 Err(out)
             }

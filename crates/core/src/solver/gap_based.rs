@@ -25,9 +25,7 @@ use crate::solver::conflict_adjust::{budget_repair, conflict_adjust};
 use crate::solver::{filler, GepcSolver, GreedySolver, Solution};
 use epplan_fault::FaultAction;
 use epplan_gap::{GapConfig, GapInstance, GapSolution, GapSolver as GapPipeline};
-use epplan_solve::{
-    Certificate, FailureKind, OptimalityCert, SolveBudget, SolveError, SolveReport, SolveStatus,
-};
+use epplan_solve::{FailureKind, SolveBudget, SolveError, SolveReport, SolveStatus};
 use std::time::Instant;
 
 /// The GAP-based solver. `epsilon` is the `ε` of the reduction's
@@ -59,12 +57,6 @@ pub struct GapBasedSolver {
     pub gap: GapConfig,
     /// Run step 2 (capacity filler) after ξ-GEPC.
     pub two_step: bool,
-    /// Independently certify the GAP tier's plan (see
-    /// [`crate::certify`]) and escalate to the fallback tiers when
-    /// certification rejects it, attaching the winning tier's
-    /// [`Certificate`] to the report. The greedy fallback is certified
-    /// either way.
-    pub certify: bool,
 }
 
 impl Default for GapBasedSolver {
@@ -73,7 +65,6 @@ impl Default for GapBasedSolver {
             epsilon: 0.2,
             gap: GapConfig::default(),
             two_step: true,
-            certify: false,
         }
     }
 }
@@ -85,13 +76,6 @@ impl GapBasedSolver {
             gap,
             ..Default::default()
         }
-    }
-
-    /// Toggles independent certification of the GAP tier's plan and
-    /// the attached certificate (see [`GapBasedSolver::certify`]).
-    pub fn with_certify(mut self, certify: bool) -> Self {
-        self.certify = certify;
-        self
     }
 
     /// Builds the GAP instance of the Theorem-2 reduction, returning it
@@ -153,21 +137,21 @@ impl GapBasedSolver {
         (gap, jobs)
     }
 
-    /// Post-processes a (possibly partial) GAP assignment into a hard-
-    /// feasible GEPC solution: Algorithm 1 conflict adjusting, budget
-    /// repair, and the optional step-2 capacity fill.
+    /// Post-processes a GAP assignment into a hard-feasible GEPC
+    /// solution: Algorithm 1 conflict adjusting, budget repair, and the
+    /// optional step-2 capacity fill.
     ///
     /// Carries the `core.conflict_adjust.apply` fault site: a
     /// `PoisonValue` injection *skips* Algorithm 1 and budget repair —
-    /// the raw GAP assignment flows through unrepaired, so downstream
-    /// certification (not this function) must catch the corruption.
-    /// Any other injected action fails typed.
+    /// the raw GAP assignment flows through unrepaired, so the
+    /// solution's certificate (not this function) must catch the
+    /// corruption. Any other injected action fails typed.
     fn finish(
         &self,
         instance: &Instance,
         jobs: &[EventId],
         gap_solution: &GapSolution,
-    ) -> Result<Solution, SolveError<Solution>> {
+    ) -> Result<Solution, SolveError<()>> {
         // Raw multiset assignment: user → copies received.
         let mut raw: Vec<Vec<EventId>> = vec![Vec::new(); instance.n_users()];
         for (jk, &machine) in gap_solution.assignment.iter().enumerate() {
@@ -218,15 +202,14 @@ impl GapBasedSolver {
         Ok(Solution::from_plan(instance, plan))
     }
 
-    /// Runs the GAP pipeline under `budget` without any fallback. On
-    /// failure, a partial GAP assignment (when one exists) is post-
-    /// processed into a hard-feasible partial [`Solution`] and attached
-    /// to the error.
+    /// Runs the GAP pipeline under `budget` without any fallback. A
+    /// failure carries no partial: the degradation chain replaces it
+    /// with a fallback tier's plan.
     fn try_solve_gap(
         &self,
         instance: &Instance,
         budget: SolveBudget,
-    ) -> Result<Solution, SolveError<Solution>> {
+    ) -> Result<Solution, SolveError<()>> {
         // Deterministic fault injection in front of the Theorem-2
         // reduction (serial entry point, hit count thread-invariant).
         if let Some(action) = epplan_fault::point("core.reduction.build") {
@@ -244,50 +227,21 @@ impl GapBasedSolver {
         // the candidate arena before Algorithm 1 and the filler run.
         drop(gap);
         match result {
-            Ok(gap_solution) => {
-                let mut sol = self.finish(instance, &jobs, &gap_solution)?;
-                sol.report = SolveReport::single("gap_based", SolveStatus::Optimal);
-                // Seed the optimality half of the certificate: the
-                // fractional relaxation's objective lower-bounds the
-                // integral GAP cost the plan came from.
-                if let Some(bound) = gap_solution.fractional_cost {
-                    let mut seed = Certificate::default();
-                    seed.optimality.push(OptimalityCert::LpLowerBound {
-                        bound,
-                        achieved: gap_solution.cost,
-                    });
-                    sol.report.certificate = Some(seed);
-                }
-                Ok(sol)
-            }
-            Err(e) => {
-                let partial = e
-                    .partial
-                    .as_ref()
-                    .and_then(|gs| self.finish(instance, &jobs, gs).ok());
-                let mut out: SolveError<Solution> = e.discard_partial();
-                if let Some(sol) = partial {
-                    out = out.with_partial(sol);
-                }
-                Err(out)
-            }
+            Ok(gap_solution) => self.finish(instance, &jobs, &gap_solution),
+            Err(e) => Err(e.discard_partial()),
         }
     }
 
     /// Runs the fallback tiers of the degradation chain — the total
     /// greedy solver, then the trivially hard-feasible empty plan —
     /// recording every attempt in `report`. Returns the surviving
-    /// solution plus its [`Certificate`] when certification is on.
+    /// solution, which carries its certificate.
     ///
     /// Carries the `core.greedy.fallback` fault site: `PoisonValue`
     /// deterministically corrupts the greedy plan (every user piled
     /// onto every event) so certification must catch it; any other
     /// action fails the greedy tier typed.
-    fn fallback_tiers(
-        &self,
-        instance: &Instance,
-        report: &mut SolveReport,
-    ) -> (Solution, Option<Certificate>) {
+    fn fallback_tiers(&self, instance: &Instance, report: &mut SolveReport) -> Solution {
         // epplan-lint: allow(determinism/wall-clock) — report-only fallback timing, not a solver decision
         let fb_start = Instant::now();
         let greedy = GreedySolver {
@@ -320,22 +274,11 @@ impl GapBasedSolver {
             }
         }
 
-        // The fallback is always certified; `self.certify` only decides
-        // whether the certificate rides on the report.
-        let mut certificate = None;
-        if greedy_failure.is_none() {
-            let cert = crate::certify::certify(instance, &fallback.plan);
-            if cert.hard_ok() {
-                certificate = self.certify.then_some(cert);
-            } else {
-                greedy_failure = Some((
-                    FailureKind::NumericalInstability,
-                    format!(
-                        "certification rejected the greedy fallback: {}",
-                        cert.violated_constraints().join(", ")
-                    ),
-                ));
-            }
+        if greedy_failure.is_none() && !fallback.certified() {
+            greedy_failure = Some((
+                FailureKind::NumericalInstability,
+                format!("certification rejected the greedy fallback: {}", rejected(&fallback)),
+            ));
         }
 
         match greedy_failure {
@@ -352,9 +295,6 @@ impl GapBasedSolver {
                     instance,
                     Plan::empty(instance.n_users(), instance.n_events()),
                 );
-                if self.certify {
-                    certificate = Some(crate::certify::certify(instance, &fallback.plan));
-                }
                 report.record_success(
                     "best_effort_empty",
                     SolveStatus::BestEffort,
@@ -362,17 +302,40 @@ impl GapBasedSolver {
                 );
             }
         }
-        (fallback, certificate)
+        fallback
     }
+}
+
+/// The hard constraints `solution`'s certificate names as violated.
+fn rejected(solution: &Solution) -> String {
+    let cert = solution.report.certificate.iter();
+    cert.flat_map(|c| c.violated_constraints()).collect::<Vec<_>>().join(", ")
+}
+
+/// Moves `solution`'s certificate into `report`, which replaces the
+/// solution's own, with the solve's stage costs when `mark` is set.
+fn with_report(
+    mut solution: Solution,
+    mut report: SolveReport,
+    mark: Option<&epplan_obs::StageMark>,
+) -> Solution {
+    report.certificate = solution.report.certificate.take();
+    if let Some(mark) = mark {
+        report.stages = mark.delta();
+    }
+    solution.report = report;
+    solution
 }
 
 impl GepcSolver for GapBasedSolver {
     /// The degradation chain of the GEPC facade: GAP-based solve first;
     /// on any failure (budget exhaustion, numerical trouble, bad GAP
-    /// reduction) fall back to the total [`GreedySolver`]; if even the
-    /// greedy plan fails certification, degrade to an empty (trivially
-    /// hard-feasible) plan. The chain of attempts is recorded in the
-    /// returned solution's [`SolveReport`].
+    /// reduction) or a plan certification rejects, fall back to the
+    /// total [`GreedySolver`]; if even the greedy plan fails
+    /// certification, degrade to an empty (trivially hard-feasible)
+    /// plan. The chain of attempts is recorded in the returned
+    /// solution's [`SolveReport`], beside the winning plan's
+    /// certificate.
     ///
     /// Failures still surface as `Err` with the *original* failure kind,
     /// but the error always carries the certified fallback solution in
@@ -394,44 +357,22 @@ impl GepcSolver for GapBasedSolver {
             let _sp = epplan_obs::span("solve.gap_based");
             self.try_solve_gap(instance, budget)
         };
-        // Tier 1: the GAP pipeline. A success still escalates when
-        // independent certification rejects the plan.
+        // Tier 1: the GAP pipeline. A success still escalates when its
+        // certificate rejects the plan.
         let failure: SolveError<Solution> = match gap_result {
-            Ok(mut sol) => {
-                let seed = sol.report.certificate.take();
-                if self.certify {
-                    let mut cert = crate::certify::certify(instance, &sol.plan);
-                    if let Some(seed) = seed {
-                        cert.optimality.extend(seed.optimality);
-                    }
-                    if cert.hard_ok() {
-                        report.record_success("gap_based", SolveStatus::Optimal, start.elapsed());
-                        report.certificate = Some(cert);
-                        if let Some(mark) = &mark {
-                            report.stages = mark.delta();
-                        }
-                        sol.report = report;
-                        return Ok(sol);
-                    }
-                    let msg = format!(
-                        "certification rejected the gap_based plan: {}",
-                        cert.violated_constraints().join(", ")
-                    );
-                    report.record_failure(
-                        "gap_based",
-                        FailureKind::NumericalInstability,
-                        msg.clone(),
-                        start.elapsed(),
-                    );
-                    SolveError::numerical("gap_based", msg)
-                } else {
-                    report.record_success("gap_based", SolveStatus::Optimal, start.elapsed());
-                    if let Some(mark) = &mark {
-                        report.stages = mark.delta();
-                    }
-                    sol.report = report;
-                    return Ok(sol);
-                }
+            Ok(sol) if sol.certified() => {
+                report.record_success("gap_based", SolveStatus::Optimal, start.elapsed());
+                return Ok(with_report(sol, report, mark.as_ref()));
+            }
+            Ok(sol) => {
+                let msg = format!("certification rejected the gap_based plan: {}", rejected(&sol));
+                report.record_failure(
+                    "gap_based",
+                    FailureKind::NumericalInstability,
+                    msg.clone(),
+                    start.elapsed(),
+                );
+                SolveError::numerical("gap_based", msg)
             }
             Err(e) => {
                 report.record_failure("gap_based", e.kind, e.message.clone(), start.elapsed());
@@ -440,13 +381,8 @@ impl GepcSolver for GapBasedSolver {
         };
 
         // Tiers 2–3: greedy, then the empty plan.
-        let (mut fallback, certificate) = self.fallback_tiers(instance, &mut report);
-        report.certificate = certificate;
-        if let Some(mark) = &mark {
-            report.stages = mark.delta();
-        }
-        fallback.report = report;
-        Err(failure.with_partial(fallback))
+        let fallback = self.fallback_tiers(instance, &mut report);
+        Err(failure.with_partial(with_report(fallback, report, mark.as_ref())))
     }
 
     fn name(&self) -> &'static str {

@@ -77,16 +77,11 @@ impl GreedySolver {
             two_step: false,
         }
     }
-}
 
-impl GepcSolver for GreedySolver {
-    /// Algorithm 2 is one bounded pass over the users, so it never
-    /// exhausts `budget` and always returns `Ok`.
-    fn try_solve(
-        &self,
-        instance: &Instance,
-        _budget: SolveBudget,
-    ) -> Result<Solution, SolveError<Solution>> {
+    /// The greedy plan itself, uncertified: the seed other solvers
+    /// start from ([`crate::solver::LnsSolver`]) and certify only in
+    /// what they return.
+    pub(crate) fn plan(&self, instance: &Instance) -> Plan {
         // Algorithm 2 (ranking and take loop); the filler opens its own
         // `solve.fill` span.
         let step1 = epplan_obs::span("solve.greedy");
@@ -170,7 +165,19 @@ impl GepcSolver for GreedySolver {
         if self.two_step {
             filler::fill_to_upper(instance, &mut plan, None);
         }
-        Ok(Solution::from_plan(instance, plan))
+        plan
+    }
+}
+
+impl GepcSolver for GreedySolver {
+    /// Algorithm 2 is one bounded pass over the users, so it never
+    /// exhausts `budget` and always returns `Ok`.
+    fn try_solve(
+        &self,
+        instance: &Instance,
+        _budget: SolveBudget,
+    ) -> Result<Solution, SolveError<Solution>> {
+        Ok(Solution::from_plan(instance, self.plan(instance)))
     }
 
     fn name(&self) -> &'static str {

@@ -138,8 +138,8 @@ impl GepcSolver for LnsSolver {
         let mut guard = BudgetGuard::new(budget);
         let deadline = guard.deadline_flag();
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // Seed with the paper's greedy two-step solution.
-        let mut best = GreedySolver::seeded(self.seed).solve(instance).plan;
+        // Seed with the paper's greedy two-step plan.
+        let mut best = GreedySolver::seeded(self.seed).plan(instance);
         let mut best_utility = plan_utility(instance, &best);
         let mut best_shortfall = best.shortfall(instance).len();
 

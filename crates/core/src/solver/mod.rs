@@ -42,34 +42,56 @@ use crate::plan::Plan;
 pub use epplan_solve::{
     FailureKind, SolveBudget, SolveError, SolveReport, SolveStatus,
 };
+use epplan_solve::CertTally;
 
-/// A solution to a GEPC instance.
+/// A solution to a GEPC instance, certified once when it is built.
 #[derive(Debug, Clone)]
 pub struct Solution {
-    /// The produced global plan. Always free of hard violations
-    /// (conflicts, budgets, upper bounds, zero-utility assignments).
+    /// The produced global plan. Every plan a solver returns, or
+    /// attaches to its error as the partial, is free of hard violations
+    /// (conflicts, budgets, upper bounds, zero-utility assignments);
+    /// the certificate in [`Solution::report`] is the proof.
     pub plan: Plan,
-    /// Global utility `U_P` of the plan.
+    /// Global utility `U_P` of the plan, as the certifier recounted it.
     pub utility: f64,
     /// Events whose participation lower bound `ξ` could not be met —
     /// empty when the plan is fully feasible.
     pub shortfall: Vec<EventId>,
     /// How the plan was obtained: the chain of solver attempts,
     /// including any degradation (e.g. `gap_based (budget exhausted)
-    /// -> greedy (best-effort)`). Empty for solvers that do not track
+    /// -> greedy (best-effort)`), and the plan's certificate, always
+    /// `Some`. The chain is empty for solvers that do not track
     /// attempts.
     pub report: SolveReport,
+    /// The certifier's running totals for the plan, from the same
+    /// pass as the certificate: the starting point of the serving
+    /// daemon's per-op delta certification.
+    pub tally: CertTally,
 }
 
 impl Solution {
-    /// Wraps a plan, computing utility and lower-bound shortfalls.
+    /// Wraps a plan, certifying it ([`crate::certify::certify_tally`])
+    /// and reading `U_P` from the certificate. This is the only place
+    /// a solver's result is built, so every solve certifies the plan
+    /// it returns exactly once.
     pub fn from_plan(instance: &Instance, plan: Plan) -> Self {
+        let (certificate, tally) = crate::certify::certify_tally(instance, &plan);
         Solution {
-            utility: plan.total_utility(instance),
+            utility: certificate.utility,
             shortfall: plan.shortfall(instance),
             plan,
-            report: SolveReport::default(),
+            report: SolveReport {
+                certificate: Some(certificate),
+                ..SolveReport::default()
+            },
+            tally,
         }
+    }
+
+    /// Whether the plan passed certification: every hard constraint
+    /// holds.
+    pub fn certified(&self) -> bool {
+        self.report.certificate.as_ref().is_some_and(|c| c.hard_ok())
     }
 
     /// Whether every event met its lower bound.
@@ -84,8 +106,8 @@ pub trait GepcSolver {
     /// [`SolveError`] on bad input, infeasibility, or budget
     /// exhaustion. Where a partial or fallback plan exists it travels
     /// in [`SolveError::partial`]. Every plan, returned or partial, is
-    /// free of hard violations; lower-bound shortfalls are reported in
-    /// [`Solution::shortfall`].
+    /// certified free of hard violations; lower-bound shortfalls are
+    /// reported in [`Solution::shortfall`].
     fn try_solve(
         &self,
         instance: &Instance,

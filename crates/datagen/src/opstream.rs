@@ -6,12 +6,13 @@
 //! instance and plan (so, e.g., an `η` decrease targets an event that
 //! actually has attendees, and a `NewEvent` op is consistent with the
 //! current user count). Drive it in a loop with
-//! `IncrementalPlanner::apply`, or feed a batch to `try_apply_batch`.
+//! `IncrementalPlanner::try_apply_in_place`, or feed a batch to
+//! `try_apply_batch`.
 
-use epplan_core::incremental::{AtomicOp, SequencedOp};
+use epplan_core::incremental::{AtomicOp, IncrementalPlanner, SequencedOp};
 use epplan_core::model::{Event, EventId, Instance, TimeInterval, UserId};
 use epplan_core::plan::Plan;
-use epplan_core::solver::SolveError;
+use epplan_core::solver::{SolveBudget, SolveError};
 use epplan_geo::{BoundingBox, Point};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -246,25 +247,28 @@ impl OpStreamSampler {
         }
     }
 
-    /// Draws `n` operations, applying each to an evolving copy of the
-    /// state so later operations stay consistent (e.g. they may target
-    /// events created by earlier `NewEvent` ops). Returns the ops.
+    /// Draws `n` operations, applying each in place to one evolving
+    /// copy of the state so later operations stay consistent (e.g. they
+    /// may target events created by earlier `NewEvent` ops). An op the
+    /// planner rejects leaves the copy unchanged. Returns the ops.
     pub fn stream(
         &mut self,
         instance: &Instance,
         plan: &Plan,
         n: usize,
     ) -> Vec<AtomicOp> {
-        use epplan_core::incremental::IncrementalPlanner;
-        let planner = IncrementalPlanner;
         let mut inst = instance.clone();
         let mut cur = plan.clone();
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
             let op = self.next_op(&inst, &cur);
-            let out = planner.apply(&inst, &cur, &op);
-            inst = out.instance;
-            cur = out.plan;
+            // A rejected op is rolled back; the stream still carries it.
+            let _ = IncrementalPlanner.try_apply_in_place(
+                &mut inst,
+                &mut cur,
+                &op,
+                SolveBudget::UNLIMITED,
+            );
             ops.push(op);
         }
         ops
@@ -393,6 +397,37 @@ mod tests {
         });
         let plan = GreedySolver::seeded(1).solve(&inst).plan;
         (inst, plan)
+    }
+
+    /// The stream as sampled before it applied ops in place: every op
+    /// applied by `IncrementalPlanner::apply` to fresh copies.
+    fn clone_based_stream(
+        sampler: &mut OpStreamSampler,
+        instance: &Instance,
+        plan: &Plan,
+        n: usize,
+    ) -> Vec<AtomicOp> {
+        let mut inst = instance.clone();
+        let mut cur = plan.clone();
+        let mut ops = Vec::with_capacity(n);
+        for _ in 0..n {
+            let op = sampler.next_op(&inst, &cur);
+            let out = IncrementalPlanner.apply(&inst, &cur, &op);
+            inst = out.instance;
+            cur = out.plan;
+            ops.push(op);
+        }
+        ops
+    }
+
+    #[test]
+    fn in_place_stream_matches_the_clone_based_reference() {
+        let (inst, plan) = setup();
+        for seed in [3, 7, 11] {
+            let got = OpStreamSampler::new(seed).stream(&inst, &plan, 120);
+            let want = clone_based_stream(&mut OpStreamSampler::new(seed), &inst, &plan, 120);
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 
     #[test]

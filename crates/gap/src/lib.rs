@@ -19,10 +19,8 @@
 //!   solver in the spirit of \[5\] for large instances;
 //! * [`round_shmoys_tardos`] — slot construction + integral min-cost
 //!   matching via `epplan-flow`;
-//! * [`GreedySolver`](greedy::greedy_assign) — regret-based heuristic
-//!   baseline;
-//! * [`exact::branch_and_bound`] — exact optimum for small instances
-//!   (used in tests and the approximation-ratio ablation);
+//! * [`exact::branch_and_bound`] — exact optimum for small instances,
+//!   the tests' reference oracle;
 //! * [`GapSolver`] — the composed pipeline with automatic method
 //!   selection.
 //!
@@ -42,7 +40,6 @@
 
 pub mod exact;
 pub mod fractional;
-pub mod greedy;
 pub mod lp_relax;
 pub mod packing;
 pub mod rounding;

@@ -115,18 +115,6 @@ proptest! {
     }
 
     #[test]
-    fn greedy_is_feasible_and_capacity_respecting(inst in arb_instance()) {
-        let sol = epplan_gap::greedy::greedy_assign(&inst);
-        prop_assert!(sol.within_capacity(&inst, 1.0));
-        // Greedy never assigns forbidden pairs.
-        for (j, &mi) in sol.assignment.iter().enumerate() {
-            if let Some(i) = mi {
-                prop_assert!(inst.allowed(i, j));
-            }
-        }
-    }
-
-    #[test]
     fn mw_pipeline_is_total_and_bounded(inst in arb_instance()) {
         let solver = GapSolver::new(GapConfig {
             method: FractionalMethod::MultiplicativeWeights,

@@ -544,7 +544,7 @@ pub fn run_rules(ctx: &FileContext, ts: &TokenStream) -> Vec<Diagnostic> {
                 continue;
             }
             // Only qualified calls into the fault layer: a bare
-            // `single("…")` is `SolveReport::single` and friends.
+            // `single("…")` is another type's constructor.
             let qualified = i >= 2
                 && toks[i - 1].text == "::"
                 && matches!(toks[i - 2].text.as_str(), "epplan_fault" | "FaultPlan" | "fault");

@@ -10,10 +10,10 @@
 //! [`Daemon::plan`] or any [`OpResponse`] — is certified at all
 //! times. An op is applied in place under an undo journal
 //! ([`IncrementalPlanner::try_apply_in_place`]) and kept only after
-//! [`certify_delta`] (or, for a re-solve, [`certify`]) confirms zero
-//! hard violations; a failed repair or re-solve rolls the state back
-//! to the exact previous certified `(instance, plan)` and rejects the
-//! op with a typed error. Every snapshot first re-certifies the whole
+//! [`certify_delta`] (or, for a re-solve, the certificate the solver
+//! built its plan with) confirms zero hard violations; a failed repair
+//! or re-solve rolls the state back to the exact previous certified
+//! `(instance, plan)` and rejects the op with a typed error. Every snapshot first re-certifies the whole
 //! state from scratch.
 //!
 //! ## Wall-clock use
@@ -794,13 +794,13 @@ impl Daemon {
         Ok(())
     }
 
-    /// Solves `instance` from scratch and certifies the result,
-    /// returning the plan with its certifier tally (`U_P` included).
-    /// Degrades to the solver's partial (fallback) plan when one
-    /// exists, but *never* returns an uncertified plan. At brownout
-    /// level ≥ 2 (`degraded`), the gap-based pipeline is swapped for
-    /// budgeted LNS with the final `LocalSearch` polish skipped —
-    /// cheaper, still certified.
+    /// Solves `instance` from scratch, returning the plan with the
+    /// certifier tally (`U_P` included) of the certificate the solve
+    /// built it with. Degrades to the solver's partial (fallback) plan
+    /// when one exists, but *never* returns a plan its certificate
+    /// rejects. At brownout level ≥ 2 (`degraded`), the gap-based
+    /// pipeline is swapped for budgeted LNS with the final
+    /// `LocalSearch` polish skipped — cheaper, still certified.
     fn full_solve(
         instance: &Instance,
         budget: SolveBudget,
@@ -815,9 +815,7 @@ impl Daemon {
             };
             solver.try_solve(instance, budget)
         } else {
-            GapBasedSolver::default()
-                .with_certify(false)
-                .try_solve(instance, budget)
+            GapBasedSolver::default().try_solve(instance, budget)
         };
         let solution = match attempt {
             Ok(s) => s,
@@ -831,14 +829,14 @@ impl Daemon {
                 }
             },
         };
-        let (cert, tally) = certify_tally(instance, &solution.plan);
-        if !cert.hard_ok() {
+        if !solution.certified() {
+            let cert = solution.report.certificate.unwrap_or_default();
             return Err(ServeError::solve(
                 FailureKind::Infeasible,
                 format!("full solve produced an uncertifiable plan: {cert}"),
             ));
         }
-        Ok((solution.plan, tally))
+        Ok((solution.plan, solution.tally))
     }
 
     /// Whether the op just counted in `processed` ends at a snapshot

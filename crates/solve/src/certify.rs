@@ -29,10 +29,6 @@
 //! | `zero-utility`         | no assignment with `μ(u, e) ≤ 0`            |
 //! | `duplicate-assignment` | a user is assigned to an event once at most |
 //! | `invalid-assignment`   | assigned event/user ids are in range        |
-//!
-//! Optimality is certified separately where the math gives a cheap
-//! certificate ([`OptimalityCert`]): the LP-relaxation lower bound for
-//! the GAP rounding pipeline.
 
 use std::fmt;
 
@@ -99,31 +95,6 @@ impl fmt::Display for CertViolation {
     }
 }
 
-/// A cheap optimality certificate attached when the math provides one.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OptimalityCert {
-    /// The GAP rounding achieved `achieved` against the LP-relaxation
-    /// lower bound `bound` — certifies the approximation gap, not
-    /// optimality.
-    LpLowerBound {
-        /// Fractional (LP) optimum: a lower bound on any integral
-        /// assignment cost.
-        bound: f64,
-        /// Cost of the rounded integral assignment.
-        achieved: f64,
-    },
-}
-
-impl fmt::Display for OptimalityCert {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OptimalityCert::LpLowerBound { bound, achieved } => {
-                write!(f, "lp lower bound {bound:.6} ≤ achieved {achieved:.6}")
-            }
-        }
-    }
-}
-
 /// The checker's verdict on one plan.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Certificate {
@@ -145,8 +116,6 @@ pub struct Certificate {
     /// `dif` here and resets it on every certified re-solve). `None`
     /// outside incremental serving contexts.
     pub drift: Option<u64>,
-    /// Optimality certificates gathered along the pipeline.
-    pub optimality: Vec<OptimalityCert>,
 }
 
 impl Certificate {
@@ -632,17 +601,5 @@ mod tests {
         let cert = certify_plan(&bad, None).with_drift(7);
         assert!(cert.to_string().contains("REJECTED"), "{cert}");
         assert!(cert.to_string().contains("drift = 7"), "{cert}");
-    }
-
-    #[test]
-    fn optimality_certs_render() {
-        let mut cert = certify_plan(&TestView::feasible(), None);
-        cert.optimality.push(OptimalityCert::LpLowerBound {
-            bound: 1.0,
-            achieved: 1.5,
-        });
-        for c in &cert.optimality {
-            assert!(!c.to_string().is_empty());
-        }
     }
 }

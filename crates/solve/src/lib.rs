@@ -26,7 +26,7 @@ mod report;
 pub use budget::{BudgetGuard, DeadlineExceeded, DeadlineFlag, SolveBudget};
 pub use certify::{
     certify_delta, certify_plan, certify_plan_tally, recompute_dif, CertTally, CertViolation,
-    Certificate, OptimalityCert, PlanView,
+    Certificate, PlanView,
 };
 pub use error::{FailureKind, SolveError};
 pub use report::{AttemptOutcome, SolveAttempt, SolveReport};

@@ -45,21 +45,14 @@ pub struct SolveReport {
     /// `epplan_obs::metrics_enabled()`; empty otherwise.
     pub stages: Vec<StageStats>,
     /// Independent certification of the returned artifact (see
-    /// [`crate::certify`]). `None` when certification was not
-    /// requested.
+    /// [`crate::certify`]). Every GEPC solution carries the one its
+    /// plan was built with; `None` only in a report assembled by hand.
     pub certificate: Option<Certificate>,
 }
 
 impl SolveReport {
     pub fn new() -> Self {
         SolveReport::default()
-    }
-
-    /// A single-attempt report for solvers that never degrade.
-    pub fn single(solver: &'static str, status: SolveStatus) -> Self {
-        let mut r = SolveReport::new();
-        r.record_success(solver, status, Duration::ZERO);
-        r
     }
 
     /// Appends a failed attempt.
@@ -216,7 +209,8 @@ mod tests {
 
     #[test]
     fn single_attempt_is_not_degraded() {
-        let r = SolveReport::single("greedy", SolveStatus::Optimal);
+        let mut r = SolveReport::new();
+        r.record_success("greedy", SolveStatus::Optimal, Duration::ZERO);
         assert!(!r.degraded());
         assert_eq!(r.winner(), Some("greedy"));
         assert_eq!(r.final_status(), Some(SolveStatus::Optimal));

@@ -193,7 +193,7 @@ fn flag_spec(cmd: &str) -> FlagSpec {
                 "instance", "solver", "seed", "time-limit-ms", "max-iters", "out", "trace",
                 "threads",
             ],
-            boolean: &["stats", "metrics", "json-metrics", "certify"],
+            boolean: &["stats", "metrics", "json-metrics"],
         },
         "validate" => FlagSpec {
             value: &["instance", "plan", "threads"],
@@ -352,19 +352,10 @@ fn write_json<T: serde::Serialize>(value: &T, path: &str) {
     eprintln!("wrote {path}");
 }
 
-/// The certificate of a solve's plan: the one its report carries, else
-/// a fresh check, so each path certifies a plan once.
-fn certificate_of(instance: &Instance, solution: &Solution) -> Certificate {
-    solution
-        .report
-        .certificate
-        .clone()
-        .unwrap_or_else(|| certify(instance, &solution.plan))
-}
-
-/// Prints the plan summary; `cert` is `plan`'s certificate.
+/// Prints the plan summary; `cert` is `plan`'s certificate, and its
+/// `U_P` the utility line.
 fn summarize(instance: &Instance, plan: &Plan, cert: &Certificate) {
-    println!("utility        : {:.3}", plan.total_utility(instance));
+    println!("utility        : {:.3}", cert.utility);
     println!("assignments    : {}", plan.total_assignments());
     println!(
         "hard-feasible  : {}",
@@ -442,7 +433,7 @@ fn cmd_generate(flags: HashMap<String, String>) {
         Some(path) => {
             epplan::datagen::save_instance(&instance, Path::new(path))
                 .unwrap_or_else(|e| fail(FailClass::Io, &format!("cannot write {path}: {e}")));
-            println!("wrote {path}");
+            eprintln!("wrote {path}");
         }
         None => println!("{}", to_json(&instance, false)),
     }
@@ -517,7 +508,6 @@ fn finish_obs(cfg: &ObsConfig) {
 fn cmd_solve(flags: HashMap<String, String>) {
     let instance = load_instance(&flags);
     let obs = setup_obs(&flags);
-    let certify = flags.contains_key("certify");
     let seed: u64 = flags
         .get("seed")
         .map(|v| v.parse().unwrap_or_else(|_| fail(FailClass::Usage, "bad --seed")))
@@ -525,7 +515,7 @@ fn cmd_solve(flags: HashMap<String, String>) {
     let solver: Box<dyn GepcSolver> =
         match flags.get("solver").map(String::as_str).unwrap_or("greedy") {
             "greedy" => Box::new(GreedySolver::seeded(seed)),
-            "gap" => Box::new(GapBasedSolver::default().with_certify(certify)),
+            "gap" => Box::new(GapBasedSolver::default()),
             "exact" => Box::new(ExactSolver::default()),
             other => fail(
                 FailClass::Usage,
@@ -551,10 +541,8 @@ fn cmd_solve(flags: HashMap<String, String>) {
                 e.message,
                 partial.report
             );
-            let cert = certificate_of(&instance, &partial);
-            if certify {
-                println!("certificate    : {cert}");
-            }
+            let cert = partial.report.certificate.clone().unwrap_or_default();
+            println!("certificate    : {cert}");
             finish_obs(&obs);
             summarize(&instance, &partial.plan, &cert);
             if let Some(path) = flags.get("out") {
@@ -571,19 +559,17 @@ fn cmd_solve(flags: HashMap<String, String>) {
     if !solution.report.attempts.is_empty() {
         println!("solve chain    : {}", solution.report);
     }
-    // The gap solver certifies tier-internally with --certify (the
-    // certificate rides on the report); other plans are checked here.
-    // Either way a --certify run never exits 0 on an uncertified plan.
-    let cert = certificate_of(&instance, &solution);
-    if certify {
-        println!("certificate    : {cert}");
-        if !cert.hard_ok() {
-            finish_obs(&obs);
-            fail(
-                FailClass::Infeasible,
-                &format!("certification rejected the final plan: {cert}"),
-            );
-        }
+    // Every solver certifies the plan it returns (an unchecked
+    // certificate never passes), so a solve never exits 0 on a plan
+    // that fails certification.
+    let cert = solution.report.certificate.clone().unwrap_or_default();
+    println!("certificate    : {cert}");
+    if !cert.hard_ok() {
+        finish_obs(&obs);
+        fail(
+            FailClass::Infeasible,
+            &format!("certification rejected the final plan: {cert}"),
+        );
     }
     summarize(&instance, &solution.plan, &cert);
     if flags.contains_key("stats") {
@@ -651,11 +637,12 @@ fn cmd_example(flags: HashMap<String, String>) {
     let instance = epplan::datagen::paper_example();
     println!("the paper's Example 1: 5 users, 4 events");
     let solution = ExactSolver::default().solve(&instance);
-    summarize(&instance, &solution.plan, &certificate_of(&instance, &solution));
+    let cert = solution.report.certificate.clone().unwrap_or_default();
+    summarize(&instance, &solution.plan, &cert);
     if let Some(path) = flags.get("out") {
         epplan::datagen::save_instance(&instance, Path::new(path))
             .unwrap_or_else(|e| fail(FailClass::Io, &format!("cannot write {path}: {e}")));
-        println!("wrote {path}");
+        eprintln!("wrote {path}");
     }
 }
 
@@ -985,7 +972,7 @@ fn cmd_report(flags: HashMap<String, String>) {
     if let Some(out) = flags.get("perfetto") {
         std::fs::write(out, epplan::obs::perfetto_json(&events))
             .unwrap_or_else(|e| fail(FailClass::Io, &format!("cannot write {out}: {e}")));
-        println!("wrote {out} (load in ui.perfetto.dev or chrome://tracing)");
+        eprintln!("wrote {out} (load in ui.perfetto.dev or chrome://tracing)");
     }
 }
 

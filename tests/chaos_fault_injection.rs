@@ -84,7 +84,6 @@ fn faulted_fallback(threads: usize) -> (String, Vec<(String, String, String)>) {
     let _armed = arm("flow.mcmf.augment=error");
     let inst = instance();
     let err = GapBasedSolver::default()
-        .with_certify(true)
         .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect_err("the injected flow fault must fail the gap tier");
     assert_eq!(err.kind, FailureKind::NumericalInstability);
@@ -120,7 +119,6 @@ fn flow_fault_during_rounding_lands_in_greedy_fallback_with_stages() {
     let _armed = arm("flow.mcmf.augment=error");
     let inst = instance();
     let err = GapBasedSolver::default()
-        .with_certify(true)
         .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect_err("the injected flow fault must fail the gap tier");
     let fallback = err.partial.expect("fallback plan travels as partial");
@@ -159,7 +157,7 @@ fn flow_fault_during_rounding_lands_in_greedy_fallback_with_stages() {
         .report
         .certificate
         .as_ref()
-        .expect("certificate requested");
+        .expect("every solution carries its certificate");
     assert!(cert.hard_ok());
     assert!(certify(&inst, &fallback.plan).hard_ok());
 }
@@ -175,41 +173,56 @@ fn faulted_fallback_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn poison_escapes_without_certification_but_not_with_it() {
+fn poisoned_gap_plan_is_rejected_by_name() {
     let _guard = exclusive();
     let inst = conflict_prone_instance();
-
-    // Without certification the unrepaired plan escapes as a "success".
-    {
-        let _armed = arm("core.conflict_adjust.apply=nan");
-        let sol = GapBasedSolver::default()
-            .try_solve(&inst, SolveBudget::UNLIMITED)
-            .unwrap_or_else(|e| panic!("uncertified poison run failed outright: {}", e.message));
-        assert!(
-            !certify(&inst, &sol.plan).hard_ok(),
-            "this instance must actually corrupt under the poison, or the certify case tests nothing"
-        );
+    let _armed = arm("core.conflict_adjust.apply=nan");
+    let err = GapBasedSolver::default()
+        .try_solve(&inst, SolveBudget::UNLIMITED)
+        .expect_err("certification must reject the poisoned plan");
+    // The instance must actually corrupt under the poison, or the
+    // escalation cases test nothing: the rejection names the time
+    // conflict the skipped Algorithm 1 left in place.
+    assert_eq!(err.kind, FailureKind::NumericalInstability);
+    assert!(
+        err.message.contains("time-conflict"),
+        "rejection names the violated constraint: {}",
+        err.message
+    );
+    let fallback = err.partial.expect("fallback plan travels as partial");
+    let first = &fallback.report.attempts[0];
+    assert_eq!(first.solver, "gap_based");
+    match &first.outcome {
+        AttemptOutcome::Failed { kind, message } => {
+            assert_eq!(*kind, FailureKind::NumericalInstability);
+            assert!(message.contains("time-conflict"), "{message}");
+        }
+        other => panic!("the poisoned gap tier must be recorded as failed: {other:?}"),
     }
+}
 
-    // With certification the corruption is caught and the solve
-    // escalates to the (valid, certified) greedy tier.
-    {
-        let _armed = arm("core.conflict_adjust.apply=nan");
-        let err = GapBasedSolver::default()
-            .with_certify(true)
-            .try_solve(&inst, SolveBudget::UNLIMITED)
-            .expect_err("certification must reject the poisoned plan");
-        assert!(
-            err.message.contains("time-conflict"),
-            "rejection names the violated constraint: {}",
-            err.message
-        );
-        let fallback = err.partial.expect("fallback plan travels as partial");
-        assert_eq!(fallback.report.winner(), Some("greedy"));
-        assert!(certify(&inst, &fallback.plan).hard_ok());
-        let cert = fallback.report.certificate.as_ref().expect("certificate");
-        assert!(cert.hard_ok());
-    }
+#[test]
+fn default_gap_solver_escalates_poisoned_plan_to_greedy() {
+    let _guard = exclusive();
+    let inst = conflict_prone_instance();
+    let _armed = arm("core.conflict_adjust.apply=nan");
+    // No flag or option: every solve certifies the plan it returns.
+    let err = GapBasedSolver::default()
+        .try_solve(&inst, SolveBudget::UNLIMITED)
+        .expect_err("certification must reject the poisoned plan");
+    let fallback = err.partial.expect("fallback plan travels as partial");
+    assert_eq!(
+        fallback.report.to_string(),
+        "gap_based ✗ numerical → greedy ✓ best-effort"
+    );
+    let cert = fallback
+        .report
+        .certificate
+        .as_ref()
+        .expect("every solution carries its certificate");
+    assert!(cert.hard_ok(), "{cert}");
+    assert_eq!(cert, &certify(&inst, &fallback.plan));
+    assert_eq!(fallback.utility, cert.utility);
 }
 
 #[test]
@@ -218,7 +231,6 @@ fn double_fault_escalates_to_certified_empty_plan() {
     let inst = conflict_prone_instance();
     let _armed = arm("core.reduction.build=error;core.greedy.fallback=nan");
     let err = GapBasedSolver::default()
-        .with_certify(true)
         .try_solve(&inst, SolveBudget::UNLIMITED)
         .expect_err("gap tier dies on the reduction fault");
     assert!(err.message.contains("core.reduction.build"));

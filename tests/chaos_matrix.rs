@@ -84,7 +84,8 @@ fn instance() -> Instance {
 
 /// Asserts the universal outcome contract for a GEPC solve under an
 /// armed fault: a success must certify, a failure must be typed and
-/// any fallback partial must certify too.
+/// any fallback partial must certify too — each carrying the very
+/// certificate a fresh check gives.
 fn assert_certified_or_typed(
     label: &str,
     instance: &Instance,
@@ -97,6 +98,11 @@ fn assert_certified_or_typed(
                 cert.hard_ok(),
                 "{label}: success returned an uncertified plan: {cert}"
             );
+            assert_eq!(
+                sol.report.certificate.as_ref(),
+                Some(&cert),
+                "{label}: the carried certificate differs from a fresh check"
+            );
         }
         Err(e) => {
             assert!(!e.message.is_empty(), "{label}: typed error without message");
@@ -105,6 +111,11 @@ fn assert_certified_or_typed(
                 assert!(
                     cert.hard_ok(),
                     "{label}: fallback partial is uncertified: {cert}"
+                );
+                assert_eq!(
+                    partial.report.certificate.as_ref(),
+                    Some(&cert),
+                    "{label}: the partial's certificate differs from a fresh check"
                 );
             }
         }
@@ -172,16 +183,7 @@ fn every_site_and_action_yields_certified_plan_or_typed_error() {
                 // GEPC entry points: totality + certification.
                 {
                     let _armed = arm(plan_for(site, hit, action));
-                    let solver = GapBasedSolver::default().with_certify(true);
-                    let result = solver.try_solve(&inst, SolveBudget::UNLIMITED);
-                    if let Ok(sol) = &result {
-                        let cert = sol
-                            .report
-                            .certificate
-                            .as_ref()
-                            .unwrap_or_else(|| panic!("{label}: certified solve lost its certificate"));
-                        assert!(cert.hard_ok(), "{label}: success carries a rejecting certificate");
-                    }
+                    let result = GapBasedSolver::default().try_solve(&inst, SolveBudget::UNLIMITED);
                     assert_certified_or_typed(&format!("gap_based {label}"), &inst, result);
                 }
                 {
@@ -240,10 +242,9 @@ fn unarmed_runs_are_unaffected_by_the_fault_layer() {
     epplan::fault::clear();
     let inst = instance();
     let sol = GapBasedSolver::default()
-        .with_certify(true)
         .try_solve(&inst, SolveBudget::UNLIMITED)
-        .unwrap_or_else(|e| panic!("clean certified solve failed: {}", e.message));
-    let cert = sol.report.certificate.clone().expect("certificate requested");
+        .unwrap_or_else(|e| panic!("clean solve failed: {}", e.message));
+    let cert = sol.report.certificate.clone().expect("every solution carries its certificate");
     assert!(cert.hard_ok());
     assert!(!sol.report.degraded());
 }
@@ -281,12 +282,11 @@ proptest! {
         let action = ACTIONS[action_idx];
         let _armed = arm(plan_for(site, hit, action));
         let result = GapBasedSolver::default()
-            .with_certify(true)
             .try_solve(&inst, SolveBudget::UNLIMITED);
         match result {
             Ok(sol) => {
                 let cert = sol.report.certificate.clone()
-                    .unwrap_or_else(|| panic!("certificate requested but missing"));
+                    .unwrap_or_else(|| panic!("solution carries no certificate"));
                 prop_assert!(cert.hard_ok());
             }
             Err(e) => {

@@ -103,6 +103,31 @@ fn city_preset_generation() {
 }
 
 #[test]
+fn generate_and_example_out_notices_go_to_stderr() {
+    let dir = tmp_dir("notices");
+    let inst = dir.join("inst.json");
+    let out = bin()
+        .args(["generate", "--users", "40", "--events", "6", "--seed", "9"])
+        .args(["--out", inst.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "generated 40 users × 6 events\n");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("wrote {}", inst.display())), "{stderr}");
+
+    let example = dir.join("example.json");
+    let out = bin()
+        .args(["example", "--out", example.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(example.exists());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("wrote"), "{stdout}");
+}
+
+#[test]
 fn example_subcommand() {
     let out = bin().arg("example").output().unwrap();
     assert!(out.status.success());
@@ -339,6 +364,46 @@ fn exhausted_solve_budget_exits_7_with_fallback_plan() {
 }
 
 #[test]
+fn poisoned_gap_solve_escalates_exits_1_and_writes_a_valid_plan() {
+    let dir = tmp_dir("poison");
+    let inst = dir.join("inst.json");
+    let plan = dir.join("plan.json");
+    // User 0 is the only candidate for two overlapping events, so the
+    // GAP assignment without Algorithm 1 holds a time conflict.
+    std::fs::write(
+        &inst,
+        r#"{"users":[{"location":{"x":0.0,"y":0.0},"budget":50.0},
+                     {"location":{"x":1.0,"y":0.0},"budget":50.0}],
+            "events":[{"location":{"x":0.0,"y":1.0},"lower":1,"upper":2,
+                       "time":{"start":0,"end":59},"fee":0.0},
+                      {"location":{"x":0.0,"y":2.0},"lower":1,"upper":2,
+                       "time":{"start":30,"end":119},"fee":0.0}],
+            "utilities":{"n_users":2,"n_events":2,"values":[0.9,0.9,0.0,0.0]}}"#,
+    )
+    .unwrap();
+    let out = bin()
+        .env("EPPLAN_FAULTS", "core.conflict_adjust.apply=nan")
+        .args(["solve", "--instance", inst.to_str().unwrap(), "--solver", "gap"])
+        .args(["--out", plan.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let (class, line) = parse_error_object(&out.stderr);
+    assert_eq!(class, "internal");
+    assert!(line.contains("time-conflict"), "{line}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("certificate    : certified"), "{stdout}");
+    assert!(stdout.contains("hard-feasible  : yes"), "{stdout}");
+
+    let out = bin()
+        .args(["validate", "--instance", inst.to_str().unwrap()])
+        .args(["--plan", plan.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn malformed_op_in_stream_is_typed_error() {
     let dir = tmp_dir("badop");
     let inst = dir.join("inst.json");
@@ -435,6 +500,13 @@ fn trace_and_metrics_outputs() {
         saw_nested |= line.contains("\"parent\":");
     }
     assert!(saw_nested, "no nested span (parent id) in trace:\n{body}");
+    // The solve certifies the plan it returns once, and the CLI reads
+    // that certificate instead of checking again.
+    let certifies = body
+        .lines()
+        .filter(|l| l.contains("\"span\":\"solve.certify\""))
+        .count();
+    assert_eq!(certifies, 1, "{body}");
 
     // --metrics renders the human stage table on stderr.
     let stderr = String::from_utf8_lossy(&out.stderr);

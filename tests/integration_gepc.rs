@@ -176,46 +176,6 @@ fn zero_utility_assignments_never_made() {
     }
 }
 
-/// The `LpLowerBound` optimality certificate of a certified gap_based
-/// solve, if any.
-fn lp_lower_bound(sol: &Solution) -> Option<(f64, f64)> {
-    use epplan::solve::OptimalityCert;
-    let cert = sol.report.certificate.as_ref()?;
-    cert.optimality.first().map(|c| {
-        let OptimalityCert::LpLowerBound { bound, achieved } = *c;
-        (bound, achieved)
-    })
-}
-
-#[test]
-fn lp_lower_bound_comes_only_from_the_simplex_relaxation() {
-    // A pruned instance whose GAP has more pairs than
-    // `auto_simplex_limit` goes through multiplicative weights; that
-    // approximate, top-k pruned solution bounds nothing, so no
-    // `LpLowerBound` is attached.
-    let cfg = GeneratorConfig {
-        n_users: 600,
-        n_events: 40,
-        candidate_pruned: true,
-        seed: 7,
-        ..Default::default()
-    };
-    let inst = generate(&cfg);
-    let solver = GapBasedSolver::default().with_certify(true);
-    let (gap, _) = solver.build_gap(&inst);
-    assert!(gap.allowed_pairs_count() > solver.gap.auto_simplex_limit);
-    let sol = solver.try_solve(&inst, SolveBudget::UNLIMITED).unwrap();
-    assert!(sol.report.certificate.as_ref().is_some_and(|c| c.hard_ok()));
-    assert_eq!(lp_lower_bound(&sol), None);
-
-    // Below the limit the exact simplex runs, and its optimum is the
-    // bound.
-    let inst = generate(&small_cfg(3));
-    let sol = solver.try_solve(&inst, SolveBudget::UNLIMITED).unwrap();
-    let (bound, _) = lp_lower_bound(&sol).expect("simplex solve carries the LP bound");
-    assert!(bound.is_finite());
-}
-
 /// The per-user → per-event transpose the reduction used to build: one
 /// `Vec` per event, filled by walking users in ascending order. Kept as
 /// the reference the counting-sort transpose of `build_gap` must match.

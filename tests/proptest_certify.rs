@@ -13,6 +13,7 @@ use epplan::core::certify::{certify, certify_incremental};
 use epplan::core::model::{Event, Instance, TimeInterval, User, UtilityMatrix};
 use epplan::core::plan::Plan;
 use epplan::datagen::{generate, GeneratorConfig};
+use epplan::core::solver::{LnsSolver, SolveBudget};
 use epplan::prelude::*;
 use epplan::solve::certify::constraint;
 use proptest::prelude::*;
@@ -237,6 +238,61 @@ proptest! {
                 cert.violated_constraints().contains(&constraint::DUPLICATE_ASSIGNMENT),
                 "got {:?}", cert.violated_constraints()
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every solver's solution, returned or attached to its error as
+    /// the partial, carries a checked certificate equal to a
+    /// from-scratch `certify` of its plan, `U_P` included, and reads
+    /// its utility and tally from it. Caps below 40 iterations make the
+    /// budgeted solvers (gap, exact, LNS) hand back partials too; the
+    /// rest run unlimited.
+    #[test]
+    fn every_solution_carries_the_certificate_of_its_plan(
+        seed in 0u64..1_000,
+        n_users in 2usize..6,
+        n_events in 1usize..5,
+        cap in 1u64..80,
+    ) {
+        let inst = generate(&GeneratorConfig {
+            n_users,
+            n_events,
+            seed,
+            mean_lower: 2,
+            mean_upper: 5,
+            ..Default::default()
+        });
+        let budget = if cap < 40 {
+            SolveBudget::from_iteration_cap(cap)
+        } else {
+            SolveBudget::UNLIMITED
+        };
+        let lns = LnsSolver {
+            iterations: 4,
+            ..LnsSolver::seeded(seed)
+        };
+        let solvers: [&dyn GepcSolver; 4] = [
+            &GreedySolver::seeded(seed),
+            &GapBasedSolver::default(),
+            &ExactSolver::default(),
+            &lns,
+        ];
+        for solver in solvers {
+            let solutions: Vec<Solution> = match solver.try_solve(&inst, budget) {
+                Ok(sol) => vec![sol],
+                Err(e) => e.partial.into_iter().collect(),
+            };
+            for sol in solutions {
+                let fresh = certify(&inst, &sol.plan);
+                prop_assert!(fresh.checked && fresh.hard_ok(), "{}: {fresh}", solver.name());
+                prop_assert_eq!(sol.report.certificate.as_ref(), Some(&fresh), "{}", solver.name());
+                prop_assert_eq!(sol.utility.to_bits(), fresh.utility.to_bits());
+                prop_assert_eq!(sol.tally.utility().to_bits(), fresh.utility.to_bits());
+            }
         }
     }
 }
