@@ -128,3 +128,55 @@ pub trait GepcSolver {
     /// Short name for logs and benchmark tables.
     fn name(&self) -> &'static str;
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{Event, TimeInterval, User, UserId, UtilityMatrix};
+    use epplan_geo::Point;
+    use epplan_solve::certify::constraint;
+
+    /// Two overlapping events, each wanting one user.
+    fn overlapping() -> Instance {
+        let users = vec![
+            User::new(Point::new(0.0, 0.0), 50.0),
+            User::new(Point::new(1.0, 0.0), 50.0),
+        ];
+        let events = vec![
+            Event::new(Point::new(0.0, 1.0), 1, 2, TimeInterval::new(0, 59)),
+            Event::new(Point::new(0.0, 2.0), 1, 2, TimeInterval::new(30, 119)),
+        ];
+        let utilities =
+            UtilityMatrix::from_rows(vec![vec![0.9, 0.4], vec![0.2, 0.8]]).unwrap();
+        Instance::new(users, events, utilities).unwrap()
+    }
+
+    #[test]
+    fn from_plan_rejects_a_plan_with_a_time_conflict() {
+        let inst = overlapping();
+        let mut plan = Plan::for_instance(&inst);
+        plan.add(UserId(0), EventId(0));
+        plan.add(UserId(0), EventId(1));
+        let sol = Solution::from_plan(&inst, plan);
+        assert!(!sol.certified());
+        let cert = sol.report.certificate.as_ref().unwrap();
+        assert_eq!(cert.violated_constraints(), vec![constraint::TIME_CONFLICT]);
+        // The utility is still the certificate's recount of the plan.
+        assert_eq!(sol.utility.to_bits(), cert.utility.to_bits());
+        assert_eq!(sol.tally.utility().to_bits(), cert.utility.to_bits());
+        assert!((sol.utility - 1.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_plan_certifies_the_empty_plan_with_its_shortfalls() {
+        let inst = overlapping();
+        let sol = Solution::from_plan(&inst, Plan::for_instance(&inst));
+        assert!(sol.certified());
+        assert_eq!(sol.utility, 0.0);
+        assert_eq!(sol.shortfall, vec![EventId(0), EventId(1)]);
+        assert!(!sol.fully_feasible());
+        let cert = sol.report.certificate.as_ref().unwrap();
+        assert!(cert.hard_violations.is_empty());
+        assert_eq!(cert.soft_violations.len(), 2, "{cert}");
+    }
+}

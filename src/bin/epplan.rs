@@ -543,11 +543,11 @@ fn cmd_solve(flags: HashMap<String, String>) {
             );
             let cert = partial.report.certificate.clone().unwrap_or_default();
             println!("certificate    : {cert}");
-            finish_obs(&obs);
             summarize(&instance, &partial.plan, &cert);
             if let Some(path) = flags.get("out") {
                 write_json(&partial.plan, path);
             }
+            finish_obs(&obs);
             fail(class, &format!("solve failed at {}: {}", e.stage, e.message));
         }
     };

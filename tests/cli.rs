@@ -364,6 +364,30 @@ fn exhausted_solve_budget_exits_7_with_fallback_plan() {
 }
 
 #[test]
+fn degraded_solve_ends_stdout_with_the_metrics_snapshot() {
+    let dir = tmp_dir("degraded-metrics");
+    let inst = dir.join("inst.json");
+    assert!(bin()
+        .args(["generate", "--users", "40", "--events", "6", "--seed", "2"])
+        .args(["--out", inst.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    let out = bin()
+        .args(["solve", "--instance", inst.to_str().unwrap()])
+        .args(["--solver", "gap", "--time-limit-ms", "0", "--json-metrics"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(7), "{}", String::from_utf8_lossy(&out.stderr));
+    // The fallback's summary comes first and the snapshot last, as on
+    // a clean run.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let last = stdout.lines().last().unwrap_or_default();
+    assert!(last.starts_with('{') && last.contains("\"counters\""), "{stdout}");
+    assert!(stdout.contains("hard-feasible  : yes"), "{stdout}");
+}
+
+#[test]
 fn poisoned_gap_solve_escalates_exits_1_and_writes_a_valid_plan() {
     let dir = tmp_dir("poison");
     let inst = dir.join("inst.json");

@@ -187,6 +187,33 @@ fn jsonl_and_collecting_sink_agree() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `report --perfetto` keeps stdout for the tables: its `wrote`
+/// notice goes to stderr, like every other writer's.
+#[test]
+fn report_perfetto_notice_goes_to_stderr() {
+    let dir = tmp_dir("notice");
+    let trace = dir.join("trace.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"ts\":0,\"id\":1,\"span\":\"solve.greedy\",\"dur_us\":40,\"iters\":0,\"mem_peak_bytes\":0,\"alloc_calls\":0}\n",
+    )
+    .unwrap();
+    let perfetto = dir.join("out.json");
+    let out = bin()
+        .args(["report", "--trace", trace.to_str().unwrap()])
+        .args(["--perfetto", perfetto.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(perfetto.exists());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("1 span(s) in "), "{stdout}");
+    assert!(!stdout.contains("wrote"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("wrote {}", perfetto.display())), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Malformed traces fail loudly with the documented exit codes.
 #[test]
 fn report_error_contract() {
