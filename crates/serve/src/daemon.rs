@@ -33,7 +33,7 @@ use epplan_core::certify::{certify, certify_delta, certify_tally};
 use epplan_core::incremental::{IncrementalPlanner, SequencedOp};
 use epplan_core::model::Instance;
 use epplan_core::plan::{dif, Plan};
-use epplan_core::solver::{GapBasedSolver, GepcSolver, LnsSolver};
+use epplan_core::solver::{GapBasedSolver, GepcSolver};
 use epplan_obs::{HistogramSnapshot, WindowConfig, WindowedHistogram};
 use epplan_solve::{CertTally, Certificate, FailureKind, SolveBudget, SolveError};
 
@@ -214,7 +214,7 @@ impl Daemon {
         config: ServeConfig,
         state_dir: Option<&Path>,
     ) -> Result<Daemon, ServeError> {
-        let (plan, tally) = Self::full_solve(&instance, config.resolve_budget, false)?;
+        let (plan, tally) = Self::full_solve(&instance, config.resolve_budget)?;
         let window = latency_window(&config);
         let mut daemon = Daemon {
             instance,
@@ -636,8 +636,7 @@ impl Daemon {
         // Graceful degradation: rebuild the plan from scratch on the
         // post-op instance; keep it only if it certifies.
         let transition = IncrementalPlanner::apply_to_instance_in_place(&mut self.instance, op);
-        let degraded = self.overload.level >= 2;
-        match Self::full_solve(&self.instance, self.config.resolve_budget, degraded) {
+        match Self::full_solve(&self.instance, self.config.resolve_budget) {
             Ok((new_plan, tally)) => {
                 let op_dif = dif(&self.plan, &new_plan) as u64;
                 self.plan = new_plan;
@@ -732,8 +731,6 @@ impl Daemon {
             OutcomeMode::Repair => self.replay_repair(sop)?,
             OutcomeMode::RepairResolve => {
                 self.replay_repair(sop)?;
-                // Uses the pre-op brownout level for solver choice,
-                // exactly like the live run did (absorb comes after).
                 self.resolve_in_place()?;
             }
             OutcomeMode::Resolve => {
@@ -784,8 +781,7 @@ impl Daemon {
     /// the plan only on success (and it is certified by
     /// [`Daemon::full_solve`]). Resets drift.
     fn resolve_in_place(&mut self) -> Result<(), ServeError> {
-        let degraded = self.overload.level >= 2;
-        let (plan, tally) = Self::full_solve(&self.instance, self.config.resolve_budget, degraded)?;
+        let (plan, tally) = Self::full_solve(&self.instance, self.config.resolve_budget)?;
         self.plan = plan;
         self.tally = tally;
         self.drift = 0;
@@ -798,26 +794,15 @@ impl Daemon {
     /// certifier tally (`U_P` included) of the certificate the solve
     /// built it with. Degrades to the solver's partial (fallback) plan
     /// when one exists, but *never* returns a plan its certificate
-    /// rejects. At brownout level ≥ 2 (`degraded`), the gap-based
-    /// pipeline is swapped for budgeted LNS with the final
-    /// `LocalSearch` polish skipped — cheaper, still certified.
+    /// rejects. Every brownout level runs the same gap-based pipeline,
+    /// so replay needs no record of the level a re-solve ran at.
     fn full_solve(
         instance: &Instance,
         budget: SolveBudget,
-        degraded: bool,
     ) -> Result<(Plan, CertTally), ServeError> {
         let mut sp = epplan_obs::span("serve.resolve");
         sp.add_iters(1);
-        let attempt = if degraded {
-            let solver = LnsSolver {
-                polish: false,
-                ..LnsSolver::seeded(0)
-            };
-            solver.try_solve(instance, budget)
-        } else {
-            GapBasedSolver::default().try_solve(instance, budget)
-        };
-        let solution = match attempt {
+        let solution = match GapBasedSolver::default().try_solve(instance, budget) {
             Ok(s) => s,
             Err(e) => match e.partial {
                 Some(best_effort) => best_effort,
@@ -1514,7 +1499,7 @@ mod tests {
                 assert!(d.certificate().hard_ok(), "visible state must certify");
             }
             assert_eq!(d.overload_state().level, crate::overload::MAX_BROWNOUT_LEVEL);
-            assert_eq!(d.stats().brownout_steps, 3);
+            assert_eq!(d.stats().brownout_steps, 2);
             live_state = d.overload_state().clone();
         }
         // Replay folds the recorded burn flags and levels — no clock,
@@ -1522,6 +1507,37 @@ mod tests {
         let restored = Daemon::restore(config, &dir).unwrap();
         assert_eq!(restored.overload_state(), &live_state);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn deepest_level_resolve_is_the_gap_pipeline() {
+        let config = ServeConfig {
+            // Every op burns and every repair exceeds the (4×) drift
+            // threshold of 0, so each op ends in a re-solve.
+            slo_p99_us: Some(0),
+            drift_threshold: Some(0),
+            overload: OverloadConfig {
+                brownout: Some(crate::overload::BrownoutKnobs {
+                    down_after: 1,
+                    up_after: 100,
+                }),
+                ..OverloadConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let mut d = Daemon::start(small_instance(), config.clone(), None).unwrap();
+        let ops = ops_for(d.instance(), d.plan(), 8);
+        let mut ops = ops.iter();
+        while d.overload_state().level < crate::overload::MAX_BROWNOUT_LEVEL {
+            d.process(ops.next().unwrap()).unwrap();
+        }
+        let resp = d.process(ops.next().unwrap()).unwrap();
+        assert_eq!(resp.status, "resolved");
+        assert_eq!(resp.error, None, "drift-triggered, not a repair fallback");
+        let gap = GapBasedSolver::default()
+            .try_solve(d.instance(), config.resolve_budget)
+            .unwrap();
+        assert_eq!(plan_bytes(&d), serde_json::to_string(&gap.plan).unwrap());
     }
 
     #[test]

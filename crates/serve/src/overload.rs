@@ -33,12 +33,13 @@ use crate::wal::{OutcomeMeta, OutcomeMode};
 ///
 /// * **0** — normal operation.
 /// * **1** — per-op repair budgets halved.
-/// * **2** — additionally, full re-solves switch from the gap-based
-///   pipeline to budgeted LNS with the final `LocalSearch` polish
-///   skipped (`LnsSolver::try_solve`, `polish: false`).
-/// * **3** — additionally, the drift re-solve threshold is raised
+/// * **2** — additionally, the drift re-solve threshold is raised
 ///   4×, so background re-solves become rare.
-pub const MAX_BROWNOUT_LEVEL: u8 = 3;
+///
+/// Full re-solves run the gap-based pipeline at every level: budgeted
+/// LNS measured several times slower than it at serving sizes, so no
+/// level swaps the solver.
+pub const MAX_BROWNOUT_LEVEL: u8 = 2;
 
 /// Work-clock cost charged, on top of `1 + retries`, for any op whose
 /// outcome involved a full re-solve attempt (successful or not). A
@@ -341,15 +342,15 @@ mod tests {
                 .max_iterations,
             Some(1)
         );
-        assert_eq!(shrink_budget(SolveBudget::UNLIMITED, 3).max_iterations, None);
+        assert_eq!(shrink_budget(SolveBudget::UNLIMITED, 2).max_iterations, None);
     }
 
     #[test]
     fn drift_threshold_is_raised_only_at_the_deepest_level() {
         assert_eq!(effective_drift_threshold(Some(100), 0), Some(100));
-        assert_eq!(effective_drift_threshold(Some(100), 2), Some(100));
-        assert_eq!(effective_drift_threshold(Some(100), 3), Some(400));
-        assert_eq!(effective_drift_threshold(None, 3), None);
+        assert_eq!(effective_drift_threshold(Some(100), 1), Some(100));
+        assert_eq!(effective_drift_threshold(Some(100), 2), Some(400));
+        assert_eq!(effective_drift_threshold(None, 2), None);
     }
 
     #[test]

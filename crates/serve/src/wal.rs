@@ -77,9 +77,12 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 pub const CHECKPOINT_TMP_FILE: &str = "checkpoint.bin.tmp";
 /// Dead-letter log file name inside the state directory.
 pub const DEAD_LETTER_FILE: &str = "dead_letter.log";
-/// Version stamp embedded in every snapshot; bumped on layout change.
-/// v2 added the overload-controller state ([`OverloadState`]).
-pub const FORMAT_VERSION: u32 = 2;
+/// Version stamp embedded in every snapshot; bumped on layout change
+/// or when replaying the same WAL would rebuild a different state.
+/// v2 added the overload-controller state ([`OverloadState`]); v3:
+/// re-solves run the gap-based pipeline at every brownout level, so a
+/// v2 WAL's LNS re-solves would replay to different plans.
+pub const FORMAT_VERSION: u32 = 3;
 /// Version stamp embedded in every checkpoint.
 pub const CHECKPOINT_VERSION: u32 = 1;
 

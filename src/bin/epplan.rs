@@ -43,9 +43,11 @@
 //!
 //! Overload resilience: `--op-deadline-ops N` sheds ops that arrive
 //! more than `N` ops behind the work clock (status `"shed"`);
-//! `--brownout DOWN,UP` (requires `--slo-p99-us`) arms the brownout
-//! ladder — after `DOWN` consecutive burning ops the daemon steps one
-//! degradation level down, after `UP` healthy ops one level back up;
+//! `--brownout DOWN,UP` (requires `--slo-p99-us`) arms the 3-level
+//! brownout ladder — after `DOWN` consecutive burning ops the daemon
+//! steps one degradation level down, after `UP` healthy ops one level
+//! back up (level 1 halves repair budgets, level 2 also raises the
+//! drift threshold 4×; re-solves run the gap pipeline at every level);
 //! `--quarantine-after N` dead-letters an op whose replay attempts hit
 //! `N` and skips it; `--dump-dead-letter` prints every quarantined op
 //! as one JSON line and exits. All decisions are recorded in the WAL

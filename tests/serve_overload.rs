@@ -375,31 +375,41 @@ fn overload_flag_validation() {
 }
 
 /// The brownout ladder descends under a burning SLO (p99 target of 0μs
-/// burns on every op) and the run still certifies; controller state
-/// replays across a crash/restore to the same WAL bytes.
+/// burns on every op) and the run still certifies; the floor-level
+/// re-solves give the same plan and WAL bytes at 1 and 4 threads, and
+/// controller state replays across a crash/restore to the same plan.
 #[test]
 fn brownout_descends_and_replays() {
     let dir = tmp_dir("brownout");
     let (inst, ops) = make_bursty_fixture(&dir, 60);
     let extra = ["--slo-p99-us", "0", "--brownout", "2,100"];
 
-    let state = dir.join("state-ref");
-    let plan = dir.join("plan-ref.json");
-    let out = bin()
-        .args(overload_args(&inst, &state, &plan))
-        .args(extra)
-        .args(["--ops", ops.to_str().unwrap()])
-        .env("EPPLAN_THREADS", "1")
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let summary = summary_line(&out.stdout);
-    assert!(summary.certified, "{summary:?}");
-    assert_eq!(
-        summary.brownout_steps, 3,
-        "p99 target 0 must walk the full ladder: {summary:?}"
-    );
-    let ref_plan = std::fs::read(&plan).unwrap();
+    let mut runs = Vec::new();
+    for threads in ["1", "4"] {
+        let state = dir.join(format!("state-ref-{threads}"));
+        let plan = dir.join(format!("plan-ref-{threads}.json"));
+        let out = bin()
+            .args(overload_args(&inst, &state, &plan))
+            .args(extra)
+            .args(["--ops", ops.to_str().unwrap()])
+            .env("EPPLAN_THREADS", threads)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let summary = summary_line(&out.stdout);
+        assert!(summary.certified, "{summary:?}");
+        assert_eq!(
+            summary.brownout_steps, 2,
+            "p99 target 0 must walk the full ladder: {summary:?}"
+        );
+        runs.push((
+            std::fs::read(&plan).unwrap(),
+            std::fs::read(state.join("wal.log")).unwrap(),
+        ));
+    }
+    let (ref_plan, ref_wal) = &runs[0];
+    assert!(runs[1].0 == *ref_plan, "brownout plan differs across thread counts");
+    assert!(runs[1].1 == *ref_wal, "brownout wal.log differs across thread counts");
 
     let state = dir.join("state-crash");
     let plan = dir.join("plan-crash.json");
@@ -420,7 +430,7 @@ fn brownout_descends_and_replays() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(
-        std::fs::read(&plan).unwrap(),
+        &std::fs::read(&plan).unwrap(),
         ref_plan,
         "plan after a mid-brownout crash/restore must match the uninterrupted run"
     );

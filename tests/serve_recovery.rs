@@ -3,12 +3,14 @@
 //! restart with `--restore`, and the recovered plan is certified and
 //! bit-identical to an uninterrupted run. Checked at `EPPLAN_THREADS`
 //! 1 and 4 (the parallel runtime must not perturb recovery), plus a
-//! WAL-corruption leg that must fail loudly with the `parse` exit
-//! code rather than restore garbage.
+//! WAL-corruption leg and an older-format-version leg that must fail
+//! loudly with the `parse` exit code rather than restore garbage.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+
+use epplan::serve::wal;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_epplan"))
@@ -289,6 +291,39 @@ fn corrupted_wal_fails_restore_with_parse_exit() {
         Some(4),
         "corrupted WAL must fail restore with the parse exit code: {}",
         String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A state dir from an older format version (v2 may hold LNS re-solves
+/// that would now replay to a different plan) is refused with the
+/// `parse` exit code, naming both versions.
+#[test]
+fn older_format_version_fails_restore_with_parse_exit() {
+    let dir = tmp_dir("old-version");
+    let (inst, ops) = make_fixture(&dir, 10);
+    let state = dir.join("state");
+    let plan = dir.join("plan.json");
+    let out = bin()
+        .args(serve_args(&inst, &state, &plan))
+        .args(["--ops", ops.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut snap = wal::read_snapshot(&state).unwrap().expect("base image");
+    snap.version = 2;
+    wal::write_snapshot(&state, &snap).unwrap();
+    let out = bin()
+        .args(serve_args(&inst, &state, &plan))
+        .arg("--restore")
+        .args(["--ops", ops.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("format version 2 (supported: 3)"),
+        "the error must name both versions: {stderr}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
