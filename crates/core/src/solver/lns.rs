@@ -9,10 +9,12 @@
 //! Because repair reuses the same constraint-checked primitives as the
 //! paper's algorithms, every intermediate plan stays hard-feasible.
 //!
-//! Seeded from the greedy solution, LNS trades extra wall-clock for
-//! utility — typically landing between the greedy and GAP-based
-//! results at a fraction of the GAP pipeline's cost (see the
-//! `gepc/lns` Criterion bench).
+//! Seeded from the greedy solution and finished with a [`LocalSearch`]
+//! polish of the best plan, LNS trades extra wall-clock for utility —
+//! typically landing between the greedy and GAP-based results. It is
+//! not cheaper than the GAP pipeline: even without the polish it
+//! measured 6–8× slower at 500 users × 50 events (see the `gepc/lns`
+//! Criterion bench).
 
 use crate::incremental::repair::transfer_users_to;
 use crate::model::{Instance, UserId};
@@ -55,8 +57,6 @@ pub struct LnsSolver {
     pub iterations: usize,
     /// Fraction of users whose plans are released per iteration.
     pub destroy_fraction: f64,
-    /// Run a final [`LocalSearch`] polish on the best plan.
-    pub polish: bool,
 }
 
 impl Default for LnsSolver {
@@ -65,7 +65,6 @@ impl Default for LnsSolver {
             seed: 0,
             iterations: 30,
             destroy_fraction: 0.2,
-            polish: true,
         }
     }
 }
@@ -193,9 +192,7 @@ impl GepcSolver for LnsSolver {
                 .discard_partial()
                 .with_partial(Solution::from_plan(instance, best)));
         }
-        if self.polish {
-            LocalSearch::default().improve(instance, &mut best);
-        }
+        LocalSearch::default().improve(instance, &mut best);
         Ok(Solution::from_plan(instance, best))
     }
 
@@ -284,12 +281,12 @@ mod tests {
         let lns = LnsSolver {
             seed: 1,
             iterations: 0,
-            polish: false,
             ..Default::default()
         }
         .solve(&inst);
-        let greedy = GreedySolver::seeded(1).solve(&inst);
-        assert_eq!(lns.plan, greedy.plan);
+        let mut polished = GreedySolver::seeded(1).plan(&inst);
+        LocalSearch::default().improve(&inst, &mut polished);
+        assert_eq!(lns.plan, polished);
     }
 
     #[test]
