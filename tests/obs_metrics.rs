@@ -64,6 +64,10 @@ fn gap_solve_emits_stage_metrics() {
         "MW solve recorded no packing epochs"
     );
     assert!(
+        obs::counter_value("packing.oracle_scanned") > 0,
+        "MW solve recorded no oracle penalty evaluations"
+    );
+    assert!(
         obs::counter_value("rounding.slots") > 0,
         "rounding recorded no slots on the MW path"
     );
