@@ -266,28 +266,42 @@ impl Instance {
     /// d(e_2,u_1)`), plus any admission fees (the Section VII
     /// extension; zero in the base model).
     pub fn travel_cost(&self, u: UserId, events: &[EventId]) -> f64 {
-        let fees: f64 = events.iter().map(|&e| self.event(e).fee).sum();
-        fees + match events.len() {
-            0 => 0.0,
-            1 => 2.0 * self.distance(u, events[0]),
-            _ => {
-                let mut order: Vec<EventId> = events.to_vec();
-                order.sort_by_key(|e| self.event(*e).time);
-                let mut cost = self.distance(u, order[0]);
-                for w in order.windows(2) {
-                    cost += self.event_distance(w[0], w[1]);
-                }
-                cost + self.distance(u, order[order.len() - 1])
-            }
+        match *events {
+            [] => self.route_cost(u, &mut []),
+            [e] => self.route_cost(u, &mut [e]),
+            _ => self.route_cost(u, &mut events.to_vec()),
         }
     }
 
-    /// Travel cost if `extra` were added to `events`.
+    /// Travel cost if `extra` were added to `events`: the route of
+    /// `events` followed by `extra`, built once.
     pub fn travel_cost_with(&self, u: UserId, events: &[EventId], extra: EventId) -> f64 {
-        let mut all = Vec::with_capacity(events.len() + 1);
-        all.extend_from_slice(events);
-        all.push(extra);
-        self.travel_cost(u, &all)
+        if events.is_empty() {
+            return self.route_cost(u, &mut [extra]);
+        }
+        let mut route = Vec::with_capacity(events.len() + 1);
+        route.extend_from_slice(events);
+        route.push(extra);
+        self.route_cost(u, &mut route)
+    }
+
+    /// [`Instance::travel_cost`] of `route`, which it sorts into start
+    /// order in place. Fees are summed in the order given, so two
+    /// callers passing the same sequence get the same bits.
+    fn route_cost(&self, u: UserId, route: &mut [EventId]) -> f64 {
+        let fees: f64 = route.iter().map(|&e| self.event(e).fee).sum();
+        fees + match route.len() {
+            0 => 0.0,
+            1 => 2.0 * self.distance(u, route[0]),
+            _ => {
+                route.sort_by_key(|e| self.event(*e).time);
+                let mut cost = self.distance(u, route[0]);
+                for w in route.windows(2) {
+                    cost += self.event_distance(w[0], w[1]);
+                }
+                cost + self.distance(u, route[route.len() - 1])
+            }
+        }
     }
 
     /// Whether `extra` can be added to `events` without any time
@@ -436,6 +450,34 @@ mod tests {
     fn travel_cost_empty_is_zero() {
         let inst = two_by_two();
         assert_eq!(inst.travel_cost(UserId(0), &[]), 0.0);
+    }
+
+    #[test]
+    fn travel_cost_with_matches_travel_cost_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        // Few distinct windows, so many events share a start time and
+        // the stable sort's input order decides the route.
+        let events: Vec<Event> = (0..12)
+            .map(|_| {
+                let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+                let start = 60 * rng.gen_range(0..3);
+                let fee = [0.0, 0.1, 0.7][rng.gen_range(0..3)];
+                Event::new(at, 0, 3, TimeInterval::new(start, start + rng.gen_range(10..50)))
+                    .with_fee(fee)
+            })
+            .collect();
+        let users = vec![User::new(Point::new(3.0, 4.0), 100.0)];
+        let inst = Instance::new(users, events, UtilityMatrix::zeros(1, 12)).unwrap();
+        for _ in 0..500 {
+            let len = rng.gen_range(0..6);
+            let mut evs: Vec<EventId> =
+                (0..len).map(|_| EventId(rng.gen_range(0..12))).collect();
+            let extra = EventId(rng.gen_range(0..12));
+            let with = inst.travel_cost_with(UserId(0), &evs, extra);
+            evs.push(extra);
+            assert_eq!(with.to_bits(), inst.travel_cost(UserId(0), &evs).to_bits(), "{evs:?}");
+        }
     }
 
     #[test]

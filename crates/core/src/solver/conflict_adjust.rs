@@ -10,12 +10,10 @@
 //! without conflicts and within budget receives it, otherwise the copy
 //! is dropped (a potential lower-bound shortfall).
 //!
-//! Offers read an event's receivers in that order from
-//! `ReceiverOrders`: one flat event-major transpose of the candidate
-//! lists, each event's list sorted only as far as its offers read it.
-//! Some ~1 400 offers read the orders of a 24 000-user solve, so
-//! sorting its ~1.8 M receiver pairs in full would be almost all of
-//! the work.
+//! Offers read an event's receivers in that order from the
+//! event-major pair store (`EventOrders`). A GAP solve hands one store
+//! to both passes and the filler (the `*_with` forms); the public
+//! functions build their own, over only the events they can offer.
 //!
 //! The ST rounding also only guarantees per-user load ≤ `T_i + max p`,
 //! i.e. travel cost up to about `2·(2+ε)·B_i`, so a further
@@ -26,97 +24,7 @@
 
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
-
-/// Receivers sorted per step when an offer first reads past the sorted
-/// part of an event's list; later steps double.
-const ORDER_CHUNK: usize = 32;
-
-/// Receiver preference orders — users with positive utility, descending
-/// utility then ascending id — of the events marked in `needed`, sorted
-/// only as far as offers read them.
-///
-/// One flat event-major transpose of the user-major candidate lists
-/// holds every needed event's `(user, μ)` pairs: two linear passes over
-/// the candidate arrays, not a users × events sweep. An offer reads its event's list front to
-/// back. A read past the sorted part sorts the next chunk in place,
-/// with `select_nth_unstable_by` and then a sort on the same key. The
-/// key is a total order (users are distinct within a list), so every
-/// sorted prefix is exactly that of the fully sorted list. The offering
-/// user is skipped at iteration time, which yields exactly the
-/// per-offer order a sequential sort would produce.
-///
-/// Restricting receivers to candidates is lossless: a non-candidate
-/// either has μ = 0 (never in the order) or cannot afford the event on
-/// its own, which `can_attend_with` rejects in every plan state.
-struct ReceiverOrders {
-    /// Event `e`'s list is `pairs[offsets[e]..offsets[e + 1]]`.
-    offsets: Vec<u32>,
-    /// `(user, μ)` pairs.
-    pairs: Vec<(u32, f64)>,
-    /// Per event, the length of the list's sorted prefix.
-    sorted: Vec<u32>,
-}
-
-/// The receiver order: μ descending, then user ascending.
-fn by_rank(a: &(u32, f64), b: &(u32, f64)) -> std::cmp::Ordering {
-    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
-}
-
-impl ReceiverOrders {
-    fn new(instance: &Instance, needed: &[bool]) -> ReceiverOrders {
-        let cands = instance.candidates();
-        let (events, utils) = (cands.event_ids(), cands.utilities());
-        let mut offsets = vec![0u32; needed.len() + 1];
-        for &e in events {
-            offsets[e as usize + 1] += u32::from(needed[e as usize]);
-        }
-        for e in 0..needed.len() {
-            offsets[e + 1] += offsets[e];
-        }
-        let total = offsets[needed.len()];
-        // One branch-free pass over the flat candidate arrays: pairs of
-        // events not needed all land in one spare slot past the end,
-        // which is cut off afterwards.
-        let mut next: Vec<u32> = (0..needed.len())
-            .map(|e| if needed[e] { offsets[e] } else { total })
-            .collect();
-        let mut pairs = vec![(0u32, 0.0f64); total as usize + 1];
-        for (u, row) in cands.row_offsets().windows(2).enumerate() {
-            for k in row[0] as usize..row[1] as usize {
-                let e = events[k] as usize;
-                pairs[next[e] as usize] = (u as u32, utils[k]);
-                next[e] += u32::from(needed[e]);
-            }
-        }
-        pairs.truncate(total as usize);
-        ReceiverOrders {
-            offsets,
-            pairs,
-            sorted: vec![0; needed.len()],
-        }
-    }
-
-    /// The `k`-th receiver of `e` in preference order, `None` past the
-    /// end of the list (or for an event not marked as needed).
-    fn get(&mut self, e: EventId, k: usize) -> Option<UserId> {
-        let lo = self.offsets[e.index()] as usize;
-        let list = &mut self.pairs[lo..self.offsets[e.index() + 1] as usize];
-        if k >= list.len() {
-            return None;
-        }
-        let sorted = &mut self.sorted[e.index()];
-        while k >= *sorted as usize {
-            let rest = &mut list[*sorted as usize..];
-            let step = (*sorted as usize).max(ORDER_CHUNK).min(rest.len());
-            if step < rest.len() {
-                rest.select_nth_unstable_by(step, by_rank);
-            }
-            rest[..step].sort_unstable_by(by_rank);
-            *sorted += step as u32;
-        }
-        Some(UserId(list[k].0))
-    }
-}
+use crate::solver::event_orders::EventOrders;
 
 /// A raw (pre-repair) assignment: per-user event multiset, possibly
 /// containing duplicates and time conflicts. This is what the GAP
@@ -156,10 +64,10 @@ fn try_reassign(
     processed: usize,
     e: EventId,
     exclude: UserId,
-    orders: &mut ReceiverOrders,
+    orders: &mut EventOrders,
 ) -> Option<UserId> {
     let mut k = 0;
-    while let Some(u) = orders.get(e, k) {
+    while let Some((u, _)) = orders.get(e, k) {
         k += 1;
         if u == exclude {
             continue;
@@ -189,6 +97,26 @@ fn try_reassign(
 /// dropped. The returned plan can still carry budget overruns
 /// inherited from the ST load slack — run [`budget_repair`] next.
 pub fn conflict_adjust(instance: &Instance, raw: RawAssignment) -> Plan {
+    // Only events present in the raw assignment can ever be offered
+    // around (reassignment moves existing copies; it never conjures new
+    // events), so their receiver orders cover every offer.
+    let mut needed = vec![false; instance.n_events()];
+    for e in raw.iter().flatten() {
+        if let Some(flag) = needed.get_mut(e.index()) {
+            *flag = true;
+        }
+    }
+    let mut orders = EventOrders::from_candidates(instance, &needed);
+    conflict_adjust_with(instance, raw, &mut orders)
+}
+
+/// [`conflict_adjust`] reading receivers from `orders`, which must
+/// hold the candidate lists of every event in `raw`.
+pub(crate) fn conflict_adjust_with(
+    instance: &Instance,
+    raw: RawAssignment,
+    orders: &mut EventOrders,
+) -> Plan {
     let mut working = raw;
     // Defensive normalization instead of a panic: a well-formed raw
     // assignment has exactly one multiset per user. Extra multisets are
@@ -199,17 +127,6 @@ pub fn conflict_adjust(instance: &Instance, raw: RawAssignment) -> Plan {
         multiset.retain(|e| e.index() < instance.n_events());
     }
     let mut plan = Plan::for_instance(instance);
-
-    // Only events present in the raw assignment can ever be offered
-    // around (reassignment moves existing copies; it never conjures new
-    // events), so their receiver orders cover every offer below.
-    let mut needed = vec![false; instance.n_events()];
-    for multiset in &working {
-        for e in multiset {
-            needed[e.index()] = true;
-        }
-    }
-    let mut orders = ReceiverOrders::new(instance, &needed);
 
     for u in 0..working.len() {
         let user = UserId(u as u32);
@@ -228,7 +145,7 @@ pub fn conflict_adjust(instance: &Instance, raw: RawAssignment) -> Plan {
             // Offer the removed copy to the other users; if no one can
             // absorb it, the copy is dropped (the shortfall surfaces in
             // validation).
-            let _ = try_reassign(instance, &mut plan, &mut working, u, e, user, &mut orders);
+            let _ = try_reassign(instance, &mut plan, &mut working, u, e, user, orders);
         }
         // Commit the now conflict-free multiset (`Plan::add` ignores
         // any residual duplicate defensively).
@@ -245,26 +162,49 @@ pub fn conflict_adjust(instance: &Instance, raw: RawAssignment) -> Plan {
 /// (same policy as Algorithm 1's reassignment step). Returns the
 /// number of assignments that had to be dropped entirely.
 pub fn budget_repair(instance: &Instance, plan: &mut Plan) -> usize {
-    let mut dropped = 0;
-    // A receiver passes `can_attend_with`'s budget check on exactly the
-    // event list it then holds, so a user within budget on entry stays
-    // within it. Victims therefore only come out of the entry plans of
-    // users already over budget, and only those events need receiver
-    // orders.
-    let over: Vec<UserId> = instance
-        .user_ids()
-        .filter(|&u| plan.travel_cost(instance, u) > instance.user(u).budget + 1e-9)
-        .collect();
+    let over = over_budget(instance, plan);
     if over.is_empty() {
         return 0;
     }
+    // Victims only come out of the entry plans of the users in `over`,
+    // so only those events need receiver orders.
     let mut needed = vec![false; instance.n_events()];
-    for &u in &over {
-        for e in plan.user_plan(u) {
-            needed[e.index()] = true;
-        }
+    for e in over.iter().flat_map(|&u| plan.user_plan(u)) {
+        needed[e.index()] = true;
     }
-    let mut orders = ReceiverOrders::new(instance, &needed);
+    let mut orders = EventOrders::from_candidates(instance, &needed);
+    repair(instance, plan, over, &mut orders)
+}
+
+/// [`budget_repair`] reading receivers from `orders`, which must hold
+/// the candidate lists of every event an over-budget user attends.
+pub(crate) fn budget_repair_with(
+    instance: &Instance,
+    plan: &mut Plan,
+    orders: &mut EventOrders,
+) -> usize {
+    let over = over_budget(instance, plan);
+    repair(instance, plan, over, orders)
+}
+
+/// The users over budget in `plan`, the only ones budget repair ever
+/// strips: a receiver passes `can_attend_with`'s budget check on the
+/// event list it then holds, so it stays within budget.
+fn over_budget(instance: &Instance, plan: &Plan) -> Vec<UserId> {
+    instance
+        .user_ids()
+        .filter(|&u| plan.travel_cost(instance, u) > instance.user(u).budget + 1e-9)
+        .collect()
+}
+
+/// Strips each of the `over` users down to budget.
+fn repair(
+    instance: &Instance,
+    plan: &mut Plan,
+    over: Vec<UserId>,
+    orders: &mut EventOrders,
+) -> usize {
+    let mut dropped = 0;
     for u in over {
         while plan.travel_cost(instance, u) > instance.user(u).budget + 1e-9 {
             // Remove the event contributing the least utility.
@@ -280,7 +220,7 @@ pub fn budget_repair(instance: &Instance, plan: &mut Plan) -> usize {
             // All users are "processed" here: reassignment checks go
             // against the committed plan only.
             let n = instance.n_users();
-            if try_reassign(instance, plan, &mut [], n, victim, u, &mut orders).is_none() {
+            if try_reassign(instance, plan, &mut [], n, victim, u, orders).is_none() {
                 dropped += 1;
             }
         }
@@ -313,85 +253,6 @@ mod tests {
             vec![0.6, 0.7, 0.5],
         ]).unwrap();
         Instance::new(users, events, utilities).unwrap()
-    }
-
-    /// The eager receiver orders: every needed event's candidate users,
-    /// fully sorted by μ descending, then user ascending.
-    fn eager_orders(instance: &Instance, needed: &[bool]) -> Vec<Vec<UserId>> {
-        let cands = instance.candidates();
-        let mut lists: Vec<Vec<(u32, f64)>> = vec![Vec::new(); needed.len()];
-        for u in instance.user_ids() {
-            let (events, utils) = cands.row(u);
-            for (&e, &mu) in events.iter().zip(utils) {
-                if needed[e as usize] {
-                    lists[e as usize].push((u.0, mu));
-                }
-            }
-        }
-        lists
-            .into_iter()
-            .map(|mut list| {
-                list.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                list.into_iter().map(|(u, _)| UserId(u)).collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn lazy_receiver_orders_match_the_eager_sort() {
-        use rand::{Rng, SeedableRng};
-        // Event 0's list holds every user: lengths at and just past the
-        // sort-step boundaries (32, 64, 128, 256), then others.
-        let lengths = [1, 32, 33, 64, 65, 100, 128, 129, 256, 257, 399];
-        for (seed, n_users) in lengths.into_iter().enumerate() {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
-            let n_events: u32 = rng.gen_range(1..6);
-            let users = (0..n_users)
-                .map(|_| {
-                    let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
-                    User::new(at, 1000.0)
-                })
-                .collect();
-            let events = (0..n_events)
-                .map(|k| {
-                    let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
-                    Event::new(at, 1, 3, TimeInterval::new(60 * k, 60 * k + 30))
-                })
-                .collect();
-            // Few distinct utilities, so most ranks are decided by the
-            // user-id tie-break.
-            let rows = (0..n_users)
-                .map(|_| {
-                    (0..n_events)
-                        .map(|e| [0.0, 0.3, 0.6, 0.9][rng.gen_range(usize::from(e == 0)..4)])
-                        .collect()
-                })
-                .collect();
-            let instance =
-                Instance::new(users, events, UtilityMatrix::from_rows(rows).unwrap()).unwrap();
-            let needed: Vec<bool> = (0..n_events).map(|e| e == 0 || rng.gen_bool(0.8)).collect();
-            let eager = eager_orders(&instance, &needed);
-            assert_eq!(eager[0].len(), n_users);
-            let mut lazy = ReceiverOrders::new(&instance, &needed);
-            // Interleave partial reads of random events before reading
-            // every list through its end.
-            for _ in 0..20 {
-                let e = rng.gen_range(0..n_events);
-                let order = &eager[e as usize];
-                for k in 0..rng.gen_range(0..=order.len() + 1) {
-                    assert_eq!(lazy.get(EventId(e), k), order.get(k).copied());
-                }
-            }
-            for (e, order) in eager.iter().enumerate() {
-                for k in 0..=order.len() {
-                    assert_eq!(
-                        lazy.get(EventId(e as u32), k),
-                        order.get(k).copied(),
-                        "{n_users} users, event {e}, rank {k}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -511,10 +372,9 @@ mod tests {
     }
 
     /// `budget_repair` as it reads without the over-budget shortcut:
-    /// every user is visited and every event's receivers are eagerly
-    /// sorted.
+    /// every user is visited and each victim's receivers are sorted in
+    /// full.
     fn budget_repair_eager(instance: &Instance, plan: &mut Plan) -> usize {
-        let orders = eager_orders(instance, &vec![true; instance.n_events()]);
         let mut dropped = 0;
         for u in instance.user_ids() {
             while plan.travel_cost(instance, u) > instance.user(u).budget + 1e-9 {
@@ -527,7 +387,15 @@ mod tests {
                     break;
                 };
                 plan.remove(u, victim);
-                let receiver = orders[victim.index()].iter().copied().find(|&r| {
+                let mut receivers: Vec<UserId> = instance
+                    .user_ids()
+                    .filter(|&r| instance.candidates().contains(r, victim))
+                    .collect();
+                receivers.sort_by(|&a, &b| {
+                    let (ma, mb) = (instance.utility(a, victim), instance.utility(b, victim));
+                    mb.total_cmp(&ma).then(a.cmp(&b))
+                });
+                let receiver = receivers.into_iter().find(|&r| {
                     r != u
                         && !plan.contains(r, victim)
                         && instance.can_attend_with(r, plan.user_plan(r), victim)

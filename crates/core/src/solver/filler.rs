@@ -23,20 +23,26 @@
 //! placed (an event takes at most `η_j` users), so the drain never
 //! orders all of them:
 //!
-//! 1. a count pass and a scatter pass group the open pairs by event
-//!    into one flat arena (a counting sort over only the events that
-//!    have an open pair);
-//! 2. each event's slice becomes a max-heap in place;
-//! 3. a heads heap holds each open event's best remaining pair. After
-//!    a pop, the event's next-best pair is pushed only while the event
-//!    is below `η`; a full event's slice is abandoned unpopped.
+//! 1. the pairs sit in an event-major pair store (`EventOrders`),
+//!    each event's list lazily sorted by utility descending, then the
+//!    lower user. The batch fill builds it from the candidate cache;
+//!    a GAP solve hands over the store its Algorithm 1 already read;
+//!    the repair scopes build a small one from their candidate pairs;
+//! 2. a per-event cursor walks the list and skips users who already
+//!    attend the event. A pair can only become attended by its own
+//!    pop, so this skips exactly the pairs that were not open when the
+//!    fill began;
+//! 3. a heads heap holds each open event's best unread pair. After a
+//!    pop, the event's cursor feeds the heap only while the event is
+//!    below `η`; a full event's list is abandoned unread.
 //!
-//! A k-way merge of heaps under one total order yields the same
-//! sequence as a single heap over every pair. The only pairs it skips
-//! belong to full events, and a single-heap drain would pop and discard
-//! each of those: attendance only rises, so a full event stays full.
-//! Every add therefore happens in the same order as in the single-heap
-//! drain, and the plan is the same byte for byte.
+//! A k-way merge of lists, each sorted by the one total order
+//! restricted to its event, yields the same sequence as a single heap
+//! over every pair. The only pairs it skips belong to full events, and
+//! a single-heap drain would pop and discard each of those: attendance
+//! only rises, so a full event stays full. Every add therefore happens
+//! in the same order as in the single-heap drain, and the plan is the
+//! same byte for byte.
 //!
 //! Rejections are final too: adding assignments only tightens the
 //! constraints (more conflicts, less residual budget, less capacity),
@@ -45,26 +51,15 @@
 use crate::model::candidates::{for_each_candidate_in_row, is_candidate};
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
+use crate::solver::event_orders::{pair, EventOrders};
 use epplan_solve::{DeadlineExceeded, DeadlineFlag};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Users (in the gather passes) or heap pops (in the drain) between
-/// deadline polls. Each step is cheap (one candidate row, or a heap
-/// sift plus a few constraint checks), so a modest stride keeps the
-/// poll cost invisible while still bounding overshoot.
-const POLL_STRIDE: usize = 64;
-
-/// The open pairs one fill considers.
-#[derive(Clone, Copy)]
-enum Scope<'a> {
-    /// Every user's cached candidate row: the batch fill.
-    All,
-    /// The listed users' utility rows: IEP repairs of touched users.
-    Users(&'a [UserId]),
-    /// Every user's pair with one event: IEP refills of that event.
-    Event(EventId),
-}
+/// Users (while gathering pairs or building a store) or heap pops (in
+/// the drain) between deadline polls: each step is cheap, so a modest
+/// stride keeps the poll cost invisible while still bounding overshoot.
+pub(crate) const POLL_STRIDE: usize = 64;
 
 /// A max-heap key: `score` descending, ties to the lower user, then
 /// the lower event. The filler scores a pair by its utility;
@@ -105,26 +100,34 @@ pub fn fill_to_upper(instance: &Instance, plan: &mut Plan, users: Option<&[UserI
 /// Fills `event` alone, best utility first (ties to the lower user),
 /// until it reaches `η` or no further user fits. Returns the number of
 /// users added.
+///
+/// Each user's `μ(u, e)` is tested with the candidate predicate, since
+/// incremental ops invalidate the candidate cache.
 pub fn fill_event(instance: &Instance, plan: &mut Plan, event: EventId) -> usize {
-    try_fill(
-        instance,
-        plan,
-        Scope::Event(event),
-        &DeadlineFlag::unlimited(),
-    )
-    .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
+    let _sp = epplan_obs::span("solve.fill");
+    let mut pairs = Vec::new();
+    for u in instance.user_ids() {
+        let mu = instance.utility(u, event);
+        if is_candidate(instance, u, event, mu) {
+            pairs.push(pair(u, event, mu));
+        }
+    }
+    let mut orders = EventOrders::from_pairs(instance.n_events(), pairs);
+    drain(instance, plan, &mut orders, &DeadlineFlag::unlimited())
+        .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
 }
 
 /// [`fill_to_upper`] under a wall-clock deadline: the budget-governed
 /// entry point for anytime solvers and per-op serving budgets. Runs
 /// inside the `solve.fill` span.
 ///
-/// The open pairs are grouped by event and drained as a k-way merge of
-/// per-event max-heaps (see the module docs): the add sequence is the
-/// one a single heap over every pair would produce, but a full event's
-/// remaining pairs are never popped. The flag is polled every
-/// [`POLL_STRIDE`] users in each gather pass and every [`POLL_STRIDE`]
-/// heap pops in the drain.
+/// The batch fill builds an event-major store from the candidate
+/// cache; a `users` fill gathers those users' candidate pairs (from
+/// their utility rows, since incremental ops invalidate the cache) into
+/// a small one. Both are drained as a k-way merge of per-event lists
+/// (see the module docs). The flag is polled every [`POLL_STRIDE`]
+/// users while the store is built and every [`POLL_STRIDE`] heap pops
+/// in the drain.
 ///
 /// On `Err` the plan holds a *valid partial fill* — a prefix of the
 /// same deterministic descending-utility add sequence the unbudgeted
@@ -136,186 +139,89 @@ pub fn try_fill_to_upper(
     users: Option<&[UserId]>,
     deadline: &DeadlineFlag,
 ) -> Result<usize, DeadlineExceeded> {
-    try_fill(
-        instance,
-        plan,
-        users.map_or(Scope::All, Scope::Users),
-        deadline,
-    )
-}
-
-/// The fill over `scope`'s open pairs (see [`try_fill_to_upper`]).
-fn try_fill(
-    instance: &Instance,
-    plan: &mut Plan,
-    scope: Scope,
-    deadline: &DeadlineFlag,
-) -> Result<usize, DeadlineExceeded> {
     let _sp = epplan_obs::span("solve.fill");
-
-    // Gather the open pairs grouped by event into one arena: slot `s`
-    // owns `arena[start[s]..end[s]]`, and `end[s]` is then the end of
-    // its live heap. Events are numbered into slots in first-seen
-    // order, so nothing below touches an event without one.
-    let mut slot_of: Vec<u32> = vec![u32::MAX; instance.n_events()];
-    let mut start: Vec<usize> = Vec::new();
-    // Count pass: open pairs per slot.
-    for_each_open(instance, plan, scope, deadline, |_, e, _| {
-        let slot = &mut slot_of[e.index()];
-        if *slot == u32::MAX {
-            *slot = start.len() as u32;
-            start.push(0);
+    let mut orders = match users {
+        None => {
+            let every = vec![true; instance.n_events()];
+            EventOrders::try_from_candidates(instance, &every, deadline)?
         }
-        start[*slot as usize] += 1;
-    })?;
-    // Exclusive prefix sum: counts become slice starts.
-    let mut total = 0;
-    for s in start.iter_mut() {
-        let count = *s;
-        *s = total;
-        total += count;
-    }
-    // Scatter pass through each slot's write cursor.
-    let mut end = start.clone();
-    let mut arena = vec![
-        Candidate {
-            score: 0.0,
-            user: UserId(0),
-            event: EventId(0),
-        };
-        total
-    ];
-    for_each_open(instance, plan, scope, deadline, |user, event, score| {
-        let slot = slot_of[event.index()] as usize;
-        arena[end[slot]] = Candidate { score, user, event };
-        end[slot] += 1;
-    })?;
-
-    let mut heads: BinaryHeap<Candidate> = BinaryHeap::with_capacity(start.len());
-    for (&lo, hi) in start.iter().zip(end.iter_mut()) {
-        heapify(&mut arena[lo..*hi]);
-        heads.extend(pop_max(&mut arena, lo, hi));
-    }
-
-    let mut added = 0;
-    let mut pops = 0usize;
-    while let Some(c) = heads.pop() {
-        pops += 1;
-        if pops.is_multiple_of(POLL_STRIDE) {
-            deadline.poll()?;
-        }
-        if !plan.contains(c.user, c.event)
-            && instance.can_attend_with(c.user, plan.user_plan(c.user), c.event)
-        {
-            plan.add(c.user, c.event);
-            added += 1;
-        }
-        if plan.attendance(c.event) < instance.event(c.event).upper {
-            let slot = slot_of[c.event.index()] as usize;
-            heads.extend(pop_max(&mut arena, start[slot], &mut end[slot]));
-        }
-    }
-    Ok(added)
-}
-
-/// Calls `f(u, e, μ)` for every open pair in `scope`: `e` is a
-/// candidate of `u`, `e` is below `η`, and `u` does not attend `e` yet.
-/// Polls `deadline` every [`POLL_STRIDE`] users.
-///
-/// The batch scope reads the cached candidate rows, so each user costs
-/// O(candidates). The repair scopes instead apply the candidate
-/// predicate to utility rows (or, for one event, to each user's
-/// `μ(u, e)`): incremental ops mutate the instance, which invalidates
-/// the candidate cache, and rebuilding the whole arena to repair a
-/// handful of users would put an O(|U|·|E|) step on the serving hot
-/// path. Every scope yields the pairs the cached rows would.
-fn for_each_open(
-    instance: &Instance,
-    plan: &Plan,
-    scope: Scope,
-    deadline: &DeadlineFlag,
-    mut f: impl FnMut(UserId, EventId, f64),
-) -> Result<(), DeadlineExceeded> {
-    let mut open = |u: UserId, e: EventId, mu: f64| {
-        if plan.attendance(e) < instance.event(e).upper && !plan.contains(u, e) {
-            f(u, e, mu);
-        }
-    };
-    match scope {
-        Scope::All => {
-            let cands = instance.candidates();
-            for ui in 0..cands.n_users() {
-                if ui.is_multiple_of(POLL_STRIDE) {
-                    deadline.poll()?;
-                }
-                let u = UserId(ui as u32);
-                let (events, utils) = cands.row(u);
-                for (&e, &mu) in events.iter().zip(utils) {
-                    open(u, EventId(e), mu);
-                }
-            }
-        }
-        Scope::Users(us) => {
+        Some(us) => {
+            let mut pairs = Vec::new();
             for (i, &u) in us.iter().enumerate() {
                 if i.is_multiple_of(POLL_STRIDE) {
                     deadline.poll()?;
                 }
-                for_each_candidate_in_row(instance, u, |e, mu| open(u, e, mu));
+                for_each_candidate_in_row(instance, u, |e, mu| pairs.push(pair(u, e, mu)));
             }
+            EventOrders::from_pairs(instance.n_events(), pairs)
         }
-        Scope::Event(e) => {
-            for u in instance.user_ids() {
-                if u.index().is_multiple_of(POLL_STRIDE) {
-                    deadline.poll()?;
-                }
-                let mu = instance.utility(u, e);
-                if is_candidate(instance, u, e, mu) {
-                    open(u, e, mu);
-                }
-            }
-        }
-    }
-    Ok(())
+    };
+    drain(instance, plan, &mut orders, deadline)
 }
 
-/// Orders `heap` as a max-heap in place.
-fn heapify(heap: &mut [Candidate]) {
-    for i in (0..heap.len() / 2).rev() {
-        sift_down(heap, i);
-    }
+/// The batch fill over a store of every event's candidate pairs, as a
+/// GAP solve hands it over: the plan [`fill_to_upper`] would produce.
+pub(crate) fn fill_to_upper_with(
+    instance: &Instance,
+    plan: &mut Plan,
+    orders: &mut EventOrders,
+) -> usize {
+    let _sp = epplan_obs::span("solve.fill");
+    drain(instance, plan, orders, &DeadlineFlag::unlimited())
+        .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
 }
 
-/// Restores the max-heap property below `i`.
-fn sift_down(heap: &mut [Candidate], mut i: usize) {
-    loop {
-        let left = 2 * i + 1;
-        if left >= heap.len() {
-            return;
-        }
-        let right = left + 1;
-        let child = if right < heap.len() && heap[right] > heap[left] {
-            right
-        } else {
-            left
-        };
-        if heap[child] <= heap[i] {
-            return;
-        }
-        heap.swap(i, child);
-        i = child;
+/// The k-way merge over `orders`' event lists (see the module docs).
+fn drain(
+    instance: &Instance,
+    plan: &mut Plan,
+    orders: &mut EventOrders,
+    deadline: &DeadlineFlag,
+) -> Result<usize, DeadlineExceeded> {
+    let mut heads: BinaryHeap<(Candidate, usize)> = BinaryHeap::new();
+    for e in 0..orders.n_lists() {
+        heads.extend(next_open(instance, plan, orders, EventId(e as u32), 0));
     }
+    let mut added = 0;
+    let mut pops = 0usize;
+    while let Some((c, k)) = heads.pop() {
+        pops += 1;
+        if pops.is_multiple_of(POLL_STRIDE) {
+            deadline.poll()?;
+        }
+        if instance.can_attend_with(c.user, plan.user_plan(c.user), c.event) {
+            plan.add(c.user, c.event);
+            added += 1;
+        }
+        heads.extend(next_open(instance, plan, orders, c.event, k + 1));
+    }
+    Ok(added)
 }
 
-/// Removes and returns the maximum of the max-heap `arena[lo..*hi]`,
-/// shrinking it by one; `None` once it is empty.
-fn pop_max(arena: &mut [Candidate], lo: usize, hi: &mut usize) -> Option<Candidate> {
-    if *hi == lo {
+/// The first pair of `e`'s list at rank `k` or later whose user does
+/// not attend `e` yet, with its rank; `None` once `e` is full.
+fn next_open(
+    instance: &Instance,
+    plan: &Plan,
+    orders: &mut EventOrders,
+    e: EventId,
+    mut k: usize,
+) -> Option<(Candidate, usize)> {
+    if plan.attendance(e) >= instance.event(e).upper {
         return None;
     }
-    *hi -= 1;
-    arena.swap(lo, *hi);
-    sift_down(&mut arena[lo..*hi], 0);
-    Some(arena[*hi])
+    while let Some((user, score)) = orders.get(e, k) {
+        if !plan.contains(user, e) {
+            let head = Candidate {
+                score,
+                user,
+                event: e,
+            };
+            return Some((head, k));
+        }
+        k += 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -498,6 +404,149 @@ mod tests {
         fill_event(&inst, &mut plan, EventId(0));
         assert!(!plan.contains(UserId(0), EventId(0)));
         assert!(plan.contains(UserId(1), EventId(0)));
+    }
+
+    /// A random instance for the deadline cases: quarter utilities, so
+    /// that ties are common, and events with room for many users.
+    fn crowded_instance(seed: u64) -> Instance {
+        use crate::model::InstanceBuilder;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut b = InstanceBuilder::new();
+        let users: Vec<UserId> = (0..rng.gen_range(100..180))
+            .map(|_| {
+                let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+                b.user(at, rng.gen_range(10.0..40.0))
+            })
+            .collect();
+        let events: Vec<EventId> = (0..rng.gen_range(8..16))
+            .map(|_| {
+                let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+                let start = rng.gen_range(0..480);
+                let time = TimeInterval::new(start, start + rng.gen_range(30..120));
+                b.event_raw(Event::new(at, 0, rng.gen_range(10..40), time))
+            })
+            .collect();
+        for &u in &users {
+            for &e in &events {
+                b.utility(u, e, rng.gen_range(0..=4) as f64 * 0.25);
+            }
+        }
+        b.build()
+    }
+
+    /// A random hard-feasible plan with attendees in most events.
+    fn prefilled(instance: &Instance, seed: u64) -> Plan {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(!seed);
+        let mut plan = Plan::for_instance(instance);
+        for u in instance.user_ids() {
+            for e in instance.event_ids() {
+                if rng.gen_bool(0.15)
+                    && plan.attendance(e) < instance.event(e).upper
+                    && instance.can_attend_with(u, plan.user_plan(u), e)
+                {
+                    plan.add(u, e);
+                }
+            }
+        }
+        plan
+    }
+
+    /// The single-heap greedy over the open pairs of `users` (every
+    /// user when `None`): each pop it does not discard, as `(user,
+    /// event, added)`. These are the pops the filler makes, in order.
+    fn live_pops(
+        instance: &Instance,
+        start: &Plan,
+        users: Option<&[UserId]>,
+    ) -> Vec<(UserId, EventId, bool)> {
+        let mut plan = start.clone();
+        let listed: Vec<UserId> =
+            users.map_or_else(|| instance.user_ids().collect(), <[_]>::to_vec);
+        let mut heap = BinaryHeap::new();
+        for &u in &listed {
+            for e in instance.event_ids() {
+                if instance.candidates().contains(u, e)
+                    && !plan.contains(u, e)
+                    && plan.attendance(e) < instance.event(e).upper
+                {
+                    heap.push(Candidate {
+                        score: instance.utility(u, e),
+                        user: u,
+                        event: e,
+                    });
+                }
+            }
+        }
+        let mut pops = Vec::new();
+        while let Some(c) = heap.pop() {
+            if plan.attendance(c.event) >= instance.event(c.event).upper
+                || plan.contains(c.user, c.event)
+            {
+                continue;
+            }
+            let added = instance.can_attend_with(c.user, plan.user_plan(c.user), c.event);
+            if added {
+                plan.add(c.user, c.event);
+            }
+            pops.push((c.user, c.event, added));
+        }
+        pops
+    }
+
+    #[test]
+    fn tripped_fill_stops_after_whole_strides_of_live_pops() {
+        use rand::{Rng, SeedableRng};
+        let mut drained_past_a_poll = 0;
+        for seed in 0..16 {
+            let inst = crowded_instance(seed);
+            let start = prefilled(&inst, seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // Unsorted, with duplicates.
+            let listed: Vec<UserId> = (0..rng.gen_range(60..200))
+                .map(|_| UserId(rng.gen_range(0..inst.n_users()) as u32))
+                .collect();
+            for users in [None, Some(&listed[..])] {
+                let pops = live_pops(&inst, &start, users);
+                let adds: Vec<(UserId, EventId)> =
+                    pops.iter().filter(|p| p.2).map(|p| (p.0, p.1)).collect();
+                // Assignments added when the flag allows `n` polls.
+                let mut made = Vec::new();
+                for n in 0.. {
+                    let mut plan = start.clone();
+                    let flag = DeadlineFlag::after_polls(n);
+                    let result = try_fill_to_upper(&inst, &mut plan, users, &flag);
+                    let m = plan.total_assignments() - start.total_assignments();
+                    let mut expected = start.clone();
+                    for &(u, e) in &adds[..m] {
+                        expected.add(u, e);
+                    }
+                    let msg = "not a prefix of the adds";
+                    assert!(plan == expected, "seed {seed}, {n} polls: {msg}");
+                    made.push(m);
+                    if let Ok(added) = result {
+                        assert_eq!(added, adds.len(), "seed {seed}");
+                        break;
+                    }
+                }
+                // The drain polls before every POLL_STRIDE-th pop, after
+                // some fixed number `g` of polls while the store is built.
+                let adds_within = |k: usize| pops.iter().take(k).filter(|p| p.2).count();
+                let explained = (0..made.len()).any(|g| {
+                    made.iter().enumerate().all(|(n, &m)| {
+                        let polls_in_drain = (n + 1).saturating_sub(g);
+                        m == adds_within((POLL_STRIDE * polls_in_drain).saturating_sub(1))
+                    })
+                });
+                assert!(
+                    explained,
+                    "seed {seed}: adds per allowed poll {made:?} are not whole strides of live pops"
+                );
+                drained_past_a_poll += usize::from(pops.len() > 2 * POLL_STRIDE);
+            }
+        }
+        assert!(drained_past_a_poll >= 16, "too few fills poll in the drain");
     }
 
     #[test]

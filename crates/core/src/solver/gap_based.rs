@@ -21,7 +21,8 @@
 
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
-use crate::solver::conflict_adjust::{budget_repair, conflict_adjust};
+use crate::solver::conflict_adjust::{budget_repair_with, conflict_adjust_with};
+use crate::solver::event_orders::EventOrders;
 use crate::solver::{filler, GepcSolver, GreedySolver, Solution};
 use epplan_fault::FaultAction;
 use epplan_gap::{GapConfig, GapInstance, GapSolution, GapSolver as GapPipeline};
@@ -176,29 +177,32 @@ impl GapBasedSolver {
             }
         }
 
-        // Algorithm 1 + budget enforcement.
-        let mut plan = {
+        if poisoned {
+            // Poison: pass the raw assignment straight through, keeping
+            // its time conflicts and budget busts.
             let _sp = epplan_obs::span("solve.conflict_adjust");
-            if poisoned {
-                // Poison: pass the raw assignment straight through,
-                // keeping its time conflicts and budget busts.
-                let mut plan = Plan::for_instance(instance);
-                for (u, evs) in raw.into_iter().enumerate() {
-                    for e in evs {
-                        plan.add(UserId(u as u32), e);
-                    }
+            let mut plan = Plan::for_instance(instance);
+            for (u, evs) in raw.into_iter().enumerate() {
+                for e in evs {
+                    plan.add(UserId(u as u32), e);
                 }
-                plan
-            } else {
-                let mut plan = conflict_adjust(instance, raw);
-                budget_repair(instance, &mut plan);
-                plan
             }
-        };
-
-        if self.two_step && !poisoned {
-            filler::fill_to_upper(instance, &mut plan, None);
+            return Ok(Solution::from_plan(instance, plan));
         }
+
+        // Algorithm 1 and budget repair, on one store the fill reuses.
+        let (mut plan, mut orders) = {
+            let _sp = epplan_obs::span("solve.conflict_adjust");
+            let every = vec![true; instance.n_events()];
+            let mut orders = EventOrders::from_candidates(instance, &every);
+            let mut plan = conflict_adjust_with(instance, raw, &mut orders);
+            budget_repair_with(instance, &mut plan, &mut orders);
+            (plan, orders)
+        };
+        if self.two_step {
+            filler::fill_to_upper_with(instance, &mut plan, &mut orders);
+        }
+        drop(orders); // before certifying, so the store does not add to its peak
         Ok(Solution::from_plan(instance, plan))
     }
 

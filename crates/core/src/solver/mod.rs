@@ -23,6 +23,7 @@
 //! without a deadline.
 
 pub mod conflict_adjust;
+mod event_orders;
 pub mod exact;
 pub mod filler;
 mod gap_based;

@@ -1,7 +1,7 @@
 //! Bounded work per solve call: wall-clock deadlines and iteration
 //! caps, plus the in-loop guard that enforces them cheaply.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::{FailureKind, SolveError};
@@ -228,6 +228,8 @@ enum DeadlineDeadline {
     At(Instant),
     /// Pre-expired (zero allowance): every poll trips.
     Expired,
+    /// This many more polls pass; the one after trips.
+    AfterPolls(AtomicU64),
 }
 
 /// The error a tripped [`DeadlineFlag`] poll returns: the deadline
@@ -269,6 +271,16 @@ impl DeadlineFlag {
         }
     }
 
+    /// A flag whose first `n` polls pass and whose next poll trips: a
+    /// deadline independent of the clock, for tests that stop a
+    /// budgeted loop at a known point.
+    pub fn after_polls(n: u64) -> Self {
+        DeadlineFlag {
+            deadline: DeadlineDeadline::AfterPolls(AtomicU64::new(n)),
+            tripped: AtomicBool::new(false),
+        }
+    }
+
     /// Checks the deadline (reading the clock only while untripped):
     /// `Ok(())` while inside the allowance, `Err(DeadlineExceeded)`
     /// once expired.
@@ -281,6 +293,9 @@ impl DeadlineFlag {
             DeadlineDeadline::None => false,
             DeadlineDeadline::At(t) => Instant::now() > t,
             DeadlineDeadline::Expired => true,
+            DeadlineDeadline::AfterPolls(ref left) => left
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_err(),
         };
         if expired {
             self.tripped.store(true, Ordering::Relaxed);
@@ -368,6 +383,18 @@ mod tests {
         // Generous allowance: polls pass while well inside it.
         let g = BudgetGuard::new(SolveBudget::from_time_limit(Duration::from_secs(3600)));
         assert!(g.deadline_flag().poll().is_ok());
+    }
+
+    #[test]
+    fn after_polls_trips_on_the_next_poll() {
+        let flag = DeadlineFlag::after_polls(3);
+        for _ in 0..3 {
+            assert_eq!(flag.poll(), Ok(()));
+        }
+        assert_eq!(flag.poll(), Err(DeadlineExceeded));
+        assert!(flag.is_tripped());
+        assert_eq!(flag.poll(), Err(DeadlineExceeded));
+        assert_eq!(DeadlineFlag::after_polls(0).poll(), Err(DeadlineExceeded));
     }
 
     #[test]
