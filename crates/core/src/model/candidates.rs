@@ -15,17 +15,37 @@
 //! `2·d(u, e) + fee(e)`, so pruning non-candidates is lossless: no
 //! solver stage can ever want an event outside the list.
 //!
+//! [`is_candidate`] decides that predicate without calling libm's
+//! `hypot` (the distance `d` is `hypot(dx, dy)`), by bracketing: see
+//! its docs. The answer is the exact predicate's on every input; only
+//! pairs whose round trip lies within a relative 1e-13 of the budget
+//! limit, or whose distance leaves the safe range, pay for the exact
+//! expression.
+//!
 //! Derivation is one row scan per user: [`for_each_candidate_in_row`]
 //! walks the user's positive utilities (O(row length) on either
 //! storage layout) and applies the predicate. The filler's user-scoped
 //! repairs call the same helper while the cache is stale, so the
 //! predicate has one implementation over a utility row.
+//! [`CandidateSet::build`] writes the arena once: it counts each
+//! user's candidates, prefix-sums the row offsets and scans every row
+//! again straight into its exact-size slot.
 
-use crate::model::{EventId, Instance, UserId};
+use crate::model::{Event, EventId, Instance, User, UserId};
 
 /// Users per parallel build chunk (fixed boundaries — thread-count
 /// independent, so the arena bytes are too).
 const BUILD_MIN_CHUNK: usize = 64;
+
+/// Relative half-width of the bracket around `sqrt(dx² + dy²)`. Far
+/// wider than the few ulps separating that value from `hypot(dx, dy)`.
+const BRACKET: f64 = 1e-13;
+
+/// Distances outside `(SAFE_LO, SAFE_HI)` go to the exact expression:
+/// inside it `dx² + dy²` neither overflows nor loses precision to
+/// underflow (zero and non-finite distances included).
+const SAFE_LO: f64 = 1e-100;
+const SAFE_HI: f64 = 1e100;
 
 /// Per-user candidate event lists in one flat CSR arena.
 ///
@@ -42,64 +62,119 @@ pub struct CandidateSet {
 /// The canonical candidate predicate (see the module docs). Callers
 /// scanning a utility row use [`for_each_candidate_in_row`]; only a
 /// scan of one event's column evaluates it directly.
+///
+/// The budget test `fl(fl(2·x) + fee) ≤ B + 1e-9` is monotone in `x`,
+/// and `s = sqrt(dx² + dy²)` lies within a few ulps of
+/// `hypot(dx, dy)` whenever `SAFE_LO < s < SAFE_HI` (each of the
+/// square, add and root rounds once, `hypot` is within one ulp, and
+/// neither square overflows or underflows enough to matter). So
+/// `hypot(dx, dy)` lies between `s·(1 − 1e-13)` and `s·(1 + 1e-13)`.
+/// When the test passes at the upper end it passes at `hypot`, and when
+/// it fails at the lower end it fails at `hypot`. Only the band between
+/// them, an out-of-range `s` and a NaN fee or budget evaluate the exact
+/// `2·d(u, e) + fee ≤ B + 1e-9`.
 #[inline]
 pub(crate) fn is_candidate(instance: &Instance, u: UserId, e: EventId, mu: f64) -> bool {
-    mu > 0.0
-        && 2.0 * instance.distance(u, e) + instance.event(e).fee
-            <= instance.user(u).budget + 1e-9
+    mu > 0.0 && fits_budget(instance.user(u), instance.event(e), &mut 0)
+}
+
+/// The budget half of [`is_candidate`]; bumps `fallbacks` when the
+/// bracket leaves the answer to the exact expression.
+#[inline]
+fn fits_budget(user: &User, event: &Event, fallbacks: &mut u64) -> bool {
+    let limit = user.budget + 1e-9;
+    let s = user.location.distance_sq(&event.location).sqrt();
+    if SAFE_LO < s && s < SAFE_HI {
+        if 2.0 * (s * (1.0 + BRACKET)) + event.fee <= limit {
+            return true;
+        }
+        if 2.0 * (s * (1.0 - BRACKET)) + event.fee > limit {
+            return false;
+        }
+    }
+    *fallbacks += 1;
+    2.0 * user.location.distance(&event.location) + event.fee <= limit
 }
 
 /// Calls `f(e, μ)` for every candidate event of `u`, ids ascending, by
 /// scanning `u`'s utility row with [`is_candidate`]. Row `u` of
-/// [`CandidateSet::build`] is exactly what this yields.
+/// [`CandidateSet::build`] is exactly what this yields. Returns how
+/// many of the row's pairs the bracket left to the exact expression.
 #[inline]
 pub(crate) fn for_each_candidate_in_row(
     instance: &Instance,
     u: UserId,
     mut f: impl FnMut(EventId, f64),
-) {
+) -> u64 {
+    let user = instance.user(u);
+    let mut fallbacks = 0;
     instance.utilities().for_each_positive_in_row(u, |e, mu| {
-        if is_candidate(instance, u, e, mu) {
+        if mu > 0.0 && fits_budget(user, instance.event(e), &mut fallbacks) {
             f(e, mu);
         }
     });
+    fallbacks
 }
 
 impl CandidateSet {
-    /// Derives the candidate lists for `instance`: one
-    /// [`for_each_candidate_in_row`] scan per user, in fixed-size
-    /// parallel chunks.
+    /// Derives the candidate lists for `instance` in two passes over
+    /// fixed-size parallel user chunks: the first counts each row
+    /// (into `row_offsets`, prefix-summed after), the second writes
+    /// every row straight into its slot of the exact-size arena. Adds
+    /// the first pass's exact fallbacks to `candidates.exact_fallbacks`.
     pub fn build(instance: &Instance) -> Self {
         let n_users = instance.n_users();
-        let parts = epplan_par::par_range_map(n_users, BUILD_MIN_CHUNK, |range| {
-            let mut lens: Vec<u32> = Vec::with_capacity(range.len());
-            let mut ids: Vec<u32> = Vec::new();
-            let mut utils: Vec<f64> = Vec::new();
-            for u in range {
-                let before = ids.len();
-                for_each_candidate_in_row(instance, UserId(u as u32), |e, mu| {
-                    ids.push(e.0);
-                    utils.push(mu);
-                });
-                lens.push((ids.len() - before) as u32);
+        let cs = epplan_par::chunk_size(n_users, BUILD_MIN_CHUNK);
+        let mut row_offsets = vec![0u32; n_users + 1];
+
+        let mut counts: Vec<(usize, &mut [u32], u64)> = row_offsets[1..]
+            .chunks_mut(cs)
+            .enumerate()
+            .map(|(i, lens)| (i * cs, lens, 0))
+            .collect();
+        epplan_par::par_chunks_for_each_mut(&mut counts, 1, |_, jobs| {
+            for (start, lens, fallbacks) in jobs {
+                for (k, len) in lens.iter_mut().enumerate() {
+                    let u = UserId((*start + k) as u32);
+                    *fallbacks += for_each_candidate_in_row(instance, u, |_, _| *len += 1);
+                }
             }
-            (lens, ids, utils)
+        });
+        let fallbacks: u64 = counts.iter().map(|&(_, _, f)| f).sum();
+        epplan_obs::counter_add("candidates.exact_fallbacks", fallbacks);
+
+        let nnz: u64 = row_offsets.iter().map(|&len| u64::from(len)).sum();
+        assert!(nnz <= u64::from(u32::MAX), "candidate arena too large");
+        for u in 0..n_users {
+            row_offsets[u + 1] += row_offsets[u];
+        }
+
+        let nnz = nnz as usize;
+        let mut event_ids = vec![0u32; nnz];
+        let mut utilities = vec![0.0f64; nnz];
+        let mut fills: Vec<(std::ops::Range<usize>, &mut [u32], &mut [f64])> = Vec::new();
+        let (mut ids_rest, mut utils_rest) = (&mut event_ids[..], &mut utilities[..]);
+        for start in (0..n_users).step_by(cs) {
+            let users = start..(start + cs).min(n_users);
+            let len = (row_offsets[users.end] - row_offsets[start]) as usize;
+            let (ids, ids_tail) = std::mem::take(&mut ids_rest).split_at_mut(len);
+            let (utils, utils_tail) = std::mem::take(&mut utils_rest).split_at_mut(len);
+            (ids_rest, utils_rest) = (ids_tail, utils_tail);
+            fills.push((users, ids, utils));
+        }
+        epplan_par::par_chunks_for_each_mut(&mut fills, 1, |_, jobs| {
+            for (users, ids, utils) in jobs {
+                let mut k = 0;
+                for u in users.clone() {
+                    for_each_candidate_in_row(instance, UserId(u as u32), |e, mu| {
+                        ids[k] = e.0;
+                        utils[k] = mu;
+                        k += 1;
+                    });
+                }
+            }
         });
 
-        let nnz: usize = parts.iter().map(|(_, ids, _)| ids.len()).sum();
-        assert!(nnz <= u32::MAX as usize, "candidate arena too large");
-        let mut row_offsets = Vec::with_capacity(n_users + 1);
-        let mut event_ids = Vec::with_capacity(nnz);
-        let mut utilities = Vec::with_capacity(nnz);
-        row_offsets.push(0u32);
-        for (lens, ids, utils) in parts {
-            for len in lens {
-                let last = *row_offsets.last().unwrap_or(&0);
-                row_offsets.push(last + len);
-            }
-            event_ids.extend_from_slice(&ids);
-            utilities.extend_from_slice(&utils);
-        }
         CandidateSet {
             row_offsets,
             event_ids,
@@ -215,6 +290,34 @@ mod tests {
         Instance::new(users, events, UtilityMatrix::from_rows(rows).unwrap()).unwrap()
     }
 
+    /// The canonical predicate as written in the module docs, with
+    /// libm's `hypot`: the oracle the fast decision must reproduce.
+    fn plain(user: &User, event: &Event) -> bool {
+        2.0 * user.location.distance(&event.location) + event.fee <= user.budget + 1e-9
+    }
+
+    /// `x` moved by `k` ulps (positive finite `x`).
+    fn ulps(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    /// The arena a naive scan of every `(user, event)` pair with
+    /// [`plain`] yields: `(row_offsets, event_ids, utilities)`.
+    fn naive_arena(inst: &Instance) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
+        let (mut offsets, mut ids, mut utils) = (vec![0u32], Vec::new(), Vec::new());
+        for u in inst.user_ids() {
+            for e in inst.event_ids() {
+                let mu = inst.utility(u, e);
+                if mu > 0.0 && plain(inst.user(u), inst.event(e)) {
+                    ids.push(e.0);
+                    utils.push(mu);
+                }
+            }
+            offsets.push(ids.len() as u32);
+        }
+        (offsets, ids, utils)
+    }
+
     #[test]
     fn rows_are_ascending_and_satisfy_the_predicate() {
         let inst = scattered_instance(25, 48);
@@ -229,17 +332,175 @@ mod tests {
             for (&e, &mu) in ids.iter().zip(utils) {
                 let e = EventId(e);
                 assert_eq!(mu, inst.utility(u, e));
-                assert!(is_candidate(&inst, u, e, mu));
+                assert!(mu > 0.0 && plain(inst.user(u), inst.event(e)));
             }
         }
         // Completeness: everything passing the predicate is present.
         for u in inst.user_ids() {
             for e in inst.event_ids() {
-                if is_candidate(&inst, u, e, inst.utility(u, e)) {
+                if inst.utility(u, e) > 0.0 && plain(inst.user(u), inst.event(e)) {
                     assert!(cs.contains(u, e), "missing candidate ({u}, {e})");
                 }
             }
         }
+    }
+
+    #[test]
+    fn build_equals_a_naive_hypot_scan_on_both_layouts() {
+        let mut dense = scattered_instance(300, 40);
+        // Every fifth user's budget sits on the boundary of one of its
+        // positive events, nudged by -4..=4 ulps.
+        for u in dense.user_ids().filter(|u| u.0 % 5 == 0) {
+            let e = EventId(1 + u.0 % 39);
+            if e.0.is_multiple_of(4) {
+                continue;
+            }
+            let edge = 2.0 * dense.distance(u, e) + dense.event(e).fee - 1e-9;
+            dense.set_budget(u, ulps(edge.max(0.0), i64::from(u.0 % 9) - 4));
+        }
+        let rows: Vec<Vec<(u32, f64)>> = dense
+            .user_ids()
+            .map(|u| {
+                let mut row = Vec::new();
+                dense
+                    .utilities()
+                    .for_each_positive_in_row(u, |e, mu| row.push((e.0, mu)));
+                row
+            })
+            .collect();
+        let sparse = Instance::new(
+            dense.users().to_vec(),
+            dense.events().to_vec(),
+            UtilityMatrix::from_sparse_rows(dense.n_events(), &rows).unwrap(),
+        )
+        .unwrap();
+        assert!(sparse.utilities().is_sparse() && !dense.utilities().is_sparse());
+
+        let expected = naive_arena(&dense);
+        assert_eq!(expected, naive_arena(&sparse));
+        assert!(!expected.1.is_empty());
+        let prev = epplan_par::threads();
+        for threads in [1, 4] {
+            epplan_par::set_threads(threads);
+            for inst in [&dense, &sparse] {
+                let cs = CandidateSet::build(inst);
+                let got = (
+                    cs.row_offsets().to_vec(),
+                    cs.event_ids().to_vec(),
+                    cs.utilities().to_vec(),
+                );
+                assert_eq!(got, expected, "at {threads} threads");
+            }
+        }
+        epplan_par::set_threads(prev);
+    }
+
+    /// Which way the fast decision went: `[fast accept, fast reject,
+    /// exact fallback]` counts, checked against [`plain`].
+    fn differential(cases: impl IntoIterator<Item = (User, Event)>) -> [u64; 3] {
+        let mut seen = [0u64; 3];
+        for (user, event) in cases {
+            let mut fallbacks = 0;
+            let fast = fits_budget(&user, &event, &mut fallbacks);
+            assert_eq!(fast, plain(&user, &event), "{user:?} {event:?}");
+            seen[if fallbacks > 0 {
+                2
+            } else if fast {
+                0
+            } else {
+                1
+            }] += 1;
+        }
+        seen
+    }
+
+    fn pair(ux: f64, uy: f64, ex: f64, ey: f64, budget: f64, fee: f64) -> (User, Event) {
+        let user = User {
+            location: Point::new(ux, uy),
+            budget,
+        };
+        let mut event = Event::new(Point::new(ex, ey), 0, 1, TimeInterval::new(0, 1));
+        event.fee = fee;
+        (user, event)
+    }
+
+    #[test]
+    fn bracketed_predicate_matches_the_plain_expression() {
+        let mut state = 0x5eedu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64)
+        };
+        let mut random = Vec::new();
+        let mut boundary = Vec::new();
+        for i in 0..4000 {
+            let (ux, uy, ex, ey) = (
+                next() * 100.0,
+                next() * 100.0,
+                next() * 100.0,
+                next() * 100.0,
+            );
+            let fee = if i % 3 == 0 { next() * 3.0 } else { 0.0 };
+            random.push(pair(ux, uy, ex, ey, next() * 150.0, fee));
+            // Budgets on the boundary, nudged by ulps (the band: exact
+            // fallback) and by 1e-12 relative (outside it: fast paths).
+            let d = Point::new(ux, uy).distance(&Point::new(ex, ey));
+            let edge = 2.0 * d + fee - 1e-9;
+            for k in -4..=4 {
+                boundary.push(pair(ux, uy, ex, ey, ulps(edge, k), fee));
+            }
+            for rel in [1.0 - 1e-12, 1.0 + 1e-12] {
+                boundary.push(pair(ux, uy, ex, ey, edge * rel, fee));
+            }
+        }
+        let [accept, reject, fallback] = differential(random);
+        assert!(
+            accept > 0 && reject > 0,
+            "random pairs take both fast branches"
+        );
+        assert!(
+            fallback <= 1,
+            "random pairs almost never fall back ({fallback})"
+        );
+        let [accept, reject, fallback] = differential(boundary);
+        assert!(accept > 0 && reject > 0 && fallback >= 9 * 4000);
+
+        // Zero distance, tiny and huge coordinates, and non-finite fees
+        // and budgets all reach the exact expression and agree with it.
+        let mut edge_cases = Vec::new();
+        for (fee, budget) in [(0.0, 0.0), (1.0, 1.0 - 1e-9), (0.0, 1e-300), (2.5, 2.0)] {
+            edge_cases.push(pair(3.0, 4.0, 3.0, 4.0, budget, fee));
+        }
+        for scale in [1e-150, 3e-151, 1e150, 7e153, 1e160, 1e300] {
+            let d = Point::new(scale, 0.0).distance(&Point::new(0.0, scale));
+            for k in -2..=2 {
+                edge_cases.push(pair(
+                    scale,
+                    0.0,
+                    0.0,
+                    scale,
+                    ulps(2.0 * d - 1e-9, k).max(0.0),
+                    0.0,
+                ));
+                edge_cases.push(pair(scale, 0.0, 0.0, scale, ulps(2.0 * d, k), 0.0));
+            }
+        }
+        for bad in [f64::NAN, f64::INFINITY] {
+            edge_cases.push(pair(0.0, 0.0, 3.0, 4.0, 20.0, bad));
+            edge_cases.push(pair(0.0, 0.0, 3.0, 4.0, bad, 1.0));
+            edge_cases.push(pair(0.0, 0.0, 3.0, 4.0, bad, bad));
+        }
+        let [_, _, fallback] = differential(edge_cases);
+        assert!(fallback > 0);
+        // A tiny offset on one axis does not knock a unit distance out
+        // of the fast range.
+        let [accept, reject, fallback] = differential([
+            pair(1e-150, 0.0, 0.0, 1.0, 3.0, 0.0),
+            pair(1e-150, 0.0, 0.0, 1.0, 1.0, 0.0),
+        ]);
+        assert_eq!([accept, reject, fallback], [1, 1, 0]);
     }
 
     #[test]

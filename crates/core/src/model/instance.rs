@@ -5,6 +5,10 @@ use epplan_geo::Point;
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::sync::OnceLock;
 
+/// Routes of up to this many events are costed in a stack buffer; the
+/// rare longer one is copied into a `Vec`.
+const STACK_ROUTE: usize = 16;
+
 /// A complete EBSN problem instance: the users `U`, the events `E`,
 /// and the utility matrix `μ` (Section II of the paper).
 ///
@@ -266,23 +270,33 @@ impl Instance {
     /// d(e_2,u_1)`), plus any admission fees (the Section VII
     /// extension; zero in the base model).
     pub fn travel_cost(&self, u: UserId, events: &[EventId]) -> f64 {
-        match *events {
-            [] => self.route_cost(u, &mut []),
-            [e] => self.route_cost(u, &mut [e]),
-            _ => self.route_cost(u, &mut events.to_vec()),
-        }
+        self.buffered_route_cost(u, events, None)
     }
 
     /// Travel cost if `extra` were added to `events`: the route of
     /// `events` followed by `extra`, built once.
     pub fn travel_cost_with(&self, u: UserId, events: &[EventId], extra: EventId) -> f64 {
-        if events.is_empty() {
-            return self.route_cost(u, &mut [extra]);
+        self.buffered_route_cost(u, events, Some(extra))
+    }
+
+    /// [`Instance::route_cost`] of `events` followed by `extra`, copied
+    /// into a stack buffer when at most [`STACK_ROUTE`] long and into a
+    /// `Vec` otherwise.
+    fn buffered_route_cost(&self, u: UserId, events: &[EventId], extra: Option<EventId>) -> f64 {
+        let n = events.len() + usize::from(extra.is_some());
+        if n <= STACK_ROUTE {
+            let mut buf = [EventId(0); STACK_ROUTE];
+            buf[..events.len()].copy_from_slice(events);
+            if let Some(x) = extra {
+                buf[events.len()] = x;
+            }
+            self.route_cost(u, &mut buf[..n])
+        } else {
+            let mut route = Vec::with_capacity(n);
+            route.extend_from_slice(events);
+            route.extend(extra);
+            self.route_cost(u, &mut route)
         }
-        let mut route = Vec::with_capacity(events.len() + 1);
-        route.extend_from_slice(events);
-        route.push(extra);
-        self.route_cost(u, &mut route)
     }
 
     /// [`Instance::travel_cost`] of `route`, which it sorts into start
@@ -477,6 +491,37 @@ mod tests {
             let with = inst.travel_cost_with(UserId(0), &evs, extra);
             evs.push(extra);
             assert_eq!(with.to_bits(), inst.travel_cost(UserId(0), &evs).to_bits(), "{evs:?}");
+        }
+    }
+
+    #[test]
+    fn routes_on_either_side_of_the_stack_buffer_cost_the_same_bits() {
+        let events: Vec<Event> = (0..24u32)
+            .map(|i| {
+                let at = Point::new(f64::from(i * 7 % 11), f64::from(i * 5 % 13));
+                let start = 60 * (i % 3);
+                Event::new(at, 0, 3, TimeInterval::new(start, start + 10))
+                    .with_fee(f64::from(i % 4) * 0.3)
+            })
+            .collect();
+        let users = vec![User::new(Point::new(3.0, 4.0), 100.0)];
+        let inst = Instance::new(users, events, UtilityMatrix::zeros(1, 24)).unwrap();
+        let u = UserId(0);
+        for len in STACK_ROUTE - 2..=STACK_ROUTE + 2 {
+            let evs: Vec<EventId> = (0..len as u32).map(|i| EventId((i * 5) % 24)).collect();
+            // The route as the paper writes it: fees in the given
+            // order, then origin → start order (stable) → origin.
+            let fees: f64 = evs.iter().map(|&e| inst.event(e).fee).sum();
+            let mut order = evs.clone();
+            order.sort_by_key(|&e| inst.event(e).time);
+            let mut trip = inst.distance(u, order[0]);
+            for w in order.windows(2) {
+                trip += inst.event_distance(w[0], w[1]);
+            }
+            let expected = fees + (trip + inst.distance(u, order[len - 1]));
+            assert_eq!(inst.travel_cost(u, &evs).to_bits(), expected.to_bits(), "{len}");
+            let with = inst.travel_cost_with(u, &evs[..len - 1], evs[len - 1]);
+            assert_eq!(with.to_bits(), expected.to_bits(), "{len}");
         }
     }
 

@@ -220,6 +220,7 @@ pub const COUNTER_NAMES: &[&str] = &[
     "packing.oracle_calls",
     "packing.oracle_scanned",
     "packing.oracle_fallbacks",
+    "candidates.exact_fallbacks",
     "rounding.slots",
     "rounding.edges",
     "budget.exhausted",

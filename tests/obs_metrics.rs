@@ -1,7 +1,8 @@
 //! Tier-1 observability test: a GAP-based solve on a real generated
 //! instance must leave non-trivial tracks in the global metrics
 //! registry — LP pivots, MW epochs, and rounding slot-graph sizes —
-//! and a greedy solve must record its Algorithm 2 and filler stages.
+//! a greedy solve must record its Algorithm 2 and filler stages, and
+//! candidate derivation must count its exact-predicate fallbacks.
 //!
 //! Metrics are process-global, so every solver configuration runs
 //! inside one test function with a `reset_metrics` between them.
@@ -81,6 +82,25 @@ fn gap_solve_emits_stage_metrics() {
     assert!(
         stages.iter().any(|s| s == "solve.greedy") && stages.iter().any(|s| s == "solve.fill"),
         "greedy solve missing its stages: {stages:?}"
+    );
+
+    // Candidate derivation: a budget exactly on one event's round-trip
+    // cost leaves that pair to the exact expression, and the build
+    // counts it; the generated instance's pairs all settle fast.
+    let mut edge = instance.clone();
+    edge.invalidate_candidates();
+    obs::reset_metrics();
+    edge.candidates();
+    assert_eq!(obs::counter_value("candidates.exact_fallbacks"), 0);
+    let (u, e) = (UserId(0), EventId(0));
+    edge.set_utility(u, e, 0.5);
+    edge.set_budget(u, 2.0 * edge.distance(u, e) + edge.event(e).fee - 1e-9);
+    let plain = 2.0 * edge.distance(u, e) + edge.event(e).fee <= edge.user(u).budget + 1e-9;
+    obs::reset_metrics();
+    assert_eq!(edge.candidates().contains(u, e), plain);
+    assert!(
+        obs::counter_value("candidates.exact_fallbacks") >= 1,
+        "a boundary budget did not reach the exact predicate"
     );
 
     obs::disable_metrics();
