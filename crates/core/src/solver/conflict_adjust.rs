@@ -14,6 +14,10 @@
 //! event-major pair store (`EventOrders`). A GAP solve hands one store
 //! to both passes and the filler (the `*_with` forms); the public
 //! functions build their own, over only the events they can offer.
+//! A store keeps only the best 256 receivers of an event with more
+//! than 512 until an offer reads past them, which materializes the
+//! rest (see `event_orders`). These stores are built without a
+//! deadline, so such a read never fails.
 //!
 //! The ST rounding also only guarantees per-user load ≤ `T_i + max p`,
 //! i.e. travel cost up to about `2·(2+ε)·B_i`, so a further
@@ -25,6 +29,7 @@
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
 use crate::solver::event_orders::EventOrders;
+use epplan_solve::DeadlineExceeded;
 
 /// A raw (pre-repair) assignment: per-user event multiset, possibly
 /// containing duplicates and time conflicts. This is what the GAP
@@ -64,10 +69,13 @@ fn try_reassign(
     processed: usize,
     e: EventId,
     exclude: UserId,
-    orders: &mut EventOrders,
+    orders: &mut EventOrders<'_>,
 ) -> Option<UserId> {
     let mut k = 0;
-    while let Some((u, _)) = orders.get(e, k) {
+    while let Some((u, _)) = orders
+        .get(e, k)
+        .unwrap_or_else(|DeadlineExceeded| unreachable!("Algorithm 1 reads unbudgeted stores"))
+    {
         k += 1;
         if u == exclude {
             continue;
@@ -111,11 +119,12 @@ pub fn conflict_adjust(instance: &Instance, raw: RawAssignment) -> Plan {
 }
 
 /// [`conflict_adjust`] reading receivers from `orders`, which must
-/// hold the candidate lists of every event in `raw`.
+/// hold the candidate lists of every event in `raw` and have no
+/// deadline.
 pub(crate) fn conflict_adjust_with(
     instance: &Instance,
     raw: RawAssignment,
-    orders: &mut EventOrders,
+    orders: &mut EventOrders<'_>,
 ) -> Plan {
     let mut working = raw;
     // Defensive normalization instead of a panic: a well-formed raw
@@ -177,11 +186,12 @@ pub fn budget_repair(instance: &Instance, plan: &mut Plan) -> usize {
 }
 
 /// [`budget_repair`] reading receivers from `orders`, which must hold
-/// the candidate lists of every event an over-budget user attends.
+/// the candidate lists of every event an over-budget user attends and
+/// have no deadline.
 pub(crate) fn budget_repair_with(
     instance: &Instance,
     plan: &mut Plan,
-    orders: &mut EventOrders,
+    orders: &mut EventOrders<'_>,
 ) -> usize {
     let over = over_budget(instance, plan);
     repair(instance, plan, over, orders)
@@ -202,7 +212,7 @@ fn repair(
     instance: &Instance,
     plan: &mut Plan,
     over: Vec<UserId>,
-    orders: &mut EventOrders,
+    orders: &mut EventOrders<'_>,
 ) -> usize {
     let mut dropped = 0;
     for u in over {
@@ -413,6 +423,8 @@ mod tests {
 
     #[test]
     fn budget_repair_matches_the_eager_repair() {
+        use crate::solver::event_orders::HEAD_LEN;
+        use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
         for seed in 0..40u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -449,14 +461,74 @@ mod tests {
                 })
                 .collect();
             let plan = conflict_adjust(&instance, raw);
-            let (mut lazy, mut eager) = (plan.clone(), plan);
-            let dropped = budget_repair(&instance, &mut lazy);
-            assert_eq!(dropped, budget_repair_eager(&instance, &mut eager), "seed {seed}");
-            assert_eq!(lazy, eager, "seed {seed}");
-            for u in instance.user_ids() {
-                assert!(lazy.travel_cost(&instance, u) <= instance.user(u).budget + 1e-9);
-            }
+            repair_matches_the_eager_repair(&instance, plan, seed);
         }
+        // Lists longer than a pair-store head: every user at the origin,
+        // and e0, e1 and e2 in turn. A route to all three costs
+        // 3 + √18 + 6 + 3 ≈ 16.2, one to e1 and e2 12.
+        let at = [(3.0, 0.0), (0.0, 3.0), (0.0, -3.0)];
+        for seed in 0..6u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n_users = rng.gen_range(2 * HEAD_LEN + 1..4 * HEAD_LEN);
+            let n_over = rng.gen_range(4..12);
+            // The over-budget users: budget 14, and e0 their least
+            // wanted event, so each drops e0 and nothing else.
+            let mut over: Vec<usize> = (0..n_users).collect();
+            over.shuffle(&mut rng);
+            over.truncate(n_over);
+            let users = (0..n_users)
+                .map(|u| {
+                    let budget = if over.contains(&u) { 14.0 } else { 100.0 };
+                    User::new(Point::new(0.0, 0.0), budget)
+                })
+                .collect();
+            let events = (0..3)
+                .map(|k| {
+                    let (start, (x, y)) = (60 * k as u32, at[k]);
+                    let time = TimeInterval::new(start, start + 45);
+                    Event::new(Point::new(x, y), 0, n_users as u32, time)
+                })
+                .collect();
+            let rows: Vec<Vec<f64>> = (0..n_users)
+                .map(|u| {
+                    if over.contains(&u) {
+                        vec![0.25, 1.0, 1.0]
+                    } else {
+                        (0..3).map(|_| rng.gen_range(1..=4) as f64 * 0.25).collect()
+                    }
+                })
+                .collect();
+            let utilities = UtilityMatrix::from_rows(rows.clone()).unwrap();
+            let instance = Instance::new(users, events, utilities).unwrap();
+            // The first `HEAD_LEN − 3` users of e0's order (μ
+            // descending, then the lower user) already attend it, so
+            // the victims' receivers sit at ranks `HEAD_LEN − 3` on.
+            let mut order: Vec<usize> = (0..n_users).filter(|u| !over.contains(u)).collect();
+            order.sort_by(|&a, &b| rows[b][0].total_cmp(&rows[a][0]).then(a.cmp(&b)));
+            let mut raw: RawAssignment = vec![Vec::new(); n_users];
+            for &u in &order[..HEAD_LEN - 3] {
+                raw[u].push(EventId(0));
+            }
+            for &u in &over {
+                raw[u] = vec![EventId(0), EventId(1), EventId(2)];
+            }
+            let plan = conflict_adjust(&instance, raw);
+            let lazy = repair_matches_the_eager_repair(&instance, plan, seed);
+            assert!(lazy.attendance(EventId(0)) as usize > HEAD_LEN);
+        }
+    }
+
+    /// Repairs `plan` both ways, asserts the results agree and hold
+    /// every budget, and returns the repaired plan.
+    fn repair_matches_the_eager_repair(instance: &Instance, plan: Plan, seed: u64) -> Plan {
+        let (mut lazy, mut eager) = (plan.clone(), plan);
+        let dropped = budget_repair(instance, &mut lazy);
+        assert_eq!(dropped, budget_repair_eager(instance, &mut eager), "seed {seed}");
+        assert_eq!(lazy, eager, "seed {seed}");
+        for u in instance.user_ids() {
+            assert!(lazy.travel_cost(instance, u) <= instance.user(u).budget + 1e-9);
+        }
+        lazy
     }
 
     #[test]

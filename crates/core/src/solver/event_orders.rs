@@ -2,10 +2,29 @@
 //!
 //! Algorithm 1's offers, budget repair's rehoming and the step-2
 //! filler's merge all read one order per event: its candidate users by
-//! μ descending, then the lower user. [`EventOrders`] sorts each list
-//! only as far as its readers get: ~1 400 offers and ~16 000 filler
-//! pops read the ~1.9 M pairs of a 24 000-user GAP solve, which builds
-//! one store and hands it to all three stages.
+//! μ descending, then the lower user. Each reads only the top of it:
+//! ~1 400 offers and ~16 000 filler pops read ~17 600 of the ~1.9 M
+//! pairs of a 24 000-user GAP solve (no event deeper than rank 190),
+//! which builds one store and hands it to all three stages.
+//!
+//! # Heads and overflow
+//!
+//! [`EventOrders::from_candidates`] counts each event's candidates,
+//! then streams the candidate rows once. An event with at most
+//! `2·HEAD_LEN` candidates keeps its whole list. A longer one gets a
+//! slot of `2·HEAD_LEN` pairs: once the slot is full it is cut to its
+//! best `HEAD_LEN` pairs, whose worst sets the event's floor, and a
+//! later pair enters only if its μ beats the floor. Users arrive in
+//! ascending order, so a later pair tied with the floor ranks below it.
+//! What is left is the event's exact top `HEAD_LEN` (its head), sorted
+//! once.
+//!
+//! A read past a head materializes the rest of every truncated list
+//! from the candidate cache in one more pass (counted in
+//! `orders.materialized`): each gets its head followed by the pairs
+//! ranked below the head's last, and lazy sorting goes on from rank
+//! `HEAD_LEN`. The pass polls the store's deadline, so a read can fail
+//! with [`DeadlineExceeded`] but never yields a wrong pair.
 
 use crate::model::{EventId, Instance, UserId};
 use crate::solver::filler::POLL_STRIDE;
@@ -14,6 +33,14 @@ use epplan_solve::{DeadlineExceeded, DeadlineFlag};
 /// Pairs sorted per step when a read first goes past the sorted part
 /// of an event's list; later steps double.
 const ORDER_CHUNK: usize = 32;
+
+/// The pairs an event's list keeps of a candidate build when it has
+/// more than twice as many: past every depth the GAP pipeline's readers
+/// reached on the benchmark's batch shapes (190 at most).
+pub(crate) const HEAD_LEN: usize = 256;
+
+/// The deadline of the stores built without one.
+static UNBUDGETED: DeadlineFlag = DeadlineFlag::unlimited();
 
 /// One `(user, event, μ)` pair. The event id fills what would be
 /// padding; a plain tuple, so a zeroed arena comes from zeroed pages.
@@ -34,69 +61,128 @@ fn by_rank(a: &Pair, b: &Pair) -> std::cmp::Ordering {
 /// with `select_nth_unstable_by` and then a sort on the same key. The
 /// key is a total order on distinct users (a repeated pair's copies are
 /// equal), so every sorted prefix is that of the fully sorted list.
-pub(crate) struct EventOrders {
+pub(crate) struct EventOrders<'a> {
     /// Event `e`'s list is `pairs[offsets[e]..offsets[e + 1]]`.
     offsets: Vec<u32>,
     pairs: Vec<Pair>,
     /// Per event, the length of the list's sorted prefix.
     sorted: Vec<u32>,
+    /// Where the rest of the truncated lists comes from, until a read
+    /// past a head materializes it.
+    overflow: Option<Overflow<'a>>,
 }
 
-impl EventOrders {
-    /// The candidate pairs of the events marked in `needed`, in two
-    /// passes over the candidate arrays. Leaving non-candidates out is
-    /// lossless: `can_attend_with` rejects them in every plan state.
-    pub(crate) fn from_candidates(instance: &Instance, needed: &[bool]) -> EventOrders {
-        Self::try_from_candidates(instance, needed, &DeadlineFlag::unlimited())
+/// The source of the lists a candidate build cut to their heads.
+struct Overflow<'a> {
+    instance: &'a Instance,
+    deadline: &'a DeadlineFlag,
+    /// Per event, the full list length if only its head is stored,
+    /// else 0.
+    full_len: Vec<u32>,
+}
+
+impl<'a> EventOrders<'a> {
+    /// The candidate pairs of the events marked in `needed`: a count
+    /// pass and one streaming pass over the candidate arrays (see the
+    /// module docs). Leaving non-candidates out is lossless:
+    /// `can_attend_with` rejects them in every plan state.
+    pub(crate) fn from_candidates(instance: &'a Instance, needed: &[bool]) -> EventOrders<'a> {
+        Self::try_from_candidates(instance, needed, &UNBUDGETED)
             .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
     }
 
     /// [`EventOrders::from_candidates`], polling `deadline` every
-    /// [`POLL_STRIDE`] users in each pass.
+    /// [`POLL_STRIDE`] users in each pass, and in the pass of a read
+    /// past a head.
     pub(crate) fn try_from_candidates(
-        instance: &Instance,
+        instance: &'a Instance,
         needed: &[bool],
-        deadline: &DeadlineFlag,
-    ) -> Result<EventOrders, DeadlineExceeded> {
+        deadline: &'a DeadlineFlag,
+    ) -> Result<EventOrders<'a>, DeadlineExceeded> {
         let cands = instance.candidates();
         let (events, utils, rows) = (cands.event_ids(), cands.utilities(), cands.row_offsets());
-        let mut offsets = vec![0u32; needed.len() + 1];
+        let mut counts = vec![0u32; needed.len()];
         for (u, row) in rows.windows(2).enumerate() {
             if u.is_multiple_of(POLL_STRIDE) {
                 deadline.poll()?;
             }
             for &e in &events[row[0] as usize..row[1] as usize] {
-                offsets[e as usize + 1] += u32::from(needed[e as usize]);
+                counts[e as usize] += u32::from(needed[e as usize]);
             }
         }
-        running_sum(&mut offsets);
-        let total = offsets[needed.len()];
-        // Branch-free scatter: pairs of events not needed all land in
-        // one spare slot past the end, which is cut off afterwards.
-        let mut next: Vec<u32> = (0..needed.len())
-            .map(|e| if needed[e] { offsets[e] } else { total })
+        let slot = 2 * HEAD_LEN as u32;
+        let mut offsets: Vec<u32> = std::iter::once(0)
+            .chain(counts.iter().map(|&n| n.min(slot)))
             .collect();
-        let mut pairs: Vec<Pair> = vec![(0, 0, 0.0); total as usize + 1];
+        running_sum(&mut offsets);
+        let mut next = offsets[..needed.len()].to_vec();
+        // A pair enters its event's slot only if its μ beats the floor;
+        // a floor of +∞ keeps out every pair of an event not needed.
+        let mut floor: Vec<f64> = needed
+            .iter()
+            .map(|&n| if n { f64::NEG_INFINITY } else { f64::INFINITY })
+            .collect();
+        let mut pairs: Vec<Pair> = vec![(0, 0, 0.0); offsets[needed.len()] as usize];
         for (u, row) in rows.windows(2).enumerate() {
             if u.is_multiple_of(POLL_STRIDE) {
                 deadline.poll()?;
             }
             for k in row[0] as usize..row[1] as usize {
-                let e = events[k] as usize;
-                pairs[next[e] as usize] = (u as u32, e as u32, utils[k]);
-                next[e] += u32::from(needed[e]);
+                let (e, mu) = (events[k] as usize, utils[k]);
+                if mu.total_cmp(&floor[e]).is_le() {
+                    continue;
+                }
+                // Only a list longer than its slot ever finds it full.
+                if next[e] == offsets[e + 1] {
+                    let kept = &mut pairs[offsets[e] as usize..next[e] as usize];
+                    kept.select_nth_unstable_by(HEAD_LEN - 1, by_rank);
+                    floor[e] = kept[HEAD_LEN - 1].2;
+                    next[e] = offsets[e] + HEAD_LEN as u32;
+                    if mu.total_cmp(&floor[e]).is_le() {
+                        continue;
+                    }
+                }
+                pairs[next[e] as usize] = (u as u32, e as u32, mu);
+                next[e] += 1;
             }
         }
-        pairs.truncate(total as usize);
+        // Cut each long list to its sorted head and close the gaps.
+        let mut sorted = vec![0u32; needed.len()];
+        let mut full_len = vec![0u32; needed.len()];
+        let mut end = 0;
+        for e in 0..needed.len() {
+            let lo = offsets[e] as usize;
+            let mut len = counts[e] as usize;
+            if counts[e] > slot {
+                let head = &mut pairs[lo..next[e] as usize];
+                head.select_nth_unstable_by(HEAD_LEN - 1, by_rank);
+                head[..HEAD_LEN].sort_unstable_by(by_rank);
+                (len, sorted[e], full_len[e]) = (HEAD_LEN, HEAD_LEN as u32, counts[e]);
+            }
+            pairs.copy_within(lo..lo + len, end);
+            offsets[e] = end as u32;
+            end += len;
+        }
+        offsets[needed.len()] = end as u32;
+        pairs.truncate(end);
+        // Registers the counter, so a solve that reads no list past its
+        // head reports 0.
+        epplan_obs::counter_add("orders.materialized", 0);
+        let overflow = full_len.iter().any(|&n| n > 0).then_some(Overflow {
+            instance,
+            deadline,
+            full_len,
+        });
         Ok(EventOrders {
             offsets,
             pairs,
-            sorted: vec![0; needed.len()],
+            sorted,
+            overflow,
         })
     }
 
     /// The store of a gathered pair stream over `n_events` events.
-    pub(crate) fn from_pairs(n_events: usize, mut pairs: Vec<Pair>) -> EventOrders {
+    pub(crate) fn from_pairs(n_events: usize, mut pairs: Vec<Pair>) -> EventOrders<'static> {
         pairs.sort_unstable_by_key(|p| p.1);
         let mut offsets = vec![0u32; n_events + 1];
         for p in &pairs {
@@ -107,6 +193,7 @@ impl EventOrders {
             offsets,
             pairs,
             sorted: vec![0; n_events],
+            overflow: None,
         }
     }
 
@@ -116,13 +203,29 @@ impl EventOrders {
     }
 
     /// The `k`-th `(user, μ)` pair of `e`'s list in preference order,
-    /// `None` past its end.
-    pub(crate) fn get(&mut self, e: EventId, k: usize) -> Option<(UserId, f64)> {
-        let lo = self.offsets[e.index()] as usize;
-        let list = &mut self.pairs[lo..self.offsets[e.index() + 1] as usize];
-        if k >= list.len() {
-            return None;
+    /// `None` past its end. Fails only when a read past a head
+    /// materializes the truncated lists and the store's deadline trips.
+    pub(crate) fn get(
+        &mut self,
+        e: EventId,
+        k: usize,
+    ) -> Result<Option<(UserId, f64)>, DeadlineExceeded> {
+        let (lo, hi) = (
+            self.offsets[e.index()] as usize,
+            self.offsets[e.index() + 1] as usize,
+        );
+        if k >= hi - lo {
+            let truncated = self
+                .overflow
+                .as_ref()
+                .is_some_and(|o| o.full_len[e.index()] > 0);
+            if !truncated {
+                return Ok(None);
+            }
+            self.materialize()?;
+            return self.get(e, k);
         }
+        let list = &mut self.pairs[lo..hi];
         let sorted = &mut self.sorted[e.index()];
         while k >= *sorted as usize {
             let rest = &mut list[*sorted as usize..];
@@ -133,7 +236,54 @@ impl EventOrders {
             rest[..step].sort_unstable_by(by_rank);
             *sorted += step as u32;
         }
-        Some((UserId(list[k].0), list[k].2))
+        Ok(Some((UserId(list[k].0), list[k].2)))
+    }
+
+    /// Gives every truncated list its full length: its sorted head,
+    /// then the pairs ranked below the head's last, in one pass over the
+    /// candidate arrays. On `Err` the store is left as it was.
+    fn materialize(&mut self) -> Result<(), DeadlineExceeded> {
+        let Some(o) = &self.overflow else {
+            return Ok(());
+        };
+        let n = self.n_lists();
+        let mut offsets = vec![0u32; n + 1];
+        for e in 0..n {
+            offsets[e + 1] = o.full_len[e].max(self.offsets[e + 1] - self.offsets[e]);
+        }
+        running_sum(&mut offsets);
+        let mut pairs: Vec<Pair> = vec![(0, 0, 0.0); offsets[n] as usize];
+        // Per truncated event, the last pair of its head.
+        let mut cut: Vec<Option<Pair>> = vec![None; n];
+        let mut next = offsets[..n].to_vec();
+        for e in 0..n {
+            let list = &self.pairs[self.offsets[e] as usize..self.offsets[e + 1] as usize];
+            pairs[next[e] as usize..][..list.len()].copy_from_slice(list);
+            next[e] += list.len() as u32;
+            if o.full_len[e] > 0 {
+                cut[e] = list.last().copied();
+            }
+        }
+        let cands = o.instance.candidates();
+        let (events, utils, rows) = (cands.event_ids(), cands.utilities(), cands.row_offsets());
+        for (u, row) in rows.windows(2).enumerate() {
+            if u.is_multiple_of(POLL_STRIDE) {
+                o.deadline.poll()?;
+            }
+            for k in row[0] as usize..row[1] as usize {
+                let e = events[k] as usize;
+                let Some(last) = cut[e] else { continue };
+                let p = (u as u32, e as u32, utils[k]);
+                if by_rank(&p, &last).is_gt() {
+                    pairs[next[e] as usize] = p;
+                    next[e] += 1;
+                }
+            }
+        }
+        debug_assert_eq!(next, offsets[1..]);
+        epplan_obs::counter_add("orders.materialized", 1);
+        (self.offsets, self.pairs, self.overflow) = (offsets, pairs, None);
+        Ok(())
     }
 }
 
@@ -151,6 +301,7 @@ mod tests {
     use super::*;
     use crate::model::{Event, TimeInterval, User, UtilityMatrix};
     use epplan_geo::Point;
+    use rand::{Rng, SeedableRng};
 
     /// The eager receiver orders: every needed event's candidate users,
     /// fully sorted by μ descending, then user ascending.
@@ -174,38 +325,53 @@ mod tests {
             .collect()
     }
 
+    /// `n_users` users and up to five events; event 0 is a candidate of
+    /// every user. Few distinct utilities, so most ranks, and the head
+    /// boundaries, fall inside ties decided by the user id.
+    fn instance(rng: &mut rand::rngs::StdRng, n_users: usize) -> Instance {
+        let n_events: u32 = rng.gen_range(1..6);
+        let users = (0..n_users)
+            .map(|_| {
+                let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+                User::new(at, 1000.0)
+            })
+            .collect();
+        let events = (0..n_events)
+            .map(|k| {
+                let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+                Event::new(at, 1, 3, TimeInterval::new(60 * k, 60 * k + 30))
+            })
+            .collect();
+        let rows = (0..n_users)
+            .map(|_| {
+                (0..n_events)
+                    .map(|e| [0.0, 0.3, 0.6, 0.9][rng.gen_range(usize::from(e == 0)..4)])
+                    .collect()
+            })
+            .collect();
+        Instance::new(users, events, UtilityMatrix::from_rows(rows).unwrap()).unwrap()
+    }
+
+    fn user_at(orders: &mut EventOrders<'_>, e: usize, k: usize) -> Option<UserId> {
+        let read = orders.get(EventId(e as u32), k);
+        read.expect("an unbudgeted store never fails")
+            .map(|(u, _)| u)
+    }
+
     #[test]
     fn lazy_orders_match_the_eager_sort() {
-        use rand::{Rng, SeedableRng};
         // Event 0's list holds every user: lengths at and just past the
-        // sort-step boundaries (32, 64, 128, 256), then others.
+        // sort-step boundaries (32, 64, 128, 256), at and around the
+        // longest list kept whole (2·HEAD_LEN), then far past it.
+        let h = HEAD_LEN;
         let lengths = [1, 32, 33, 64, 65, 100, 128, 129, 256, 257, 399];
-        for (seed, n_users) in lengths.into_iter().enumerate() {
+        let lengths = lengths
+            .into_iter()
+            .chain([2 * h - 1, 2 * h, 2 * h + 1, 4 * h + 37]);
+        for (seed, n_users) in lengths.enumerate() {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
-            let n_events: u32 = rng.gen_range(1..6);
-            let users = (0..n_users)
-                .map(|_| {
-                    let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
-                    User::new(at, 1000.0)
-                })
-                .collect();
-            let events = (0..n_events)
-                .map(|k| {
-                    let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
-                    Event::new(at, 1, 3, TimeInterval::new(60 * k, 60 * k + 30))
-                })
-                .collect();
-            // Few distinct utilities, so most ranks are decided by the
-            // user-id tie-break.
-            let rows = (0..n_users)
-                .map(|_| {
-                    (0..n_events)
-                        .map(|e| [0.0, 0.3, 0.6, 0.9][rng.gen_range(usize::from(e == 0)..4)])
-                        .collect()
-                })
-                .collect();
-            let instance =
-                Instance::new(users, events, UtilityMatrix::from_rows(rows).unwrap()).unwrap();
+            let instance = instance(&mut rng, n_users);
+            let n_events = instance.n_events();
             let needed: Vec<bool> = (0..n_events).map(|e| e == 0 || rng.gen_bool(0.8)).collect();
             let eager = eager_orders(&instance, &needed);
             assert_eq!(eager[0].len(), n_users);
@@ -219,31 +385,78 @@ mod tests {
                     }
                 }
             }
+            let truncated = eager.iter().any(|order| order.len() > 2 * h);
             let stores = [
                 EventOrders::from_candidates(&instance, &needed),
-                EventOrders::from_pairs(n_events as usize, stream),
+                EventOrders::from_pairs(n_events, stream),
             ];
-            for mut lazy in stores {
-                let mut user_at = |e: u32, k: usize| lazy.get(EventId(e), k).map(|(u, _)| u);
+            for (built, mut lazy) in stores.into_iter().enumerate() {
+                assert_eq!(lazy.overflow.is_some(), built == 0 && truncated);
+                // Every head read through leaves the rest unread.
+                for (e, order) in eager.iter().enumerate() {
+                    for (k, &u) in order.iter().enumerate().take(h) {
+                        assert_eq!(user_at(&mut lazy, e, k), Some(u), "event {e} rank {k}");
+                    }
+                }
+                assert_eq!(lazy.overflow.is_some(), built == 0 && truncated);
                 // Interleave partial reads of random events before
                 // reading every list through its end.
                 for _ in 0..20 {
                     let e = rng.gen_range(0..n_events);
-                    let order = &eager[e as usize];
+                    let order = &eager[e];
                     for k in 0..rng.gen_range(0..=order.len() + 1) {
-                        assert_eq!(user_at(e, k), order.get(k).copied());
+                        assert_eq!(user_at(&mut lazy, e, k), order.get(k).copied());
                     }
                 }
                 for (e, order) in eager.iter().enumerate() {
                     for k in 0..=order.len() {
                         assert_eq!(
-                            user_at(e as u32, k),
+                            user_at(&mut lazy, e, k),
                             order.get(k).copied(),
                             "{n_users} users, event {e}, rank {k}"
                         );
                     }
                 }
+                assert!(lazy.overflow.is_none());
             }
+        }
+    }
+
+    #[test]
+    fn a_tripped_deadline_fails_the_read_and_never_yields_a_wrong_pair() {
+        let n_users = 4 * HEAD_LEN + 37;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let instance = instance(&mut rng, n_users);
+        let needed = vec![true; instance.n_events()];
+        let eager = eager_orders(&instance, &needed);
+        // Each pass over the candidate rows polls once per stride.
+        let pass = n_users.div_ceil(POLL_STRIDE) as u64;
+        for polls in [0, pass - 1, pass + 3] {
+            let deadline = DeadlineFlag::after_polls(polls);
+            let built = EventOrders::try_from_candidates(&instance, &needed, &deadline);
+            assert!(built.is_err(), "{polls} polls");
+        }
+        for polls in [2 * pass, 2 * pass + 5, 3 * pass - 1] {
+            let deadline = DeadlineFlag::after_polls(polls);
+            let mut lazy = EventOrders::try_from_candidates(&instance, &needed, &deadline).unwrap();
+            for (k, &u) in eager[0].iter().enumerate().take(HEAD_LEN) {
+                let read = lazy.get(EventId(0), k).unwrap();
+                assert_eq!(read.map(|(u, _)| u), Some(u));
+            }
+            // The read past the head trips inside the materialization,
+            // every time, and the head stays readable.
+            for _ in 0..2 {
+                assert_eq!(lazy.get(EventId(0), HEAD_LEN), Err(DeadlineExceeded));
+                assert!(lazy.overflow.is_some());
+                let read = lazy.get(EventId(0), HEAD_LEN - 1).unwrap();
+                assert_eq!(read.map(|(u, _)| u), Some(eager[0][HEAD_LEN - 1]));
+            }
+        }
+        let deadline = DeadlineFlag::after_polls(3 * pass);
+        let mut lazy = EventOrders::try_from_candidates(&instance, &needed, &deadline).unwrap();
+        for k in 0..=n_users {
+            let read = lazy.get(EventId(0), k).unwrap();
+            assert_eq!(read.map(|(u, _)| u), eager[0].get(k).copied());
         }
     }
 }

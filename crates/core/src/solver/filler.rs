@@ -25,9 +25,11 @@
 //!
 //! 1. the pairs sit in an event-major pair store (`EventOrders`),
 //!    each event's list lazily sorted by utility descending, then the
-//!    lower user. The batch fill builds it from the candidate cache;
-//!    a GAP solve hands over the store its Algorithm 1 already read;
-//!    the repair scopes build a small one from their candidate pairs;
+//!    lower user. The batch fill builds it from the candidate cache,
+//!    keeping only the best 256 pairs of an event with more than 512
+//!    until the drain reads past them; a GAP solve hands over the
+//!    store its Algorithm 1 already read; the repair scopes build a
+//!    small one from their candidate pairs, whole;
 //! 2. a per-event cursor walks the list and skips users who already
 //!    attend the event. A pair can only become attended by its own
 //!    pop, so this skips exactly the pairs that were not open when the
@@ -126,8 +128,10 @@ pub fn fill_event(instance: &Instance, plan: &mut Plan, event: EventId) -> usize
 /// their utility rows, since incremental ops invalidate the cache) into
 /// a small one. Both are drained as a k-way merge of per-event lists
 /// (see the module docs). The flag is polled every [`POLL_STRIDE`]
-/// users while the store is built and every [`POLL_STRIDE`] heap pops
-/// in the drain.
+/// users while the store is built, every [`POLL_STRIDE`] heap pops in
+/// the drain, and every [`POLL_STRIDE`] users of the pass that
+/// materializes the batch store's long lists when the drain reads past
+/// a head.
 ///
 /// On `Err` the plan holds a *valid partial fill* — a prefix of the
 /// same deterministic descending-utility add sequence the unbudgeted
@@ -159,12 +163,13 @@ pub fn try_fill_to_upper(
     drain(instance, plan, &mut orders, deadline)
 }
 
-/// The batch fill over a store of every event's candidate pairs, as a
-/// GAP solve hands it over: the plan [`fill_to_upper`] would produce.
+/// The batch fill over a store of every event's candidate pairs built
+/// without a deadline, as a GAP solve hands it over: the plan
+/// [`fill_to_upper`] would produce.
 pub(crate) fn fill_to_upper_with(
     instance: &Instance,
     plan: &mut Plan,
-    orders: &mut EventOrders,
+    orders: &mut EventOrders<'_>,
 ) -> usize {
     let _sp = epplan_obs::span("solve.fill");
     drain(instance, plan, orders, &DeadlineFlag::unlimited())
@@ -175,12 +180,12 @@ pub(crate) fn fill_to_upper_with(
 fn drain(
     instance: &Instance,
     plan: &mut Plan,
-    orders: &mut EventOrders,
+    orders: &mut EventOrders<'_>,
     deadline: &DeadlineFlag,
 ) -> Result<usize, DeadlineExceeded> {
     let mut heads: BinaryHeap<(Candidate, usize)> = BinaryHeap::new();
     for e in 0..orders.n_lists() {
-        heads.extend(next_open(instance, plan, orders, EventId(e as u32), 0));
+        heads.extend(next_open(instance, plan, orders, EventId(e as u32), 0)?);
     }
     let mut added = 0;
     let mut pops = 0usize;
@@ -193,7 +198,7 @@ fn drain(
             plan.add(c.user, c.event);
             added += 1;
         }
-        heads.extend(next_open(instance, plan, orders, c.event, k + 1));
+        heads.extend(next_open(instance, plan, orders, c.event, k + 1)?);
     }
     Ok(added)
 }
@@ -203,25 +208,25 @@ fn drain(
 fn next_open(
     instance: &Instance,
     plan: &Plan,
-    orders: &mut EventOrders,
+    orders: &mut EventOrders<'_>,
     e: EventId,
     mut k: usize,
-) -> Option<(Candidate, usize)> {
+) -> Result<Option<(Candidate, usize)>, DeadlineExceeded> {
     if plan.attendance(e) >= instance.event(e).upper {
-        return None;
+        return Ok(None);
     }
-    while let Some((user, score)) = orders.get(e, k) {
+    while let Some((user, score)) = orders.get(e, k)? {
         if !plan.contains(user, e) {
             let head = Candidate {
                 score,
                 user,
                 event: e,
             };
-            return Some((head, k));
+            return Ok(Some((head, k)));
         }
         k += 1;
     }
-    None
+    Ok(None)
 }
 
 #[cfg(test)]

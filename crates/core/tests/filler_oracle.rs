@@ -15,6 +15,11 @@
 //!
 //! Utilities are quantized to quarters so that ties are common and the
 //! `(user, event)` tie-breaks decide the order.
+//!
+//! A batch fill keeps only the best 256 pairs of an event with more
+//! than 512 candidates until a read goes past them. The wide instances
+//! give one event 513–900 candidates and room for 300 or more of them,
+//! so the fill reads that event's list past its first 256 pairs.
 
 use epplan_core::certify::certify;
 use epplan_core::model::{Event, EventId, Instance, InstanceBuilder, TimeInterval, UserId};
@@ -142,6 +147,43 @@ fn instance(seed: u64) -> Instance {
     b.build()
 }
 
+/// A wide instance: event 0 has every user as a candidate, room for at
+/// least 300 of them and no conflict with the other events, and every
+/// budget affords every route, so the fill adds at least 300 users to
+/// it.
+fn wide_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_users = rng.gen_range(513..=900);
+    let n_events = rng.gen_range(1..=4);
+    let mut b = InstanceBuilder::new();
+    let users: Vec<UserId> = (0..n_users)
+        .map(|_| {
+            let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+            b.user(at, rng.gen_range(80.0..120.0))
+        })
+        .collect();
+    let events: Vec<EventId> = (0..n_events)
+        .map(|k| {
+            let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+            let start = if k == 0 { 0 } else { rng.gen_range(60..480) };
+            let time = TimeInterval::new(start, start + rng.gen_range(30..59));
+            let upper = if k == 0 {
+                rng.gen_range(300..=n_users)
+            } else {
+                rng.gen_range(0..=200)
+            };
+            b.event_raw(Event::new(at, 0, upper, time))
+        })
+        .collect();
+    for &u in &users {
+        for &e in &events {
+            let lowest = usize::from(e == events[0]);
+            b.utility(u, e, rng.gen_range(lowest..=4) as f64 * 0.25);
+        }
+    }
+    b.build()
+}
+
 /// A random hard-feasible plan. Some events are topped up to `η`, so
 /// the fill meets events that are full before it starts.
 fn prefilled_plan(instance: &Instance, seed: u64) -> Plan {
@@ -219,6 +261,31 @@ proptest! {
             prop_assert_eq!(added, expected_added, "add count, seed {} event {}", seed, event);
             prop_assert!(plan == expected, "plan differs from the oracle, seed {} event {}", seed, event);
             prop_assert!(certify(&inst, &plan).hard_ok());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn wide_fill_matches_single_heap_oracle(seed in 0u64..u64::MAX) {
+        let probe = wide_instance(seed);
+        // Event 0 starts empty, so its fill reads past its best 256.
+        let mut start = prefilled_plan(&probe, seed);
+        for u in probe.user_ids() {
+            start.remove(u, EventId(0));
+        }
+        let mut expected = start.clone();
+        let expected_added = oracle_fill(&probe, &mut expected, None);
+        prop_assert!(expected.attendance(EventId(0)) >= 300);
+        for threads in [1, 4] {
+            epplan_par::set_threads(threads);
+            let inst = wide_instance(seed);
+            let mut plan = start.clone();
+            let added = fill_to_upper(&inst, &mut plan, None);
+            prop_assert_eq!(added, expected_added, "add count, seed {} threads {}", seed, threads);
+            prop_assert!(plan == expected, "plan differs from the oracle, seed {} threads {}", seed, threads);
         }
     }
 }

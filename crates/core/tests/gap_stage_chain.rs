@@ -13,8 +13,16 @@
 //! the rounding's load slack leaves some user over budget after
 //! Algorithm 1 in about one instance of five, and budget repair
 //! rehomes events.
+//!
+//! A candidate build keeps only the best 256 pairs of an event with
+//! more than 512 candidates until a read goes past them. The wide
+//! instances give one event 513–800 candidates and room for 300 or
+//! more, so the fill reads past them. There the chain fills through
+//! the listed-users form, whose store gathers every pair up front, so
+//! it checks the solver's reads past a head against a store that never
+//! truncates.
 
-use epplan_core::model::{Event, Instance, InstanceBuilder, TimeInterval, UserId};
+use epplan_core::model::{Event, EventId, Instance, InstanceBuilder, TimeInterval, UserId};
 use epplan_core::plan::Plan;
 use epplan_core::solver::conflict_adjust::{budget_repair, conflict_adjust, RawAssignment};
 use epplan_core::solver::filler::fill_to_upper;
@@ -26,8 +34,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// `build_gap` → `GapSolver::solve` → `conflict_adjust` →
-/// `budget_repair` → `fill_to_upper`, as `GapBasedSolver` runs them.
-fn stage_chain(instance: &Instance) -> Plan {
+/// `budget_repair` → `fill_to_upper`, as `GapBasedSolver` runs them;
+/// the fill restricted to `fill_users` when given.
+fn stage_chain(instance: &Instance, fill_users: Option<&[UserId]>) -> Plan {
     let solver = GapBasedSolver::default();
     let (gap, jobs) = solver.build_gap(instance);
     let solution = GapSolver::new(solver.gap.clone())
@@ -41,7 +50,7 @@ fn stage_chain(instance: &Instance) -> Plan {
     }
     let mut plan = conflict_adjust(instance, raw);
     budget_repair(instance, &mut plan);
-    fill_to_upper(instance, &mut plan, None);
+    fill_to_upper(instance, &mut plan, fill_users);
     plan
 }
 
@@ -90,6 +99,43 @@ fn instance(seed: u64) -> Instance {
     b.build()
 }
 
+/// A wide instance: event 0 has every user as a candidate, a lower
+/// bound of at most 8, room for at least 300 users and no conflict with
+/// the other events, and every budget affords every route.
+fn wide_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = InstanceBuilder::new();
+    let n_users = rng.gen_range(513..=800);
+    let n_events = rng.gen_range(1..=3);
+    let users: Vec<UserId> = (0..n_users)
+        .map(|_| {
+            let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+            b.user(at, rng.gen_range(80.0..120.0))
+        })
+        .collect();
+    let events: Vec<_> = (0..n_events)
+        .map(|k| {
+            let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+            let lower = rng.gen_range(0..=8);
+            let upper = if k == 0 {
+                rng.gen_range(300..=n_users as u32)
+            } else {
+                lower + rng.gen_range(1..=20)
+            };
+            let start = if k == 0 { 0 } else { rng.gen_range(60..480) };
+            let time = TimeInterval::new(start, start + rng.gen_range(30..59));
+            b.event_raw(Event::new(at, lower, upper, time))
+        })
+        .collect();
+    for &u in &users {
+        for &e in &events {
+            let lowest = usize::from(e == events[0]);
+            b.utility(u, e, rng.gen_range(lowest..=4) as f64 * 0.25);
+        }
+    }
+    b.build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -102,7 +148,29 @@ proptest! {
             let inst = instance(seed);
             let solution = GapBasedSolver::default().solve(&inst);
             prop_assert_eq!(solution.report.winner(), Some("gap_based"), "seed {}", seed);
-            let chained = stage_chain(&inst);
+            let chained = stage_chain(&inst, None);
+            prop_assert_eq!(
+                serde_json::to_string(&solution.plan).unwrap(),
+                serde_json::to_string(&chained).unwrap(),
+                "seed {} threads {}", seed, threads
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn wide_gap_solve_matches_an_untruncated_fill(seed in 0u64..u64::MAX) {
+        for threads in [1, 4] {
+            epplan_par::set_threads(threads);
+            let inst = wide_instance(seed);
+            let solution = GapBasedSolver::default().solve(&inst);
+            prop_assert_eq!(solution.report.winner(), Some("gap_based"), "seed {}", seed);
+            prop_assert!(solution.plan.attendance(EventId(0)) >= 300, "seed {}", seed);
+            let every: Vec<UserId> = inst.user_ids().collect();
+            let chained = stage_chain(&inst, Some(&every));
             prop_assert_eq!(
                 serde_json::to_string(&solution.plan).unwrap(),
                 serde_json::to_string(&chained).unwrap(),

@@ -221,6 +221,7 @@ pub const COUNTER_NAMES: &[&str] = &[
     "packing.oracle_scanned",
     "packing.oracle_fallbacks",
     "candidates.exact_fallbacks",
+    "orders.materialized",
     "rounding.slots",
     "rounding.edges",
     "budget.exhausted",

@@ -264,7 +264,7 @@ pub struct DeadlineFlag {
 
 impl DeadlineFlag {
     /// A flag that never trips, for unlimited budgets.
-    pub fn unlimited() -> Self {
+    pub const fn unlimited() -> Self {
         DeadlineFlag {
             deadline: DeadlineDeadline::None,
             tripped: AtomicBool::new(false),
