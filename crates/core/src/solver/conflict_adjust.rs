@@ -523,7 +523,11 @@ mod tests {
     fn repair_matches_the_eager_repair(instance: &Instance, plan: Plan, seed: u64) -> Plan {
         let (mut lazy, mut eager) = (plan.clone(), plan);
         let dropped = budget_repair(instance, &mut lazy);
-        assert_eq!(dropped, budget_repair_eager(instance, &mut eager), "seed {seed}");
+        assert_eq!(
+            dropped,
+            budget_repair_eager(instance, &mut eager),
+            "seed {seed}"
+        );
         assert_eq!(lazy, eager, "seed {seed}");
         for u in instance.user_ids() {
             assert!(lazy.travel_cost(instance, u) <= instance.user(u).budget + 1e-9);
