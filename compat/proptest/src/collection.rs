@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Element-count specification for [`vec`]: an exact length, an
+/// Element-count specification for [`vec()`]: an exact length, an
 /// exclusive range, or an inclusive range.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
@@ -47,7 +47,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// Output of [`vec`].
+/// Output of [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -14,7 +14,7 @@
 //!   fig4      IEP utility/time scalability sweeps
 //!   fig5      IEP memory scalability sweeps
 //!   ablations A1 (approx ratios), A2 (LP vs MW), A3 (filler),
-//!             A4 (local search), A5 (geography)
+//!             A5 (geography)
 //!   all       everything above
 //! ```
 //!
@@ -157,7 +157,6 @@ fn main() {
                 emit(&experiments::ablation_approx(&opts), csv_dir.as_ref());
                 emit(&experiments::ablation_lp(&opts), csv_dir.as_ref());
                 emit(&experiments::ablation_filler(&opts), csv_dir.as_ref());
-                emit(&experiments::ablation_local_search(&opts), csv_dir.as_ref());
                 emit(&experiments::ablation_geography(&opts), csv_dir.as_ref());
             }
             _ => usage(),

@@ -7,9 +7,7 @@ use epplan_core::analysis::InstanceAnalysis;
 use epplan_core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan_core::model::Instance;
 use epplan_core::plan::Plan;
-use epplan_core::solver::{
-    ExactSolver, GapBasedSolver, GepcSolver, GreedySolver, LnsSolver, SolveBudget,
-};
+use epplan_core::solver::{ExactSolver, GapBasedSolver, GepcSolver, GreedySolver, SolveBudget};
 use epplan_datagen::{generate, paper_example, City, GeneratorConfig};
 use epplan_gap::{FractionalMethod, GapConfig};
 use rand::prelude::*;
@@ -558,41 +556,6 @@ pub fn ablation_filler(opts: &HarnessOptions) -> Table {
     t
 }
 
-/// A4: utility gained by the local-search post-optimizer on top of
-/// each solver (the extension the paper leaves open).
-pub fn ablation_local_search(opts: &HarnessOptions) -> Table {
-    use epplan_core::solver::LocalSearch;
-    let mut t = Table::new(
-        "Ablation A4: local-search post-optimization gain",
-        &["City", "Solver", "Util(before)", "Util(after)", "gain %", "Time(LS)s"],
-    );
-    for city in opts.cities() {
-        let inst = city.instance();
-        for (name, sol) in [
-            ("greedy", greedy().solve(&inst)),
-            ("gap", gap_solver_fast().solve(&inst)),
-        ] {
-            let mut plan = sol.plan.clone();
-            let m = measure(|| LocalSearch::default().improve(&inst, &mut plan));
-            let after = plan.total_utility(&inst);
-            let gain = if sol.utility > 0.0 {
-                100.0 * (after - sol.utility) / sol.utility
-            } else {
-                0.0
-            };
-            t.row(vec![
-                city.name().into(),
-                name.into(),
-                fnum(sol.utility),
-                fnum(after),
-                fnum(gain),
-                fnum(m.seconds),
-            ]);
-        }
-    }
-    t
-}
-
 /// A5: uniform vs neighborhood-clustered geography. Clustered cities
 /// concentrate reachability (`Uc` spreads out); this checks how both
 /// solvers' utility and the greedy/GAP gap react.
@@ -655,7 +618,6 @@ pub fn example_table() -> Table {
         ("exact", Box::new(ExactSolver::default())),
         ("gap", Box::new(gap_solver())),
         ("greedy", Box::new(greedy())),
-        ("lns", Box::new(LnsSolver::seeded(7))),
     ];
     for (name, s) in solvers {
         let sol = s.solve(&inst);
@@ -696,13 +658,6 @@ mod tests {
     fn ablation_approx_produces_ratios() {
         let t = ablation_approx(&tiny_opts());
         assert!(t.render().contains("feasible tiny instances"));
-    }
-
-    #[test]
-    fn ablation_local_search_runs_quick() {
-        let t = ablation_local_search(&tiny_opts());
-        let rendered = t.render();
-        assert!(rendered.contains("greedy") && rendered.contains("gap"));
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! | Approximation-ratio ablation | §III analysis | [`experiments::ablation_approx`] |
 //! | LP-vs-MW fractional ablation | §III-A | [`experiments::ablation_lp`] |
 //! | Step-2 filler ablation | §III framework | [`experiments::ablation_filler`] |
-//! | Local-search gain ablation | extension | [`experiments::ablation_local_search`] |
 //! | Geography ablation | extension | [`experiments::ablation_geography`] |
 //! | Benchmark (batch solve and serving workloads) | — | `perfbench/` package, declared in `BENCHMARK.json` |
 

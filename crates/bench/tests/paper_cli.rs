@@ -71,6 +71,6 @@ fn csv_flag_writes_the_printed_table() {
     let mut lines = csv.lines();
     assert_eq!(lines.next(), Some("Solver,Utility,Feasible"));
     let solvers: Vec<&str> = lines.map(|l| l.split(',').next().unwrap()).collect();
-    assert_eq!(solvers, ["exact", "gap", "greedy", "lns"]);
+    assert_eq!(solvers, ["exact", "gap", "greedy"]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@ use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
 use crate::solver::filler::Candidate;
 
-/// Result of [`transfer_users_to`].
+/// Result of `transfer_users_to`.
 #[derive(Debug, Clone, Default)]
 pub struct TransferResult {
     /// Users moved to the target event (each lost one source event).

@@ -33,10 +33,6 @@
 
 use crate::model::{Event, EventId, Instance, User, UserId};
 
-/// Users per parallel build chunk (fixed boundaries — thread-count
-/// independent, so the arena bytes are too).
-const BUILD_MIN_CHUNK: usize = 64;
-
 /// Relative half-width of the bracket around `sqrt(dx² + dy²)`. Far
 /// wider than the few ulps separating that value from `hypot(dx, dy)`.
 const BRACKET: f64 = 1e-13;
@@ -118,29 +114,17 @@ pub(crate) fn for_each_candidate_in_row(
 
 impl CandidateSet {
     /// Derives the candidate lists for `instance` in two passes over
-    /// fixed-size parallel user chunks: the first counts each row
-    /// (into `row_offsets`, prefix-summed after), the second writes
-    /// every row straight into its slot of the exact-size arena. Adds
-    /// the first pass's exact fallbacks to `candidates.exact_fallbacks`.
+    /// the users: the first counts each row (into `row_offsets`,
+    /// prefix-summed after), the second appends every row to the
+    /// exact-size arena. Adds the first pass's exact fallbacks to
+    /// `candidates.exact_fallbacks`.
     pub fn build(instance: &Instance) -> Self {
         let n_users = instance.n_users();
-        let cs = epplan_par::chunk_size(n_users, BUILD_MIN_CHUNK);
         let mut row_offsets = vec![0u32; n_users + 1];
-
-        let mut counts: Vec<(usize, &mut [u32], u64)> = row_offsets[1..]
-            .chunks_mut(cs)
-            .enumerate()
-            .map(|(i, lens)| (i * cs, lens, 0))
-            .collect();
-        epplan_par::par_chunks_for_each_mut(&mut counts, 1, |_, jobs| {
-            for (start, lens, fallbacks) in jobs {
-                for (k, len) in lens.iter_mut().enumerate() {
-                    let u = UserId((*start + k) as u32);
-                    *fallbacks += for_each_candidate_in_row(instance, u, |_, _| *len += 1);
-                }
-            }
-        });
-        let fallbacks: u64 = counts.iter().map(|&(_, _, f)| f).sum();
+        let mut fallbacks = 0;
+        for (u, len) in instance.user_ids().zip(&mut row_offsets[1..]) {
+            fallbacks += for_each_candidate_in_row(instance, u, |_, _| *len += 1);
+        }
         epplan_obs::counter_add("candidates.exact_fallbacks", fallbacks);
 
         let nnz: u64 = row_offsets.iter().map(|&len| u64::from(len)).sum();
@@ -149,31 +133,14 @@ impl CandidateSet {
             row_offsets[u + 1] += row_offsets[u];
         }
 
-        let nnz = nnz as usize;
-        let mut event_ids = vec![0u32; nnz];
-        let mut utilities = vec![0.0f64; nnz];
-        let mut fills: Vec<(std::ops::Range<usize>, &mut [u32], &mut [f64])> = Vec::new();
-        let (mut ids_rest, mut utils_rest) = (&mut event_ids[..], &mut utilities[..]);
-        for start in (0..n_users).step_by(cs) {
-            let users = start..(start + cs).min(n_users);
-            let len = (row_offsets[users.end] - row_offsets[start]) as usize;
-            let (ids, ids_tail) = std::mem::take(&mut ids_rest).split_at_mut(len);
-            let (utils, utils_tail) = std::mem::take(&mut utils_rest).split_at_mut(len);
-            (ids_rest, utils_rest) = (ids_tail, utils_tail);
-            fills.push((users, ids, utils));
+        let mut event_ids = Vec::with_capacity(nnz as usize);
+        let mut utilities = Vec::with_capacity(nnz as usize);
+        for u in instance.user_ids() {
+            for_each_candidate_in_row(instance, u, |e, mu| {
+                event_ids.push(e.0);
+                utilities.push(mu);
+            });
         }
-        epplan_par::par_chunks_for_each_mut(&mut fills, 1, |_, jobs| {
-            for (users, ids, utils) in jobs {
-                let mut k = 0;
-                for u in users.clone() {
-                    for_each_candidate_in_row(instance, UserId(u as u32), |e, mu| {
-                        ids[k] = e.0;
-                        utils[k] = mu;
-                        k += 1;
-                    });
-                }
-            }
-        });
 
         CandidateSet {
             row_offsets,

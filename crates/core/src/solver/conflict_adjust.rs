@@ -16,8 +16,7 @@
 //! functions build their own, over only the events they can offer.
 //! A store keeps only the best 256 receivers of an event with more
 //! than 512 until an offer reads past them, which materializes the
-//! rest (see `event_orders`). These stores are built without a
-//! deadline, so such a read never fails.
+//! rest (see `event_orders`).
 //!
 //! The ST rounding also only guarantees per-user load ≤ `T_i + max p`,
 //! i.e. travel cost up to about `2·(2+ε)·B_i`, so a further
@@ -29,7 +28,6 @@
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
 use crate::solver::event_orders::EventOrders;
-use epplan_solve::DeadlineExceeded;
 
 /// A raw (pre-repair) assignment: per-user event multiset, possibly
 /// containing duplicates and time conflicts. This is what the GAP
@@ -72,10 +70,7 @@ fn try_reassign(
     orders: &mut EventOrders<'_>,
 ) -> Option<UserId> {
     let mut k = 0;
-    while let Some((u, _)) = orders
-        .get(e, k)
-        .unwrap_or_else(|DeadlineExceeded| unreachable!("Algorithm 1 reads unbudgeted stores"))
-    {
+    while let Some((u, _)) = orders.get(e, k) {
         k += 1;
         if u == exclude {
             continue;
@@ -119,8 +114,7 @@ pub fn conflict_adjust(instance: &Instance, raw: RawAssignment) -> Plan {
 }
 
 /// [`conflict_adjust`] reading receivers from `orders`, which must
-/// hold the candidate lists of every event in `raw` and have no
-/// deadline.
+/// hold the candidate lists of every event in `raw`.
 pub(crate) fn conflict_adjust_with(
     instance: &Instance,
     raw: RawAssignment,
@@ -186,8 +180,7 @@ pub fn budget_repair(instance: &Instance, plan: &mut Plan) -> usize {
 }
 
 /// [`budget_repair`] reading receivers from `orders`, which must hold
-/// the candidate lists of every event an over-budget user attends and
-/// have no deadline.
+/// the candidate lists of every event an over-budget user attends.
 pub(crate) fn budget_repair_with(
     instance: &Instance,
     plan: &mut Plan,

@@ -23,12 +23,9 @@
 //! from the candidate cache in one more pass (counted in
 //! `orders.materialized`): each gets its head followed by the pairs
 //! ranked below the head's last, and lazy sorting goes on from rank
-//! `HEAD_LEN`. The pass polls the store's deadline, so a read can fail
-//! with [`DeadlineExceeded`] but never yields a wrong pair.
+//! `HEAD_LEN`.
 
 use crate::model::{EventId, Instance, UserId};
-use crate::solver::filler::POLL_STRIDE;
-use epplan_solve::{DeadlineExceeded, DeadlineFlag};
 
 /// Pairs sorted per step when a read first goes past the sorted part
 /// of an event's list; later steps double.
@@ -38,9 +35,6 @@ const ORDER_CHUNK: usize = 32;
 /// more than twice as many: past every depth the GAP pipeline's readers
 /// reached on the benchmark's batch shapes (190 at most).
 pub(crate) const HEAD_LEN: usize = 256;
-
-/// The deadline of the stores built without one.
-static UNBUDGETED: DeadlineFlag = DeadlineFlag::unlimited();
 
 /// One `(user, event, μ)` pair. The event id fills what would be
 /// padding; a plain tuple, so a zeroed arena comes from zeroed pages.
@@ -75,7 +69,6 @@ pub(crate) struct EventOrders<'a> {
 /// The source of the lists a candidate build cut to their heads.
 struct Overflow<'a> {
     instance: &'a Instance,
-    deadline: &'a DeadlineFlag,
     /// Per event, the full list length if only its head is stored,
     /// else 0.
     full_len: Vec<u32>,
@@ -87,25 +80,10 @@ impl<'a> EventOrders<'a> {
     /// module docs). Leaving non-candidates out is lossless:
     /// `can_attend_with` rejects them in every plan state.
     pub(crate) fn from_candidates(instance: &'a Instance, needed: &[bool]) -> EventOrders<'a> {
-        Self::try_from_candidates(instance, needed, &UNBUDGETED)
-            .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
-    }
-
-    /// [`EventOrders::from_candidates`], polling `deadline` every
-    /// [`POLL_STRIDE`] users in each pass, and in the pass of a read
-    /// past a head.
-    pub(crate) fn try_from_candidates(
-        instance: &'a Instance,
-        needed: &[bool],
-        deadline: &'a DeadlineFlag,
-    ) -> Result<EventOrders<'a>, DeadlineExceeded> {
         let cands = instance.candidates();
         let (events, utils, rows) = (cands.event_ids(), cands.utilities(), cands.row_offsets());
         let mut counts = vec![0u32; needed.len()];
-        for (u, row) in rows.windows(2).enumerate() {
-            if u.is_multiple_of(POLL_STRIDE) {
-                deadline.poll()?;
-            }
+        for row in rows.windows(2) {
             for &e in &events[row[0] as usize..row[1] as usize] {
                 counts[e as usize] += u32::from(needed[e as usize]);
             }
@@ -124,9 +102,6 @@ impl<'a> EventOrders<'a> {
             .collect();
         let mut pairs: Vec<Pair> = vec![(0, 0, 0.0); offsets[needed.len()] as usize];
         for (u, row) in rows.windows(2).enumerate() {
-            if u.is_multiple_of(POLL_STRIDE) {
-                deadline.poll()?;
-            }
             for k in row[0] as usize..row[1] as usize {
                 let (e, mu) = (events[k] as usize, utils[k]);
                 if mu.total_cmp(&floor[e]).is_le() {
@@ -168,17 +143,16 @@ impl<'a> EventOrders<'a> {
         // Registers the counter, so a solve that reads no list past its
         // head reports 0.
         epplan_obs::counter_add("orders.materialized", 0);
-        let overflow = full_len.iter().any(|&n| n > 0).then_some(Overflow {
-            instance,
-            deadline,
-            full_len,
-        });
-        Ok(EventOrders {
+        let overflow = full_len
+            .iter()
+            .any(|&n| n > 0)
+            .then_some(Overflow { instance, full_len });
+        EventOrders {
             offsets,
             pairs,
             sorted,
             overflow,
-        })
+        }
     }
 
     /// The store of a gathered pair stream over `n_events` events.
@@ -203,13 +177,8 @@ impl<'a> EventOrders<'a> {
     }
 
     /// The `k`-th `(user, μ)` pair of `e`'s list in preference order,
-    /// `None` past its end. Fails only when a read past a head
-    /// materializes the truncated lists and the store's deadline trips.
-    pub(crate) fn get(
-        &mut self,
-        e: EventId,
-        k: usize,
-    ) -> Result<Option<(UserId, f64)>, DeadlineExceeded> {
+    /// `None` past its end.
+    pub(crate) fn get(&mut self, e: EventId, k: usize) -> Option<(UserId, f64)> {
         let (lo, hi) = (
             self.offsets[e.index()] as usize,
             self.offsets[e.index() + 1] as usize,
@@ -220,9 +189,9 @@ impl<'a> EventOrders<'a> {
                 .as_ref()
                 .is_some_and(|o| o.full_len[e.index()] > 0);
             if !truncated {
-                return Ok(None);
+                return None;
             }
-            self.materialize()?;
+            self.materialize();
             return self.get(e, k);
         }
         let list = &mut self.pairs[lo..hi];
@@ -236,15 +205,15 @@ impl<'a> EventOrders<'a> {
             rest[..step].sort_unstable_by(by_rank);
             *sorted += step as u32;
         }
-        Ok(Some((UserId(list[k].0), list[k].2)))
+        Some((UserId(list[k].0), list[k].2))
     }
 
     /// Gives every truncated list its full length: its sorted head,
     /// then the pairs ranked below the head's last, in one pass over the
-    /// candidate arrays. On `Err` the store is left as it was.
-    fn materialize(&mut self) -> Result<(), DeadlineExceeded> {
+    /// candidate arrays.
+    fn materialize(&mut self) {
         let Some(o) = &self.overflow else {
-            return Ok(());
+            return;
         };
         let n = self.n_lists();
         let mut offsets = vec![0u32; n + 1];
@@ -267,9 +236,6 @@ impl<'a> EventOrders<'a> {
         let cands = o.instance.candidates();
         let (events, utils, rows) = (cands.event_ids(), cands.utilities(), cands.row_offsets());
         for (u, row) in rows.windows(2).enumerate() {
-            if u.is_multiple_of(POLL_STRIDE) {
-                o.deadline.poll()?;
-            }
             for k in row[0] as usize..row[1] as usize {
                 let e = events[k] as usize;
                 let Some(last) = cut[e] else { continue };
@@ -283,7 +249,6 @@ impl<'a> EventOrders<'a> {
         debug_assert_eq!(next, offsets[1..]);
         epplan_obs::counter_add("orders.materialized", 1);
         (self.offsets, self.pairs, self.overflow) = (offsets, pairs, None);
-        Ok(())
     }
 }
 
@@ -353,9 +318,7 @@ mod tests {
     }
 
     fn user_at(orders: &mut EventOrders<'_>, e: usize, k: usize) -> Option<UserId> {
-        let read = orders.get(EventId(e as u32), k);
-        read.expect("an unbudgeted store never fails")
-            .map(|(u, _)| u)
+        orders.get(EventId(e as u32), k).map(|(u, _)| u)
     }
 
     #[test]
@@ -419,44 +382,6 @@ mod tests {
                 }
                 assert!(lazy.overflow.is_none());
             }
-        }
-    }
-
-    #[test]
-    fn a_tripped_deadline_fails_the_read_and_never_yields_a_wrong_pair() {
-        let n_users = 4 * HEAD_LEN + 37;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let instance = instance(&mut rng, n_users);
-        let needed = vec![true; instance.n_events()];
-        let eager = eager_orders(&instance, &needed);
-        // Each pass over the candidate rows polls once per stride.
-        let pass = n_users.div_ceil(POLL_STRIDE) as u64;
-        for polls in [0, pass - 1, pass + 3] {
-            let deadline = DeadlineFlag::after_polls(polls);
-            let built = EventOrders::try_from_candidates(&instance, &needed, &deadline);
-            assert!(built.is_err(), "{polls} polls");
-        }
-        for polls in [2 * pass, 2 * pass + 5, 3 * pass - 1] {
-            let deadline = DeadlineFlag::after_polls(polls);
-            let mut lazy = EventOrders::try_from_candidates(&instance, &needed, &deadline).unwrap();
-            for (k, &u) in eager[0].iter().enumerate().take(HEAD_LEN) {
-                let read = lazy.get(EventId(0), k).unwrap();
-                assert_eq!(read.map(|(u, _)| u), Some(u));
-            }
-            // The read past the head trips inside the materialization,
-            // every time, and the head stays readable.
-            for _ in 0..2 {
-                assert_eq!(lazy.get(EventId(0), HEAD_LEN), Err(DeadlineExceeded));
-                assert!(lazy.overflow.is_some());
-                let read = lazy.get(EventId(0), HEAD_LEN - 1).unwrap();
-                assert_eq!(read.map(|(u, _)| u), Some(eager[0][HEAD_LEN - 1]));
-            }
-        }
-        let deadline = DeadlineFlag::after_polls(3 * pass);
-        let mut lazy = EventOrders::try_from_candidates(&instance, &needed, &deadline).unwrap();
-        for k in 0..=n_users {
-            let read = lazy.get(EventId(0), k).unwrap();
-            assert_eq!(read.map(|(u, _)| u), eager[0].get(k).copied());
         }
     }
 }

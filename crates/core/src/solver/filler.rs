@@ -54,14 +54,8 @@ use crate::model::candidates::{for_each_candidate_in_row, is_candidate};
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
 use crate::solver::event_orders::{pair, EventOrders};
-use epplan_solve::{DeadlineExceeded, DeadlineFlag};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Users (while gathering pairs or building a store) or heap pops (in
-/// the drain) between deadline polls: each step is cheap, so a modest
-/// stride keeps the poll cost invisible while still bounding overshoot.
-pub(crate) const POLL_STRIDE: usize = 64;
 
 /// A max-heap key: `score` descending, ties to the lower user, then
 /// the lower event. The filler scores a pair by its utility;
@@ -93,10 +87,30 @@ impl Ord for Candidate {
 /// Greedily adds assignments in descending-utility order while all
 /// hard constraints and the upper bounds `η` hold. Restricted to
 /// `users` when given (IEP repair mode); considers every user
-/// otherwise. Returns the number of assignments added.
+/// otherwise. Returns the number of assignments added. Runs inside the
+/// `solve.fill` span.
+///
+/// The batch fill builds an event-major store from the candidate
+/// cache; a `users` fill gathers those users' candidate pairs (from
+/// their utility rows, since incremental ops invalidate the cache) into
+/// a small one. Both are drained as a k-way merge of per-event lists
+/// (see the module docs).
 pub fn fill_to_upper(instance: &Instance, plan: &mut Plan, users: Option<&[UserId]>) -> usize {
-    try_fill_to_upper(instance, plan, users, &DeadlineFlag::unlimited())
-        .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
+    let _sp = epplan_obs::span("solve.fill");
+    let mut orders = match users {
+        None => {
+            let every = vec![true; instance.n_events()];
+            EventOrders::from_candidates(instance, &every)
+        }
+        Some(us) => {
+            let mut pairs = Vec::new();
+            for &u in us {
+                for_each_candidate_in_row(instance, u, |e, mu| pairs.push(pair(u, e, mu)));
+            }
+            EventOrders::from_pairs(instance.n_events(), pairs)
+        }
+    };
+    drain(instance, plan, &mut orders)
 }
 
 /// Fills `event` alone, best utility first (ties to the lower user),
@@ -115,92 +129,35 @@ pub fn fill_event(instance: &Instance, plan: &mut Plan, event: EventId) -> usize
         }
     }
     let mut orders = EventOrders::from_pairs(instance.n_events(), pairs);
-    drain(instance, plan, &mut orders, &DeadlineFlag::unlimited())
-        .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
+    drain(instance, plan, &mut orders)
 }
 
-/// [`fill_to_upper`] under a wall-clock deadline: the budget-governed
-/// entry point for anytime solvers and per-op serving budgets. Runs
-/// inside the `solve.fill` span.
-///
-/// The batch fill builds an event-major store from the candidate
-/// cache; a `users` fill gathers those users' candidate pairs (from
-/// their utility rows, since incremental ops invalidate the cache) into
-/// a small one. Both are drained as a k-way merge of per-event lists
-/// (see the module docs). The flag is polled every [`POLL_STRIDE`]
-/// users while the store is built, every [`POLL_STRIDE`] heap pops in
-/// the drain, and every [`POLL_STRIDE`] users of the pass that
-/// materializes the batch store's long lists when the drain reads past
-/// a head.
-///
-/// On `Err` the plan holds a *valid partial fill* — a prefix of the
-/// same deterministic descending-utility add sequence the unbudgeted
-/// fill follows — and every hard constraint still holds. Callers that
-/// need all-or-nothing semantics should clone the plan first.
-pub fn try_fill_to_upper(
-    instance: &Instance,
-    plan: &mut Plan,
-    users: Option<&[UserId]>,
-    deadline: &DeadlineFlag,
-) -> Result<usize, DeadlineExceeded> {
-    let _sp = epplan_obs::span("solve.fill");
-    let mut orders = match users {
-        None => {
-            let every = vec![true; instance.n_events()];
-            EventOrders::try_from_candidates(instance, &every, deadline)?
-        }
-        Some(us) => {
-            let mut pairs = Vec::new();
-            for (i, &u) in us.iter().enumerate() {
-                if i.is_multiple_of(POLL_STRIDE) {
-                    deadline.poll()?;
-                }
-                for_each_candidate_in_row(instance, u, |e, mu| pairs.push(pair(u, e, mu)));
-            }
-            EventOrders::from_pairs(instance.n_events(), pairs)
-        }
-    };
-    drain(instance, plan, &mut orders, deadline)
-}
-
-/// The batch fill over a store of every event's candidate pairs built
-/// without a deadline, as a GAP solve hands it over: the plan
-/// [`fill_to_upper`] would produce.
+/// The batch fill over a store of every event's candidate pairs, as a
+/// GAP solve hands it over: the plan [`fill_to_upper`] would produce.
 pub(crate) fn fill_to_upper_with(
     instance: &Instance,
     plan: &mut Plan,
     orders: &mut EventOrders<'_>,
 ) -> usize {
     let _sp = epplan_obs::span("solve.fill");
-    drain(instance, plan, orders, &DeadlineFlag::unlimited())
-        .unwrap_or_else(|DeadlineExceeded| unreachable!("an unlimited deadline never trips"))
+    drain(instance, plan, orders)
 }
 
 /// The k-way merge over `orders`' event lists (see the module docs).
-fn drain(
-    instance: &Instance,
-    plan: &mut Plan,
-    orders: &mut EventOrders<'_>,
-    deadline: &DeadlineFlag,
-) -> Result<usize, DeadlineExceeded> {
+fn drain(instance: &Instance, plan: &mut Plan, orders: &mut EventOrders<'_>) -> usize {
     let mut heads: BinaryHeap<(Candidate, usize)> = BinaryHeap::new();
     for e in 0..orders.n_lists() {
-        heads.extend(next_open(instance, plan, orders, EventId(e as u32), 0)?);
+        heads.extend(next_open(instance, plan, orders, EventId(e as u32), 0));
     }
     let mut added = 0;
-    let mut pops = 0usize;
     while let Some((c, k)) = heads.pop() {
-        pops += 1;
-        if pops.is_multiple_of(POLL_STRIDE) {
-            deadline.poll()?;
-        }
         if instance.can_attend_with(c.user, plan.user_plan(c.user), c.event) {
             plan.add(c.user, c.event);
             added += 1;
         }
-        heads.extend(next_open(instance, plan, orders, c.event, k + 1)?);
+        heads.extend(next_open(instance, plan, orders, c.event, k + 1));
     }
-    Ok(added)
+    added
 }
 
 /// The first pair of `e`'s list at rank `k` or later whose user does
@@ -211,22 +168,22 @@ fn next_open(
     orders: &mut EventOrders<'_>,
     e: EventId,
     mut k: usize,
-) -> Result<Option<(Candidate, usize)>, DeadlineExceeded> {
+) -> Option<(Candidate, usize)> {
     if plan.attendance(e) >= instance.event(e).upper {
-        return Ok(None);
+        return None;
     }
-    while let Some((user, score)) = orders.get(e, k)? {
+    while let Some((user, score)) = orders.get(e, k) {
         if !plan.contains(user, e) {
             let head = Candidate {
                 score,
                 user,
                 event: e,
             };
-            return Ok(Some((head, k)));
+            return Some((head, k));
         }
         k += 1;
     }
-    Ok(None)
+    None
 }
 
 #[cfg(test)]
@@ -334,36 +291,6 @@ mod tests {
         assert!(p.contains(&EventId(0)));
     }
 
-    #[test]
-    fn generous_deadline_matches_unbudgeted_fill() {
-        let inst = open_instance();
-        let mut p1 = Plan::for_instance(&inst);
-        let mut p2 = Plan::for_instance(&inst);
-        let n1 = fill_to_upper(&inst, &mut p1, None);
-        let flag = DeadlineFlag::unlimited();
-        let n2 = try_fill_to_upper(&inst, &mut p2, None, &flag).unwrap();
-        assert_eq!(n1, n2);
-        assert_eq!(p1, p2);
-    }
-
-    #[test]
-    fn expired_deadline_trips_and_leaves_a_feasible_plan() {
-        use epplan_solve::{BudgetGuard, SolveBudget};
-        let inst = open_instance();
-        let mut plan = Plan::for_instance(&inst);
-        // A zero allowance is pre-expired: every poll trips.
-        let guard =
-            BudgetGuard::new(SolveBudget::from_time_limit(std::time::Duration::ZERO));
-        let flag = guard.deadline_flag();
-        let err = try_fill_to_upper(&inst, &mut plan, None, &flag);
-        assert_eq!(err, Err(DeadlineExceeded));
-        // Whatever prefix landed before the trip is still hard-feasible.
-        assert!(certify(&inst, &plan).hard_ok());
-        // Restricted mode polls too.
-        let err = try_fill_to_upper(&inst, &mut plan, Some(&[UserId(0)]), &flag);
-        assert_eq!(err, Err(DeadlineExceeded));
-    }
-
     /// 3 users, 3 pairwise non-conflicting events close by, each with
     /// room for everyone.
     fn three_by_three() -> Instance {
@@ -409,149 +336,6 @@ mod tests {
         fill_event(&inst, &mut plan, EventId(0));
         assert!(!plan.contains(UserId(0), EventId(0)));
         assert!(plan.contains(UserId(1), EventId(0)));
-    }
-
-    /// A random instance for the deadline cases: quarter utilities, so
-    /// that ties are common, and events with room for many users.
-    fn crowded_instance(seed: u64) -> Instance {
-        use crate::model::InstanceBuilder;
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut b = InstanceBuilder::new();
-        let users: Vec<UserId> = (0..rng.gen_range(100..180))
-            .map(|_| {
-                let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
-                b.user(at, rng.gen_range(10.0..40.0))
-            })
-            .collect();
-        let events: Vec<EventId> = (0..rng.gen_range(8..16))
-            .map(|_| {
-                let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
-                let start = rng.gen_range(0..480);
-                let time = TimeInterval::new(start, start + rng.gen_range(30..120));
-                b.event_raw(Event::new(at, 0, rng.gen_range(10..40), time))
-            })
-            .collect();
-        for &u in &users {
-            for &e in &events {
-                b.utility(u, e, rng.gen_range(0..=4) as f64 * 0.25);
-            }
-        }
-        b.build()
-    }
-
-    /// A random hard-feasible plan with attendees in most events.
-    fn prefilled(instance: &Instance, seed: u64) -> Plan {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(!seed);
-        let mut plan = Plan::for_instance(instance);
-        for u in instance.user_ids() {
-            for e in instance.event_ids() {
-                if rng.gen_bool(0.15)
-                    && plan.attendance(e) < instance.event(e).upper
-                    && instance.can_attend_with(u, plan.user_plan(u), e)
-                {
-                    plan.add(u, e);
-                }
-            }
-        }
-        plan
-    }
-
-    /// The single-heap greedy over the open pairs of `users` (every
-    /// user when `None`): each pop it does not discard, as `(user,
-    /// event, added)`. These are the pops the filler makes, in order.
-    fn live_pops(
-        instance: &Instance,
-        start: &Plan,
-        users: Option<&[UserId]>,
-    ) -> Vec<(UserId, EventId, bool)> {
-        let mut plan = start.clone();
-        let listed: Vec<UserId> =
-            users.map_or_else(|| instance.user_ids().collect(), <[_]>::to_vec);
-        let mut heap = BinaryHeap::new();
-        for &u in &listed {
-            for e in instance.event_ids() {
-                if instance.candidates().contains(u, e)
-                    && !plan.contains(u, e)
-                    && plan.attendance(e) < instance.event(e).upper
-                {
-                    heap.push(Candidate {
-                        score: instance.utility(u, e),
-                        user: u,
-                        event: e,
-                    });
-                }
-            }
-        }
-        let mut pops = Vec::new();
-        while let Some(c) = heap.pop() {
-            if plan.attendance(c.event) >= instance.event(c.event).upper
-                || plan.contains(c.user, c.event)
-            {
-                continue;
-            }
-            let added = instance.can_attend_with(c.user, plan.user_plan(c.user), c.event);
-            if added {
-                plan.add(c.user, c.event);
-            }
-            pops.push((c.user, c.event, added));
-        }
-        pops
-    }
-
-    #[test]
-    fn tripped_fill_stops_after_whole_strides_of_live_pops() {
-        use rand::{Rng, SeedableRng};
-        let mut drained_past_a_poll = 0;
-        for seed in 0..16 {
-            let inst = crowded_instance(seed);
-            let start = prefilled(&inst, seed);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            // Unsorted, with duplicates.
-            let listed: Vec<UserId> = (0..rng.gen_range(60..200))
-                .map(|_| UserId(rng.gen_range(0..inst.n_users()) as u32))
-                .collect();
-            for users in [None, Some(&listed[..])] {
-                let pops = live_pops(&inst, &start, users);
-                let adds: Vec<(UserId, EventId)> =
-                    pops.iter().filter(|p| p.2).map(|p| (p.0, p.1)).collect();
-                // Assignments added when the flag allows `n` polls.
-                let mut made = Vec::new();
-                for n in 0.. {
-                    let mut plan = start.clone();
-                    let flag = DeadlineFlag::after_polls(n);
-                    let result = try_fill_to_upper(&inst, &mut plan, users, &flag);
-                    let m = plan.total_assignments() - start.total_assignments();
-                    let mut expected = start.clone();
-                    for &(u, e) in &adds[..m] {
-                        expected.add(u, e);
-                    }
-                    let msg = "not a prefix of the adds";
-                    assert!(plan == expected, "seed {seed}, {n} polls: {msg}");
-                    made.push(m);
-                    if let Ok(added) = result {
-                        assert_eq!(added, adds.len(), "seed {seed}");
-                        break;
-                    }
-                }
-                // The drain polls before every POLL_STRIDE-th pop, after
-                // some fixed number `g` of polls while the store is built.
-                let adds_within = |k: usize| pops.iter().take(k).filter(|p| p.2).count();
-                let explained = (0..made.len()).any(|g| {
-                    made.iter().enumerate().all(|(n, &m)| {
-                        let polls_in_drain = (n + 1).saturating_sub(g);
-                        m == adds_within((POLL_STRIDE * polls_in_drain).saturating_sub(1))
-                    })
-                });
-                assert!(
-                    explained,
-                    "seed {seed}: adds per allowed poll {made:?} are not whole strides of live pops"
-                );
-                drained_past_a_poll += usize::from(pops.len() > 2 * POLL_STRIDE);
-            }
-        }
-        assert!(drained_past_a_poll >= 16, "too few fills poll in the drain");
     }
 
     #[test]

@@ -77,11 +77,16 @@ impl GreedySolver {
             two_step: false,
         }
     }
+}
 
-    /// The greedy plan itself, uncertified: the seed other solvers
-    /// start from ([`crate::solver::LnsSolver`]) and certify only in
-    /// what they return.
-    pub(crate) fn plan(&self, instance: &Instance) -> Plan {
+impl GepcSolver for GreedySolver {
+    /// Algorithm 2 is one bounded pass over the users, so it never
+    /// exhausts `budget` and always returns `Ok`.
+    fn try_solve(
+        &self,
+        instance: &Instance,
+        _budget: SolveBudget,
+    ) -> Result<Solution, SolveError<Solution>> {
         // Algorithm 2 (ranking and take loop); the filler opens its own
         // `solve.fill` span.
         let step1 = epplan_obs::span("solve.greedy");
@@ -165,19 +170,7 @@ impl GreedySolver {
         if self.two_step {
             filler::fill_to_upper(instance, &mut plan, None);
         }
-        plan
-    }
-}
-
-impl GepcSolver for GreedySolver {
-    /// Algorithm 2 is one bounded pass over the users, so it never
-    /// exhausts `budget` and always returns `Ok`.
-    fn try_solve(
-        &self,
-        instance: &Instance,
-        _budget: SolveBudget,
-    ) -> Result<Solution, SolveError<Solution>> {
-        Ok(Solution::from_plan(instance, self.plan(instance)))
+        Ok(Solution::from_plan(instance, plan))
     }
 
     fn name(&self) -> &'static str {

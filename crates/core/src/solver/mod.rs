@@ -13,14 +13,12 @@
 //!    utility-aware greedy of reference \[4\] ([`filler::fill_to_upper`]).
 //!
 //! [`ExactSolver`] provides a brute-force optimum for small instances,
-//! used by tests and the approximation-ratio ablation, and
-//! [`LnsSolver`] an anytime large-neighbourhood search.
+//! used by tests and the approximation-ratio ablation.
 //!
 //! Each solver implements one budgeted, fallible body,
 //! [`GepcSolver::try_solve`]; the provided [`GepcSolver::solve`] is
-//! its total wrapper. The filler likewise has one body,
-//! [`filler::try_fill_to_upper`], which [`filler::fill_to_upper`] runs
-//! without a deadline.
+//! its total wrapper. The filler has one entry point,
+//! [`filler::fill_to_upper`].
 
 pub mod conflict_adjust;
 mod event_orders;
@@ -28,14 +26,10 @@ pub mod exact;
 pub mod filler;
 mod gap_based;
 mod greedy;
-mod lns;
-mod local_search;
 
 pub use exact::ExactSolver;
 pub use gap_based::GapBasedSolver;
 pub use greedy::GreedySolver;
-pub use lns::LnsSolver;
-pub use local_search::LocalSearch;
 
 use crate::model::{EventId, Instance};
 use crate::plan::Plan;

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SpatialModel {
     /// Locations uniform over the city square (the default; matches
-    /// what [4]-style generators use).
+    /// what \[4\]-style generators use).
     Uniform,
     /// Locations drawn around `clusters` Gaussian centers with the
     /// given standard deviation (as a fraction of the extent), clamped

@@ -254,8 +254,6 @@ pub const GAUGE_NAMES: &[&str] = &[
     "lp.par.chunks",
     "greedy.par.threads",
     "greedy.par.chunks",
-    "local_search.par.threads",
-    "local_search.par.chunks",
     "datagen.par.threads",
     "datagen.par.chunks",
     "serve.drift",

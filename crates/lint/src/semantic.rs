@@ -81,9 +81,7 @@ const HOT_CRATES: &[&str] = &["core", "gap", "solve", "lp", "flow"];
 const BATCH_ENTRY_POINTS: &[(&str, &str)] = &[
     ("GapBasedSolver", "try_solve"),
     ("GreedySolver", "try_solve"),
-    ("LnsSolver", "try_solve"),
     ("ExactSolver", "try_solve"),
-    ("LocalSearch", "improve"),
     ("GapSolver", "solve"),
     ("IncrementalPlanner", "apply"),
     ("IncrementalPlanner", "try_apply_budgeted"),
@@ -217,7 +215,7 @@ fn is_state_write(toks: &[Tok], self_at: usize, field_at: usize) -> bool {
 // sparse/dense-scan
 // ---------------------------------------------------------------------------
 
-/// [`BATCH_ENTRY_POINTS`] entries that name no function in `ws`. A
+/// `BATCH_ENTRY_POINTS` entries that name no function in `ws`. A
 /// stale entry seeds nothing, silently shrinking `sparse/dense-scan`
 /// coverage, so the real workspace must leave this empty.
 pub fn unresolved_batch_entry_points(ws: &Workspace) -> Vec<(&'static str, &'static str)> {

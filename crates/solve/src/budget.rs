@@ -102,7 +102,7 @@ impl BudgetGuard {
     }
 
     /// Counts one iteration of `stage` and checks the limits. The
-    /// wall clock is consulted every [`CLOCK_CHECK_PERIOD`] ticks (and
+    /// wall clock is consulted every `CLOCK_CHECK_PERIOD` ticks (and
     /// on the first), so the guard adds no measurable per-iteration
     /// cost to hot loops.
     #[inline]

@@ -1,6 +1,6 @@
 //! Chaos matrix: every registered fault-injection site crossed with
 //! every fault action and every solver entry point (lp, flow, gap,
-//! exact, greedy, lns, gap_based, iep). The contract under test is the
+//! exact, greedy, gap_based, iep). The contract under test is the
 //! robustness tentpole of the fault layer:
 //!
 //! * **never a panic** — every entry point stays total under injected
@@ -15,7 +15,7 @@
 use epplan::core::certify::certify;
 use epplan::core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan::core::model::{Event, Instance, TimeInterval, User, UtilityMatrix};
-use epplan::core::solver::{FailureKind, LnsSolver, SolveBudget};
+use epplan::core::solver::SolveBudget;
 use epplan::fault::{FaultAction, FaultPlan};
 use epplan::gap::{GapConfig, GapInstance, GapSolver as GapPipeline};
 use epplan::lp::{Problem, Relation};
@@ -196,11 +196,6 @@ fn every_site_and_action_yields_certified_plan_or_typed_error() {
                     let result = ExactSolver::default().try_solve(&inst, SolveBudget::UNLIMITED);
                     assert_certified_or_typed(&format!("exact {label}"), &inst, result);
                 }
-                {
-                    let _armed = arm(plan_for(site, hit, action));
-                    let result = LnsSolver::seeded(7).try_solve(&inst, SolveBudget::UNLIMITED);
-                    assert_certified_or_typed(&format!("lns {label}"), &inst, result);
-                }
 
                 // IEP entry point (carries `core.iep.apply`).
                 {
@@ -247,22 +242,6 @@ fn unarmed_runs_are_unaffected_by_the_fault_layer() {
     let cert = sol.report.certificate.clone().expect("every solution carries its certificate");
     assert!(cert.hard_ok());
     assert!(!sol.report.degraded());
-}
-
-#[test]
-fn lns_try_solve_spends_its_iteration_budget() {
-    let _guard = exclusive();
-    epplan::fault::clear();
-    let inst = instance();
-    let err = LnsSolver::seeded(0)
-        .try_solve(&inst, SolveBudget::from_iteration_cap(1))
-        .expect_err("a 1-iteration cap cannot cover 30 LNS iterations");
-    assert_eq!(err.kind, FailureKind::BudgetExhausted);
-    let partial = err
-        .partial
-        .expect("best-so-far plan travels as the partial");
-    let cert = certify(&inst, &partial.plan);
-    assert!(cert.hard_ok(), "LNS partial is uncertified: {cert}");
 }
 
 proptest! {

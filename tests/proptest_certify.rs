@@ -13,7 +13,7 @@ use epplan::core::certify::{certify, certify_incremental};
 use epplan::core::model::{Event, Instance, TimeInterval, User, UtilityMatrix};
 use epplan::core::plan::Plan;
 use epplan::datagen::{generate, GeneratorConfig};
-use epplan::core::solver::{LnsSolver, SolveBudget};
+use epplan::core::solver::SolveBudget;
 use epplan::prelude::*;
 use epplan::solve::certify::constraint;
 use proptest::prelude::*;
@@ -271,15 +271,10 @@ proptest! {
         } else {
             SolveBudget::UNLIMITED
         };
-        let lns = LnsSolver {
-            iterations: 4,
-            ..LnsSolver::seeded(seed)
-        };
-        let solvers: [&dyn GepcSolver; 4] = [
+        let solvers: [&dyn GepcSolver; 3] = [
             &GreedySolver::seeded(seed),
             &GapBasedSolver::default(),
             &ExactSolver::default(),
-            &lns,
         ];
         for solver in solvers {
             let solutions: Vec<Solution> = match solver.try_solve(&inst, budget) {

@@ -5,7 +5,6 @@
 //! the *same plan and the same total utility, to the bit*, at
 //! `threads = 1` and `threads = 4` on a single-core machine alike.
 
-use epplan::core::solver::{LnsSolver, LocalSearch};
 use epplan::datagen::{generate, GeneratorConfig};
 use epplan::gap::packing::{mw_fractional, PackingConfig};
 use epplan::gap::{lp_relaxation, round_shmoys_tardos, GapInstance};
@@ -138,19 +137,6 @@ proptest! {
     }
 
     #[test]
-    fn local_search_is_thread_invariant(cfg in arb_config(), seed in 0u64..100) {
-        let inst = generate(&cfg);
-        let base = GreedySolver::seeded(seed).solve(&inst).plan;
-        let (serial, parallel) = at_both_thread_counts(|| {
-            let mut plan = base.clone();
-            let gain = LocalSearch::default().improve(&inst, &mut plan);
-            (plan, gain)
-        });
-        prop_assert_eq!(&serial.0, &parallel.0);
-        prop_assert_eq!(serial.1.to_bits(), parallel.1.to_bits());
-    }
-
-    #[test]
     fn rounding_slot_graph_is_thread_invariant(g in arb_gap()) {
         // The PR-4 rewrite replaced the rounding slot map's HashMap
         // with an index-keyed Vec; this property pins the whole
@@ -196,15 +182,6 @@ proptest! {
         prop_assert_eq!(&serial.1.plan, &parallel.1.plan);
         prop_assert_eq!(parallel.0.utility.to_bits(), parallel.1.utility.to_bits());
         prop_assert_eq!(serial.1.utility.to_bits(), parallel.1.utility.to_bits());
-    }
-
-    #[test]
-    fn lns_is_thread_invariant(cfg in arb_config(), seed in 0u64..50) {
-        let inst = generate(&cfg);
-        let (serial, parallel) =
-            at_both_thread_counts(|| LnsSolver::seeded(seed).solve(&inst));
-        prop_assert_eq!(&serial.plan, &parallel.plan);
-        prop_assert_eq!(serial.utility.to_bits(), parallel.utility.to_bits());
     }
 }
 

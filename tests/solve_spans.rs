@@ -1,16 +1,14 @@
 //! Every solver certifies the plan it returns exactly once: a solve
 //! records one `solve.certify` span, whichever tier wins and whether
-//! the plan is returned or attached to the error as its partial. LNS seeds
-//! from greedy's uncertified plan, and the GAP solver's success arm
-//! reads the certificate its `Solution` was built with.
+//! the plan is returned or attached to the error as its partial. The GAP
+//! solver's success arm reads the certificate its `Solution` was built
+//! with.
 //!
 //! The trace sink is process-global, so this file holds a single test.
 
 use std::sync::Arc;
 
-use epplan::core::solver::{
-    ExactSolver, GapBasedSolver, GepcSolver, GreedySolver, LnsSolver, SolveBudget,
-};
+use epplan::core::solver::{ExactSolver, GapBasedSolver, GepcSolver, GreedySolver, SolveBudget};
 use epplan::datagen::{generate, GeneratorConfig};
 use epplan::obs::CollectingSink;
 
@@ -22,15 +20,10 @@ fn every_solver_certifies_exactly_once() {
         seed: 5,
         ..GeneratorConfig::default()
     });
-    let lns = LnsSolver {
-        iterations: 4,
-        ..LnsSolver::seeded(5)
-    };
-    let solvers: [&dyn GepcSolver; 4] = [
+    let solvers: [&dyn GepcSolver; 3] = [
         &GreedySolver::seeded(5),
         &GapBasedSolver::default(),
         &ExactSolver::default(),
-        &lns,
     ];
     for solver in solvers {
         let sink = Arc::new(CollectingSink::new());
