@@ -655,6 +655,13 @@ mod tests {
     }
 
     #[test]
+    fn ablation_lp_runs_quick() {
+        let r = ablation_lp(&tiny_opts()).render();
+        assert!(r.contains("30x6") && r.contains("60x10"), "{r}");
+        assert!(!r.contains("NaN"), "a fractional solver failed: {r}");
+    }
+
+    #[test]
     fn ablation_approx_produces_ratios() {
         let t = ablation_approx(&tiny_opts());
         assert!(t.render().contains("feasible tiny instances"));

@@ -384,4 +384,44 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn one_read_past_a_head_materializes_every_truncated_list() {
+        let n_users = 4 * HEAD_LEN + 37;
+        for seed in 0..4 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(20 + seed);
+            let instance = instance(&mut rng, n_users);
+            let needed = vec![true; instance.n_events()];
+            let eager = eager_orders(&instance, &needed);
+            let mut lazy = EventOrders::from_candidates(&instance, &needed);
+            let last = instance.n_events() - 1;
+            assert_eq!(user_at(&mut lazy, last, HEAD_LEN), eager[last].get(HEAD_LEN).copied());
+            assert!(lazy.overflow.is_none());
+            for (e, order) in eager.iter().enumerate() {
+                let len = lazy.offsets[e + 1] - lazy.offsets[e];
+                assert_eq!(len as usize, order.len(), "seed {seed}, event {e}");
+                // The heads stay sorted and read as before.
+                for (k, &u) in order.iter().enumerate().take(HEAD_LEN) {
+                    assert_eq!(user_at(&mut lazy, e, k), Some(u), "event {e} rank {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_past_an_uncut_list_never_materializes() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(30);
+        let instance = instance(&mut rng, 4 * HEAD_LEN + 37);
+        // Only event 0, every user's candidate, is cut to its head.
+        let needed: Vec<bool> = (0..instance.n_events()).map(|e| e == 0).collect();
+        let mut lazy = EventOrders::from_candidates(&instance, &needed);
+        assert!(lazy.overflow.is_some());
+        for e in 1..instance.n_events() {
+            assert_eq!(user_at(&mut lazy, e, 0), None, "event {e}");
+        }
+        for k in 0..HEAD_LEN {
+            assert!(user_at(&mut lazy, 0, k).is_some());
+        }
+        assert!(lazy.overflow.is_some());
+    }
 }

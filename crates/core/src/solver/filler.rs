@@ -347,4 +347,155 @@ mod tests {
         fill_to_upper(&inst, &mut p2, None);
         assert_eq!(p1, p2);
     }
+
+    /// A random instance with `n_users` users and events of room
+    /// `uppers`: quarter utilities, so that ties are common.
+    fn crowded_instance(
+        seed: u64,
+        n_users: std::ops::Range<usize>,
+        uppers: std::ops::Range<u32>,
+    ) -> Instance {
+        use crate::model::InstanceBuilder;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut b = InstanceBuilder::new();
+        let users: Vec<UserId> = (0..rng.gen_range(n_users))
+            .map(|_| {
+                let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+                b.user(at, rng.gen_range(10.0..40.0))
+            })
+            .collect();
+        let events: Vec<EventId> = (0..rng.gen_range(3..12))
+            .map(|_| {
+                let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+                let start = rng.gen_range(0..480);
+                let time = TimeInterval::new(start, start + rng.gen_range(30..120));
+                b.event_raw(Event::new(at, 0, rng.gen_range(uppers.clone()), time))
+            })
+            .collect();
+        for &u in &users {
+            for &e in &events {
+                b.utility(u, e, rng.gen_range(0..=4) as f64 * 0.25);
+            }
+        }
+        b.build()
+    }
+
+    /// A random hard-feasible plan with attendees in most events.
+    fn prefilled(instance: &Instance, seed: u64) -> Plan {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(!seed);
+        let mut plan = Plan::for_instance(instance);
+        for u in instance.user_ids() {
+            for e in instance.event_ids() {
+                if rng.gen_bool(0.15)
+                    && plan.attendance(e) < instance.event(e).upper
+                    && instance.can_attend_with(u, plan.user_plan(u), e)
+                {
+                    plan.add(u, e);
+                }
+            }
+        }
+        plan
+    }
+
+    /// Every assignment of `sub` is in `plan`.
+    fn keeps_all_of(instance: &Instance, plan: &Plan, sub: &Plan) -> bool {
+        instance
+            .user_ids()
+            .all(|u| sub.user_plan(u).iter().all(|&e| plan.contains(u, e)))
+    }
+
+    #[test]
+    fn fill_of_a_prefilled_plan_keeps_it_and_stays_hard_feasible() {
+        for seed in 0..8 {
+            let inst = crowded_instance(seed, 100..180, 10..40);
+            let start = prefilled(&inst, seed);
+            let mut plan = start.clone();
+            let added = fill_to_upper(&inst, &mut plan, None);
+            assert_eq!(plan.total_assignments(), start.total_assignments() + added);
+            assert!(keeps_all_of(&inst, &plan, &start), "seed {seed}");
+            let v = certify(&inst, &plan);
+            assert!(v.hard_ok(), "seed {seed}: {:?}", v.hard_violations);
+        }
+    }
+
+    #[test]
+    fn a_second_fill_adds_nothing() {
+        for seed in 0..8 {
+            let inst = crowded_instance(seed, 100..180, 10..40);
+            let mut plan = prefilled(&inst, seed);
+            fill_to_upper(&inst, &mut plan, None);
+            let filled = plan.clone();
+            assert_eq!(fill_to_upper(&inst, &mut plan, None), 0, "seed {seed}");
+            for e in inst.event_ids() {
+                assert_eq!(fill_event(&inst, &mut plan, e), 0, "seed {seed}, {e:?}");
+            }
+            assert_eq!(plan, filled, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn restricted_fill_touches_only_listed_users() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..8 {
+            let inst = crowded_instance(seed, 100..180, 10..40);
+            let start = prefilled(&inst, seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // Unsorted, with duplicates.
+            let listed: Vec<UserId> = (0..rng.gen_range(20..80))
+                .map(|_| UserId(rng.gen_range(0..inst.n_users()) as u32))
+                .collect();
+            let mut plan = start.clone();
+            let added = fill_to_upper(&inst, &mut plan, Some(&listed));
+            assert!(added > 0, "seed {seed}: nothing to fill");
+            for u in inst.user_ids() {
+                if !listed.contains(&u) {
+                    assert_eq!(plan.user_plan(u), start.user_plan(u), "seed {seed}, {u:?}");
+                }
+            }
+            assert!(keeps_all_of(&inst, &plan, &start), "seed {seed}");
+            assert!(certify(&inst, &plan).hard_ok(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_shared_store_read_before_the_fill_gives_the_same_plan() {
+        use rand::{Rng, SeedableRng};
+        // More than 2·HEAD_LEN candidates per event, so that the store
+        // keeps heads only; the larger rooms make the drain itself read
+        // past them.
+        let head = crate::solver::event_orders::HEAD_LEN;
+        for (seed, uppers) in [(0, 10..40), (1, 10..40), (2, 300..400), (3, 300..400)] {
+            let inst = crowded_instance(seed, 800..900, uppers.clone());
+            let mut counts = vec![0; inst.n_events()];
+            for u in inst.user_ids() {
+                for &e in inst.candidates().row(u).0 {
+                    counts[e as usize] += 1;
+                }
+            }
+            assert!(counts.iter().all(|&n| n > 2 * head), "seed {seed}: {counts:?}");
+            let start = prefilled(&inst, seed);
+            let mut expected = start.clone();
+            let added = fill_to_upper(&inst, &mut expected, None);
+            let deepest = inst.event_ids().map(|e| expected.attendance(e)).max();
+            assert_eq!(deepest > Some(head as u32), uppers.start > head as u32);
+            let every = vec![true; inst.n_events()];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // As Algorithm 1 and budget repair do, read some lists
+            // before the fill; odd seeds read one past a head.
+            let mut orders = EventOrders::from_candidates(&inst, &every);
+            for e in inst.event_ids() {
+                for k in 0..rng.gen_range(0..head) {
+                    orders.get(e, k);
+                }
+            }
+            if seed % 2 == 1 {
+                assert!(orders.get(EventId(0), head).is_some(), "seed {seed}");
+            }
+            let mut plan = start.clone();
+            assert_eq!(fill_to_upper_with(&inst, &mut plan, &mut orders), added);
+            assert_eq!(plan, expected, "seed {seed}");
+        }
+    }
 }

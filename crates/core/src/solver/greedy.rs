@@ -276,4 +276,98 @@ mod tests {
         assert_eq!(sol.utility, 0.0);
         assert!(sol.fully_feasible());
     }
+
+    /// `n_users` users and `n_events` back-to-back events with random
+    /// bounds, budgets and a half-dense utility matrix.
+    fn random_instance(seed: u64, n_users: usize, n_events: usize) -> Instance {
+        use crate::model::InstanceBuilder;
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut b = InstanceBuilder::new();
+        for _ in 0..n_users {
+            let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+            b.user(at, rng.gen_range(8.0..40.0));
+        }
+        for k in 0..n_events as u32 {
+            let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+            let time = TimeInterval::new(90 * k, 90 * k + 120);
+            b.event(at, rng.gen_range(0..3), rng.gen_range(3..9), time);
+        }
+        for u in 0..n_users as u32 {
+            for e in 0..n_events as u32 {
+                if rng.gen_bool(0.5) {
+                    b.utility(UserId(u), EventId(e), rng.gen_range(0.05..1.0));
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn random_instances_get_hard_feasible_plans() {
+        for seed in 0..4 {
+            let inst = random_instance(seed, 25, 7);
+            let sol = GreedySolver::seeded(seed).solve(&inst);
+            let v = certify(&inst, &sol.plan);
+            assert!(v.hard_ok(), "seed {seed}: {:?}", v.hard_violations);
+        }
+    }
+
+    #[test]
+    fn xi_only_never_exceeds_lower_bounds() {
+        for seed in 0..4 {
+            let inst = random_instance(10 + seed, 30, 8);
+            let sol = GreedySolver::xi_only(seed).solve(&inst);
+            for e in inst.event_ids() {
+                assert!(
+                    sol.plan.attendance(e) <= inst.event(e).lower,
+                    "seed {seed}: {e:?} took more than its ξ copies"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn two_step_only_adds_to_the_xi_plan() {
+        for seed in 0..4 {
+            let inst = random_instance(100 + seed, 30, 8);
+            let xi = GreedySolver::xi_only(seed).solve(&inst);
+            let full = GreedySolver::seeded(seed).solve(&inst);
+            for u in inst.user_ids() {
+                for &e in xi.plan.user_plan(u) {
+                    assert!(full.plan.contains(u, e), "seed {seed}: step 2 dropped {u:?}→{e:?}");
+                }
+            }
+            assert!(full.utility >= xi.utility - 1e-9, "seed {seed}");
+            assert!(full.shortfall.len() <= xi.shortfall.len(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn budgets_never_trip() {
+        use std::time::Duration;
+        let inst = random_instance(12, 25, 7);
+        let unlimited = GreedySolver::seeded(4).solve(&inst);
+        for budget in [
+            SolveBudget::from_time_limit(Duration::ZERO),
+            SolveBudget::from_iteration_cap(1),
+        ] {
+            let sol = GreedySolver::seeded(4)
+                .try_solve(&inst, budget)
+                .unwrap_or_else(|e| panic!("{budget:?}: {}", e.message));
+            assert_eq!(sol.plan, unlimited.plan, "{budget:?}");
+        }
+    }
+
+    #[test]
+    fn takes_the_favorite_of_two_conflicting_events() {
+        let mut inst = small();
+        inst.set_event_time(EventId(1), TimeInterval::new(0, 59));
+        for seed in 0..8 {
+            let sol = GreedySolver::xi_only(seed).solve(&inst);
+            // Each user ranks a different event first, and both fit.
+            assert_eq!(sol.plan.user_plan(UserId(0)), [EventId(0)], "seed {seed}");
+            assert_eq!(sol.plan.user_plan(UserId(1)), [EventId(1)], "seed {seed}");
+        }
+    }
 }

@@ -15,7 +15,7 @@
 use epplan::core::certify::certify;
 use epplan::core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan::core::model::{Event, Instance, TimeInterval, User, UtilityMatrix};
-use epplan::core::solver::SolveBudget;
+use epplan::core::solver::{FailureKind, SolveBudget};
 use epplan::fault::{FaultAction, FaultPlan};
 use epplan::gap::{GapConfig, GapInstance, GapSolver as GapPipeline};
 use epplan::lp::{Problem, Relation};
@@ -242,6 +242,35 @@ fn unarmed_runs_are_unaffected_by_the_fault_layer() {
     let cert = sol.report.certificate.clone().expect("every solution carries its certificate");
     assert!(cert.hard_ok());
     assert!(!sol.report.degraded());
+}
+
+#[test]
+fn budgeted_solves_are_certified_or_typed() {
+    let _guard = exclusive();
+    epplan::fault::clear();
+    let inst = instance();
+    let budgets = [
+        SolveBudget::from_iteration_cap(1),
+        SolveBudget::from_iteration_cap(2),
+        SolveBudget::from_iteration_cap(8),
+        SolveBudget::from_time_limit(std::time::Duration::ZERO),
+    ];
+    for budget in budgets {
+        let label = format!("{budget:?}");
+        let result = GapBasedSolver::default().try_solve(&inst, budget);
+        assert_certified_or_typed(&format!("gap_based {label}"), &inst, result);
+        let result = GreedySolver::seeded(7).try_solve(&inst, budget);
+        assert_certified_or_typed(&format!("greedy {label}"), &inst, result);
+        let result = ExactSolver::default().try_solve(&inst, budget);
+        assert_certified_or_typed(&format!("exact {label}"), &inst, result);
+    }
+    // A 1-iteration cap cannot cover the GAP pipeline: the budget is
+    // spent, and the fallback plan travels as the partial.
+    let err = GapBasedSolver::default()
+        .try_solve(&inst, SolveBudget::from_iteration_cap(1))
+        .expect_err("a 1-iteration cap cannot cover the GAP pipeline");
+    assert_eq!(err.kind, FailureKind::BudgetExhausted);
+    assert!(err.partial.is_some(), "no fallback partial");
 }
 
 proptest! {

@@ -5,6 +5,7 @@
 //! the *same plan and the same total utility, to the bit*, at
 //! `threads = 1` and `threads = 4` on a single-core machine alike.
 
+use epplan::core::solver::SolveBudget;
 use epplan::datagen::{generate, GeneratorConfig};
 use epplan::gap::packing::{mw_fractional, PackingConfig};
 use epplan::gap::{lp_relaxation, round_shmoys_tardos, GapInstance};
@@ -134,6 +135,46 @@ proptest! {
             at_both_thread_counts(|| GapBasedSolver::default().solve(&inst));
         prop_assert_eq!(&serial.plan, &parallel.plan);
         prop_assert_eq!(serial.utility.to_bits(), parallel.utility.to_bits());
+    }
+
+    #[test]
+    fn xi_only_steps_are_thread_invariant(cfg in arb_config(), seed in 0u64..100) {
+        // Step 1 alone, as ablation A3 reports it: the filler must not
+        // be what hides a thread-dependent ξ-GEPC plan.
+        let inst = generate(&cfg);
+        let gap_xi = GapBasedSolver { two_step: false, ..Default::default() };
+        let (serial, parallel) = at_both_thread_counts(|| {
+            (GreedySolver::xi_only(seed).solve(&inst), gap_xi.solve(&inst))
+        });
+        for (s, p) in [(&serial.0, &parallel.0), (&serial.1, &parallel.1)] {
+            prop_assert_eq!(&s.plan, &p.plan);
+            prop_assert_eq!(s.utility.to_bits(), p.utility.to_bits());
+        }
+    }
+
+    #[test]
+    fn exact_is_thread_invariant(seed in 0u64..300) {
+        let inst = generate(&GeneratorConfig {
+            n_users: 4,
+            n_events: 4,
+            seed,
+            mean_lower: 1,
+            mean_upper: 3,
+            ..Default::default()
+        });
+        let (serial, parallel) = at_both_thread_counts(|| {
+            ExactSolver::default()
+                .try_solve(&inst, SolveBudget::UNLIMITED)
+                .map_err(|e| e.kind)
+        });
+        prop_assert_eq!(serial.is_ok(), parallel.is_ok());
+        match (serial, parallel) {
+            (Ok(s), Ok(p)) => {
+                prop_assert_eq!(&s.plan, &p.plan);
+                prop_assert_eq!(s.utility.to_bits(), p.utility.to_bits());
+            }
+            (s, p) => prop_assert_eq!(s.err(), p.err()),
+        }
     }
 
     #[test]

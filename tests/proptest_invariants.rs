@@ -25,6 +25,24 @@ fn arb_config() -> impl Strategy<Value = GeneratorConfig> {
     )
 }
 
+/// The pairs step 2 could still add: the user does not attend the
+/// event, the event has room, and the user can attend it on top of
+/// their plan. A finished fill leaves none.
+fn open_pairs(inst: &Instance, plan: &Plan) -> Vec<(UserId, EventId)> {
+    let mut open = Vec::new();
+    for u in inst.user_ids() {
+        for e in inst.event_ids() {
+            if !plan.contains(u, e)
+                && plan.attendance(e) < inst.event(e).upper
+                && inst.can_attend_with(u, plan.user_plan(u), e)
+            {
+                open.push((u, e));
+            }
+        }
+    }
+    open
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -42,6 +60,37 @@ proptest! {
         let sol = GapBasedSolver::default().solve(&inst);
         let v = certify(&inst, &sol.plan);
         prop_assert!(v.hard_ok(), "{:?}", v.hard_violations);
+    }
+
+    #[test]
+    fn greedy_fill_leaves_no_open_pair(cfg in arb_config(), seed in 0u64..100) {
+        let inst = generate(&cfg);
+        let plan = GreedySolver::seeded(seed).solve(&inst).plan;
+        prop_assert_eq!(open_pairs(&inst, &plan), Vec::<(UserId, EventId)>::new());
+    }
+
+    #[test]
+    fn gap_fill_leaves_no_open_pair(cfg in arb_config()) {
+        let inst = generate(&cfg);
+        let plan = GapBasedSolver::default().solve(&inst).plan;
+        prop_assert_eq!(open_pairs(&inst, &plan), Vec::<(UserId, EventId)>::new());
+    }
+
+    #[test]
+    fn two_step_only_adds_to_the_xi_plan(cfg in arb_config(), seed in 0u64..100) {
+        let inst = generate(&cfg);
+        let gap_xi = GapBasedSolver { two_step: false, ..Default::default() };
+        for (xi, full) in [
+            (GreedySolver::xi_only(seed).solve(&inst), GreedySolver::seeded(seed).solve(&inst)),
+            (gap_xi.solve(&inst), GapBasedSolver::default().solve(&inst)),
+        ] {
+            for u in inst.user_ids() {
+                for &e in xi.plan.user_plan(u) {
+                    prop_assert!(full.plan.contains(u, e), "step 2 dropped {:?} from {:?}", u, e);
+                }
+            }
+            prop_assert!(full.utility >= xi.utility - 1e-9);
+        }
     }
 
     #[test]
