@@ -7,7 +7,9 @@ use epplan_core::analysis::InstanceAnalysis;
 use epplan_core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan_core::model::Instance;
 use epplan_core::plan::Plan;
-use epplan_core::solver::{ExactSolver, GapBasedSolver, GepcSolver, GreedySolver, SolveBudget};
+use epplan_core::solver::{
+    ExactSolver, GapBasedSolver, GepcSolver, GreedySolver, Solution, SolveBudget,
+};
 use epplan_datagen::{generate, paper_example, City, GeneratorConfig};
 use epplan_gap::{FractionalMethod, GapConfig};
 use rand::prelude::*;
@@ -266,11 +268,13 @@ struct IepAverages {
     mem_mib: f64,
 }
 
-/// Runs `reps` random operations of kind `op` against a base plan,
-/// averaging the incremental result and the re-run baselines.
+/// Runs `reps` random operations of kind `op` against a base solve,
+/// averaging the incremental result and the re-run baselines. Each
+/// operation gets a fresh copy of the base state; only the certified
+/// IEP step is timed, and its certificate gives `U_P` and `dif`.
 fn iep_averages(
     instance: &Instance,
-    base_plan: &Plan,
+    base: &Solution,
     op: IepOp,
     reps: usize,
     seed: u64,
@@ -287,17 +291,21 @@ fn iep_averages(
         mem_mib: 0.0,
     };
     for _ in 0..reps {
-        let atomic = op.gen_op(instance, base_plan, &mut rng);
-        let m = measure(|| planner.apply(instance, base_plan, &atomic));
-        let outcome = m.value;
+        let atomic = op.gen_op(instance, &base.plan, &mut rng);
+        let (mut inst, mut plan, mut tally) =
+            (instance.clone(), base.plan.clone(), base.tally.clone());
+        let budget = SolveBudget::UNLIMITED;
+        let m = measure(|| planner.try_apply_certified(&mut inst, &mut plan, &mut tally, &atomic, budget));
         acc.seconds += m.seconds;
         acc.mem_mib += m.mem_mib;
-        acc.utility_inc += outcome.utility;
-        acc.dif += outcome.dif as f64;
+        // A rejected op leaves the base state: its `U_P`, no loss.
+        let (utility, dif) = m.value.map_or((base.utility, 0), |c| (c.utility, c.dif.unwrap_or(0)));
+        acc.utility_inc += utility;
+        acc.dif += dif as f64;
         // Baselines: re-solve the *updated* instance from scratch.
-        acc.utility_regreedy += greedy().solve(&outcome.instance).utility;
+        acc.utility_regreedy += greedy().solve(&inst).utility;
         if with_regap {
-            acc.utility_regap += gap_solver_fast().solve(&outcome.instance).utility;
+            acc.utility_regap += gap_solver_fast().solve(&inst).utility;
         }
     }
     let k = reps as f64;
@@ -325,7 +333,7 @@ fn iep_table(title: &str, op: IepOp, opts: &HarnessOptions) -> Table {
     );
     for city in opts.cities() {
         let inst = city.instance();
-        let base = greedy().solve(&inst).plan;
+        let base = greedy().solve(&inst);
         let avg = iep_averages(&inst, &base, op, opts.reps, 0xC0FFEE ^ city as u64, true);
         t.row(vec![
             city.name().into(),
@@ -369,7 +377,7 @@ fn iep_scaling_rows(configs: Vec<(String, GeneratorConfig)>, reps: usize) -> Vec
         .into_iter()
         .map(|(label, cfg)| {
             let inst = generate(&cfg);
-            let base = greedy().solve(&inst).plan;
+            let base = greedy().solve(&inst);
             let per_op = [IepOp::EtaDe, IepOp::XiIn, IepOp::TsTt]
                 .into_iter()
                 .map(|op| {
@@ -683,7 +691,7 @@ mod tests {
             mean_upper: 6,
             ..Default::default()
         });
-        let base = greedy().solve(&inst).plan;
+        let base = greedy().solve(&inst);
         let avg = iep_averages(&inst, &base, IepOp::EtaDe, 2, 1, false);
         assert!(avg.utility_inc >= 0.0);
         assert!(avg.seconds >= 0.0);

@@ -10,9 +10,10 @@
 //! one GEPC constraint checker: solvers, the CLI and the serving daemon
 //! all judge plans through it.
 //!
-//! [`certify_delta`] is the serving daemon's per-op form: the same
-//! checks over only the users and events an in-place operation could
-//! have changed, against running tallies of the last certified plan.
+//! [`certify_delta`] is the per-op form the certified IEP step runs
+//! (`IncrementalPlanner::try_apply_certified`): the same checks over
+//! only what an in-place operation could have changed, against running
+//! tallies of the last certified plan.
 
 use crate::incremental::AtomicOp;
 use crate::model::{EventId, Instance, UserId};

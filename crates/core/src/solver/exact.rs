@@ -189,12 +189,12 @@ impl GepcSolver for ExactSolver {
 
         let reconstruct = |chosen: &[u32], status: SolveStatus| {
             let mut plan = Plan::for_instance(instance);
-            for (u, mask) in chosen.iter().enumerate() {
-                // epplan-lint: allow(sparse/dense-scan) — unpacking a per-user subset bitmask is O(|E|) by construction; exact instances are tiny
-                for j in 0..m {
-                    if mask & (1 << j) != 0 {
-                        plan.add(UserId(u as u32), EventId(j as u32));
-                    }
+            for (u, &mask) in chosen.iter().enumerate() {
+                // Only the set bits, in ascending event order.
+                let mut rest = mask;
+                while rest != 0 {
+                    plan.add(UserId(u as u32), EventId(rest.trailing_zeros()));
+                    rest &= rest - 1;
                 }
             }
             let mut sol = Solution::from_plan(instance, plan);

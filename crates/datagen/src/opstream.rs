@@ -5,9 +5,8 @@
 //! operations from a weighted mix, always relative to the **current**
 //! instance and plan (so, e.g., an `η` decrease targets an event that
 //! actually has attendees, and a `NewEvent` op is consistent with the
-//! current user count). Drive it in a loop with
-//! `IncrementalPlanner::try_apply_in_place`, or feed a batch to
-//! `try_apply_batch`.
+//! current user count). Replay a stream by running
+//! `IncrementalPlanner::try_apply_certified` once per operation.
 
 use epplan_core::incremental::{AtomicOp, IncrementalPlanner, SequencedOp};
 use epplan_core::model::{Event, EventId, Instance, TimeInterval, UserId};
@@ -383,7 +382,7 @@ impl BurstSpec {
 mod tests {
     use super::*;
     use crate::{generate, GeneratorConfig};
-    use epplan_core::certify::certify;
+    use epplan_core::certify::{certify, certify_tally};
     use epplan_core::incremental::IncrementalPlanner;
     use epplan_core::solver::{GepcSolver, GreedySolver};
 
@@ -400,7 +399,8 @@ mod tests {
     }
 
     /// The stream as sampled before it applied ops in place: every op
-    /// applied by `IncrementalPlanner::apply` to fresh copies.
+    /// applied to fresh copies by `IncrementalPlanner::try_apply_budgeted`,
+    /// a rejected one leaving the state.
     fn clone_based_stream(
         sampler: &mut OpStreamSampler,
         instance: &Instance,
@@ -412,12 +412,28 @@ mod tests {
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
             let op = sampler.next_op(&inst, &cur);
-            let out = IncrementalPlanner.apply(&inst, &cur, &op);
-            inst = out.instance;
-            cur = out.plan;
+            if let Ok(out) =
+                IncrementalPlanner.try_apply_budgeted(&inst, &cur, &op, SolveBudget::UNLIMITED)
+            {
+                inst = out.instance;
+                cur = out.plan;
+            }
             ops.push(op);
         }
         ops
+    }
+
+    /// Replays `ops` through the certified step, one op at a time: the
+    /// final state and each op's `dif`.
+    fn replay(instance: &Instance, plan: &Plan, ops: &[AtomicOp]) -> (Instance, Plan, Vec<usize>) {
+        let (mut inst, mut cur) = (instance.clone(), plan.clone());
+        let mut tally = certify_tally(instance, plan).1;
+        let mut difs = Vec::new();
+        for op in ops {
+            let step = IncrementalPlanner.try_apply_certified(&mut inst, &mut cur, &mut tally, op, SolveBudget::UNLIMITED);
+            difs.push(step.unwrap_or_else(|e| panic!("{op:?}: {e}")).dif.unwrap_or(0));
+        }
+        (inst, cur, difs)
     }
 
     #[test]
@@ -489,11 +505,9 @@ mod tests {
     fn stream_is_replayable_via_batch() {
         let (inst, plan) = setup();
         let ops = OpStreamSampler::new(9).stream(&inst, &plan, 15);
-        let out = IncrementalPlanner
-            .try_apply_batch(&inst, &plan, &ops)
-            .unwrap();
-        assert!(certify(&out.instance, &out.plan).hard_ok());
-        assert_eq!(out.step_difs.len(), 15);
+        let (out_inst, out_plan, step_difs) = replay(&inst, &plan, &ops);
+        assert!(certify(&out_inst, &out_plan).hard_ok());
+        assert_eq!(step_difs.len(), 15);
     }
 
     #[test]
@@ -551,10 +565,8 @@ mod tests {
             .count();
         assert!(n_new >= 2, "expected several NewEvent ops, got {n_new}");
         // Replay must succeed even with the growing event set.
-        let out = IncrementalPlanner
-            .try_apply_batch(&inst, &plan, &ops)
-            .unwrap();
-        assert_eq!(out.instance.n_events(), inst.n_events() + n_new);
+        let (out_inst, _, _) = replay(&inst, &plan, &ops);
+        assert_eq!(out_inst.n_events(), inst.n_events() + n_new);
     }
 
     #[test]

@@ -133,9 +133,9 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         name: "budget/poll-coverage",
         summary: "budget-governed loops must poll the deadline",
-        details: "A function that takes a SolveBudget/BudgetGuard/DeadlineFlag is on a \
-                  budgeted path; a for-loop in it bounded by users/events/jobs that never \
-                  polls (DeadlineFlag::poll, guard.tick, check_deadline — directly or via a \
+        details: "A function that takes a SolveBudget/BudgetGuard is on a budgeted \
+                  path; a for-loop in it bounded by users/events/jobs that never polls \
+                  (guard.tick, check_deadline — directly or via a \
                   callee) can overrun the deadline by a whole pass. Poll inside the loop; \
                   provably tiny or cleanup-only loops carry an audited allow.",
     },

@@ -83,9 +83,8 @@ const BATCH_ENTRY_POINTS: &[(&str, &str)] = &[
     ("GreedySolver", "try_solve"),
     ("ExactSolver", "try_solve"),
     ("GapSolver", "solve"),
-    ("IncrementalPlanner", "apply"),
+    ("IncrementalPlanner", "try_apply_certified"),
     ("IncrementalPlanner", "try_apply_budgeted"),
-    ("IncrementalPlanner", "try_apply_batch"),
 ];
 
 /// Identifiers that mark an event-dimension dense loop when they
@@ -100,7 +99,7 @@ const SIZE_MARKERS: &[&str] = &["n_users", "n_events", "n_jobs", "user_ids", "ev
 const POLL_NAMES: &[&str] = &["poll", "tick", "check_deadline"];
 
 /// Parameter-type substrings marking a function as budget-governed.
-const BUDGET_TYPES: &[&str] = &["SolveBudget", "BudgetGuard", "DeadlineFlag"];
+const BUDGET_TYPES: &[&str] = &["SolveBudget", "BudgetGuard"];
 
 /// Runs every workspace rule, pushing diagnostics into `out[file_idx]`.
 pub fn run(ws: &Workspace, cg: &CallGraph, out: &mut [Vec<Diagnostic>]) {
@@ -558,7 +557,7 @@ fn poll_coverage(ws: &Workspace, cg: &CallGraph, out: &mut [Vec<Diagnostic>]) {
                 "budget/poll-coverage",
                 format!(
                     "`{}`-bounded loop in budget-governed `{}` never polls the deadline: \
-                     call `DeadlineFlag::poll` / `guard.tick()` in the body, or route \
+                     call `guard.tick()` / `check_deadline` in the body, or route \
                      through a helper that does",
                     toks[m].text, item.name
                 ),

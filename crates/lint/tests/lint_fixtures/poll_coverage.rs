@@ -1,33 +1,33 @@
 //! Fixture: budget/poll-coverage.
-pub struct DeadlineFlag;
+pub struct BudgetGuard;
 
-impl DeadlineFlag {
-    pub fn poll(&self) {}
+impl BudgetGuard {
+    pub fn tick(&self) {}
 }
 
-fn bad(inst: &Instance, deadline: &DeadlineFlag) {
+fn bad(inst: &Instance, guard: &BudgetGuard) {
     for u in inst.user_ids() {
         drop(u);
     }
-    drop(deadline);
+    drop(guard);
 }
 
-fn good_direct(inst: &Instance, deadline: &DeadlineFlag) {
+fn good_direct(inst: &Instance, guard: &BudgetGuard) {
     for u in inst.user_ids() {
-        deadline.poll();
-        drop(u);
-    }
-}
-
-fn good_via_helper(inst: &Instance, deadline: &DeadlineFlag) {
-    for u in inst.user_ids() {
-        reach(deadline);
+        guard.tick();
         drop(u);
     }
 }
 
-fn reach(deadline: &DeadlineFlag) {
-    deadline.poll();
+fn good_via_helper(inst: &Instance, guard: &BudgetGuard) {
+    for u in inst.user_ids() {
+        reach(guard);
+        drop(u);
+    }
+}
+
+fn reach(guard: &BudgetGuard) {
+    guard.tick();
 }
 
 fn ungoverned(inst: &Instance) {

@@ -199,7 +199,7 @@ fn poll_coverage_demands_deadline_polls_in_governed_loops() {
         got,
         vec![
             // `bad` never polls; direct polls, polls through a helper
-            // reaching `poll`, and ungoverned functions are silent.
+            // reaching `tick`, and ungoverned functions are silent.
             (9, "budget/poll-coverage".to_string()),
             (48, "lint/allow-needs-reason".to_string()),
             (49, "budget/poll-coverage".to_string()),

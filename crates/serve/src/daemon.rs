@@ -8,13 +8,14 @@
 //!
 //! The *visible* plan — the one a caller observes via
 //! [`Daemon::plan`] or any [`OpResponse`] — is certified at all
-//! times. An op is applied in place under an undo journal
-//! ([`IncrementalPlanner::try_apply_in_place`]) and kept only after
-//! [`certify_delta`] (or, for a re-solve, the certificate the solver
-//! built its plan with) confirms zero hard violations; a failed repair
-//! or re-solve rolls the state back to the exact previous certified
-//! `(instance, plan)` and rejects the op with a typed error. Every snapshot first re-certifies the whole
-//! state from scratch.
+//! times. An op is repaired by the certified IEP step
+//! ([`IncrementalPlanner::try_apply_certified`]: applied in place,
+//! delta-certified, rolled back on rejection), and a re-solve is kept
+//! only if the certificate the solver built its plan with confirms
+//! zero hard violations; a failed repair or re-solve leaves the exact
+//! previous certified `(instance, plan)` and rejects the op with a
+//! typed error. Every snapshot first re-certifies the whole state from
+//! scratch.
 //!
 //! ## Wall-clock use
 //!
@@ -29,8 +30,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use epplan_core::certify::{certify, certify_delta, certify_tally};
-use epplan_core::incremental::{IncrementalPlanner, SequencedOp};
+use epplan_core::certify::{certify, certify_tally};
+use epplan_core::incremental::{IncrementalPlanner, RepairError, SequencedOp};
 use epplan_core::model::Instance;
 use epplan_core::plan::{dif, Plan};
 use epplan_core::solver::{GapBasedSolver, GepcSolver};
@@ -608,20 +609,19 @@ impl Daemon {
                         self.response(sop.id, "applied", op_dif, retries, None),
                     );
                 }
-                Err(RepairError::Uncertified(cert)) => {
-                    repair_failure = format!("repair rejected by certification: {cert}");
-                    break;
+                Err(RepairError::Failed(e)) if e.kind == FailureKind::BadInput => {
+                    return self.reject_bad_input(sop.id, retries, &e);
                 }
-                Err(RepairError::Failed(e)) => {
-                    if e.kind == FailureKind::BadInput {
-                        return self.reject_bad_input(sop.id, retries, &e);
-                    }
-                    if e.is_retryable() && retries < self.config.max_retries {
-                        retries += 1;
-                        self.stats.retries += 1;
-                        epplan_obs::counter_add("serve.retries", 1);
-                        continue;
-                    }
+                Err(RepairError::Failed(e))
+                    if e.is_retryable() && retries < self.config.max_retries =>
+                {
+                    retries += 1;
+                    self.stats.retries += 1;
+                    epplan_obs::counter_add("serve.retries", 1);
+                }
+                // An exhausted retry, a fault, or a certification
+                // rejection (the state already rolled back).
+                Err(e) => {
                     repair_failure = e.to_string();
                     break;
                 }
@@ -694,29 +694,22 @@ impl Daemon {
         )
     }
 
-    /// The certified-repair step live ops and WAL replay share: applies
-    /// `sop` in place under `budget`, certifies the delta against the
-    /// tally, and either folds the op in — the tally patched, its `dif`
-    /// added to drift and returned — or rolls the state back.
+    /// The repair live ops and WAL replay share: the certified IEP step
+    /// on `sop` under `budget`. A certified op is folded in — its `dif`
+    /// added to drift and returned, the cursor advanced; a rejected one
+    /// leaves the state as it was.
     fn certified_repair(
         &mut self,
         sop: &SequencedOp,
         budget: SolveBudget,
     ) -> Result<u64, RepairError> {
-        let journal = IncrementalPlanner
-            .try_apply_in_place(&mut self.instance, &mut self.plan, &sop.op, budget)
-            .map_err(RepairError::Failed)?;
-        let cert = certify_delta(
-            &self.instance,
-            &self.plan,
-            &sop.op,
-            journal.plan(),
+        let cert = IncrementalPlanner.try_apply_certified(
+            &mut self.instance,
+            &mut self.plan,
             &mut self.tally,
-        );
-        if !cert.hard_ok() {
-            journal.rollback(&mut self.instance, &mut self.plan);
-            return Err(RepairError::Uncertified(cert));
-        }
+            &sop.op,
+            budget,
+        )?;
         let op_dif = cert.dif.unwrap_or(0) as u64;
         self.drift += op_dif;
         self.last_op_id = sop.id;
@@ -1117,15 +1110,6 @@ impl Daemon {
     pub fn wal_pending_ops(&self) -> u64 {
         self.last_op_id.saturating_sub(self.snapshot_op)
     }
-}
-
-/// Why a repair attempt was not folded in.
-enum RepairError {
-    /// The in-place core failed; the state is as it was.
-    Failed(SolveError),
-    /// The repaired state failed delta certification and was rolled
-    /// back.
-    Uncertified(Certificate),
 }
 
 /// One op as the WAL logged it.

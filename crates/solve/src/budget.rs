@@ -1,7 +1,6 @@
 //! Bounded work per solve call: wall-clock deadlines and iteration
 //! caps, plus the in-loop guard that enforces them cheaply.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::{FailureKind, SolveError};
@@ -150,31 +149,6 @@ impl BudgetGuard {
         Ok(())
     }
 
-    /// A shareable snapshot of this guard's wall-clock deadline for
-    /// use *inside* parallel regions: workers [`DeadlineFlag::poll`]
-    /// it between chunks, and the owning stage turns a tripped flag
-    /// into the usual `BudgetExhausted` error via
-    /// [`BudgetGuard::check_deadline`] after the join. Iteration caps
-    /// stay with the (single-threaded) guard; only the deadline is
-    /// shared.
-    pub fn deadline_flag(&self) -> DeadlineFlag {
-        let deadline = match self.budget.time_limit {
-            // A zero allowance is pre-expired; `checked_add` also
-            // treats absurdly-far deadlines as unlimited rather than
-            // panicking.
-            Some(limit) if limit.is_zero() => DeadlineDeadline::Expired,
-            Some(limit) => self
-                .started
-                .checked_add(limit)
-                .map_or(DeadlineDeadline::None, DeadlineDeadline::At),
-            None => DeadlineDeadline::None,
-        };
-        DeadlineFlag {
-            deadline,
-            tripped: AtomicBool::new(false),
-        }
-    }
-
     fn exhausted(&self, stage: &'static str, message: String) -> SolveError<()> {
         // Budget-consumption metrics: how often budgets trip and how
         // much work was spent when they did (no-ops unless enabled).
@@ -220,96 +194,6 @@ impl BudgetGuard {
     }
 }
 
-#[derive(Debug)]
-enum DeadlineDeadline {
-    /// No wall-clock limit: polls never trip.
-    None,
-    /// Trip once the monotonic clock passes this instant.
-    At(Instant),
-    /// Pre-expired (zero allowance): every poll trips.
-    Expired,
-    /// This many more polls pass; the one after trips.
-    AfterPolls(AtomicU64),
-}
-
-/// The error a tripped [`DeadlineFlag`] poll returns: the deadline
-/// passed and the parallel region should drain. Deliberately carries
-/// no payload — the owning stage already knows which budget it was
-/// enforcing and converts the trip into a typed `BudgetExhausted`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineExceeded;
-
-impl std::fmt::Display for DeadlineExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("solve deadline exceeded")
-    }
-}
-
-impl std::error::Error for DeadlineExceeded {}
-
-/// A wall-clock deadline shareable across worker threads (`Sync`, no
-/// locks). Workers call [`DeadlineFlag::poll`] between work chunks;
-/// once any worker observes the deadline passed, the flag latches and
-/// every subsequent poll on every thread fails fast without touching
-/// the clock, so a whole parallel region drains promptly.
-///
-/// The flag itself carries no error machinery — a tripped flag means
-/// "stop producing work"; the owning stage converts that into a typed
-/// `BudgetExhausted` via [`BudgetGuard::check_deadline`].
-#[derive(Debug)]
-pub struct DeadlineFlag {
-    deadline: DeadlineDeadline,
-    tripped: AtomicBool,
-}
-
-impl DeadlineFlag {
-    /// A flag that never trips, for unlimited budgets.
-    pub const fn unlimited() -> Self {
-        DeadlineFlag {
-            deadline: DeadlineDeadline::None,
-            tripped: AtomicBool::new(false),
-        }
-    }
-
-    /// A flag whose first `n` polls pass and whose next poll trips: a
-    /// deadline independent of the clock, for tests that stop a
-    /// budgeted loop at a known point.
-    pub fn after_polls(n: u64) -> Self {
-        DeadlineFlag {
-            deadline: DeadlineDeadline::AfterPolls(AtomicU64::new(n)),
-            tripped: AtomicBool::new(false),
-        }
-    }
-
-    /// Checks the deadline (reading the clock only while untripped):
-    /// `Ok(())` while inside the allowance, `Err(DeadlineExceeded)`
-    /// once expired.
-    #[inline]
-    pub fn poll(&self) -> Result<(), DeadlineExceeded> {
-        if self.tripped.load(Ordering::Relaxed) {
-            return Err(DeadlineExceeded);
-        }
-        let expired = match self.deadline {
-            DeadlineDeadline::None => false,
-            DeadlineDeadline::At(t) => Instant::now() > t,
-            DeadlineDeadline::Expired => true,
-            DeadlineDeadline::AfterPolls(ref left) => left
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_err(),
-        };
-        if expired {
-            self.tripped.store(true, Ordering::Relaxed);
-            return Err(DeadlineExceeded);
-        }
-        Ok(())
-    }
-
-    /// `true` once any poll (on any thread) observed expiry.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,51 +234,6 @@ mod tests {
         assert!(g.check_deadline("stage").is_err());
         let g = BudgetGuard::new(SolveBudget::UNLIMITED);
         assert!(g.check_deadline("stage").is_ok());
-    }
-
-    #[test]
-    fn deadline_flag_latches_and_shares() {
-        // Zero allowance: pre-expired, first poll trips.
-        let g = BudgetGuard::new(SolveBudget::from_time_limit(Duration::ZERO));
-        let flag = g.deadline_flag();
-        assert!(!flag.is_tripped());
-        assert!(flag.poll().is_err());
-        assert!(flag.is_tripped());
-        // Once tripped, it stays tripped (latching), including when
-        // observed from other threads. Cross-thread observation goes
-        // through epplan-par — the single owner of thread creation —
-        // exactly as production parallel regions poll the flag.
-        let polls = epplan_par::par_range_map(4, 1, |_chunk| {
-            let tripped_here = flag.poll().is_err();
-            tripped_here && flag.is_tripped()
-        });
-        assert_eq!(polls.len(), 4);
-        assert!(polls.iter().all(|&tripped| tripped));
-
-        // Unlimited: never trips.
-        let g = BudgetGuard::new(SolveBudget::UNLIMITED);
-        let flag = g.deadline_flag();
-        for _ in 0..1_000 {
-            assert!(flag.poll().is_ok());
-        }
-        assert!(!flag.is_tripped());
-        assert!(DeadlineFlag::unlimited().poll().is_ok());
-
-        // Generous allowance: polls pass while well inside it.
-        let g = BudgetGuard::new(SolveBudget::from_time_limit(Duration::from_secs(3600)));
-        assert!(g.deadline_flag().poll().is_ok());
-    }
-
-    #[test]
-    fn after_polls_trips_on_the_next_poll() {
-        let flag = DeadlineFlag::after_polls(3);
-        for _ in 0..3 {
-            assert_eq!(flag.poll(), Ok(()));
-        }
-        assert_eq!(flag.poll(), Err(DeadlineExceeded));
-        assert!(flag.is_tripped());
-        assert_eq!(flag.poll(), Err(DeadlineExceeded));
-        assert_eq!(DeadlineFlag::after_polls(0).poll(), Err(DeadlineExceeded));
     }
 
     #[test]

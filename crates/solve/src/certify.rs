@@ -292,6 +292,7 @@ pub fn certify_delta(
             (was + shift[e]).max(0) as usize
         })
         .collect();
+    // epplan-lint: allow(sparse/dense-scan) — every event's bounds are re-checked per op by contract: a bound can change without any list changing
     for (e, &att) in attendance.iter().enumerate() {
         check_event(view, e, att, &mut cert);
     }

@@ -23,7 +23,7 @@ pub mod certify;
 mod error;
 mod report;
 
-pub use budget::{BudgetGuard, DeadlineExceeded, DeadlineFlag, SolveBudget};
+pub use budget::{BudgetGuard, SolveBudget};
 pub use certify::{
     certify_delta, certify_plan, certify_plan_tally, recompute_dif, CertTally, CertViolation,
     Certificate, PlanView,

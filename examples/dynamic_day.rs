@@ -11,6 +11,7 @@ use epplan::core::incremental::IncrementalPlanner;
 use epplan::core::model::{Event, TimeInterval};
 use epplan::datagen::{generate, GeneratorConfig};
 use epplan::prelude::*;
+use epplan::solve::SolveBudget;
 use std::time::Instant;
 
 fn main() {
@@ -24,10 +25,11 @@ fn main() {
     };
     let mut instance = generate(&cfg);
     let solver = GreedySolver::seeded(3);
-    let mut plan = solver.solve(&instance).plan;
+    // The solve's certifier tally seeds the certified repair steps.
+    let Solution { mut plan, mut tally, .. } = solver.solve(&instance);
     println!(
         "initial plan: utility {:.1}, {} assignments",
-        plan.total_utility(&instance),
+        tally.utility(),
         plan.total_assignments()
     );
 
@@ -86,63 +88,67 @@ fn main() {
 
     let planner = IncrementalPlanner;
     for (label, op) in ops {
+        let before = plan.clone();
         let t0 = Instant::now();
-        let outcome = planner.apply(&instance, &plan, &op);
+        let cert = planner
+            .try_apply_certified(&mut instance, &mut plan, &mut tally, &op, SolveBudget::UNLIMITED)
+            .expect("every scripted repair certifies");
         let inc_time = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let rerun = solver.solve(&outcome.instance);
+        let rerun = solver.solve(&instance);
         let rerun_time = t1.elapsed().as_secs_f64();
 
         println!("\n>> {label}");
         println!(
             "   incremental: utility {:.1}, dif {}, {:.4}s",
-            outcome.utility, outcome.dif, inc_time
+            cert.utility, cert.dif.unwrap_or(0), inc_time
         );
         println!(
             "   re-solve:    utility {:.1}, dif {}, {:.4}s  ({}x slower)",
             rerun.utility,
-            epplan::core::plan::dif(&plan, &rerun.plan),
+            epplan::core::plan::dif(&before, &rerun.plan),
             rerun_time,
             (rerun_time / inc_time.max(1e-9)).round()
         );
-        assert!(certify(&outcome.instance, &outcome.plan).hard_ok());
-
-        instance = outcome.instance;
-        plan = outcome.plan;
     }
 
     println!(
         "\nend of scripted day: utility {:.1}, {} assignments",
-        plan.total_utility(&instance),
+        tally.utility(),
         plan.total_assignments()
     );
 
     // --- Stress phase: a whole week of random churn ------------------
     // `OpStreamSampler` draws a realistic mix of atomic operations
     // (budget/utility churn dominating, occasional organizer changes
-    // and new events), each consistent with the evolving state.
+    // and new events), each consistent with the evolving state. A
+    // batch is the certified step run once per operation.
     let mut sampler = epplan::datagen::OpStreamSampler::new(7);
     let ops = sampler.stream(&instance, &plan, 100);
+    let start = plan.clone();
+    let mut step_difs = 0;
     let t0 = Instant::now();
-    let outcome = planner
-        .try_apply_batch(&instance, &plan, &ops)
-        .expect("sampled ops are consistent with the evolving state");
+    for op in &ops {
+        let cert = planner
+            .try_apply_certified(&mut instance, &mut plan, &mut tally, op, SolveBudget::UNLIMITED)
+            .expect("sampled ops are consistent with the evolving state");
+        step_difs += cert.dif.unwrap_or(0);
+    }
     println!(
         "\nstress phase: {} random operations in {:.3}s",
         ops.len(),
         t0.elapsed().as_secs_f64()
     );
     println!(
-        "  net dif {} (sum of per-op difs: {})",
-        outcome.net_dif,
-        outcome.step_difs.iter().sum::<usize>()
+        "  net dif {} (sum of per-op difs: {step_difs})",
+        epplan::core::plan::dif(&start, &plan)
     );
     println!(
         "  final utility {:.1}, {} events below their minimum",
-        outcome.utility,
-        outcome.shortfall.len()
+        tally.utility(),
+        plan.shortfall(&instance).len()
     );
-    assert!(certify(&outcome.instance, &outcome.plan).hard_ok());
+    assert!(certify(&instance, &plan).hard_ok());
     println!("  plan still satisfies every hard constraint.");
 }

@@ -81,7 +81,8 @@
 //! | 6    | `infeasible`       | plan violates hard constraints / no plan   |
 //! | 7    | `budget-exhausted` | solve budget ran out (partial plan saved)  |
 
-use epplan::core::incremental::{AtomicOp, IncrementalPlanner};
+use epplan::core::certify::certify_tally;
+use epplan::core::incremental::{AtomicOp, IncrementalPlanner, RepairError};
 use epplan::core::plan::Plan;
 use epplan::core::solver::{FailureKind, SolveBudget};
 use epplan::datagen::{generate, City, GeneratorConfig};
@@ -613,25 +614,43 @@ fn cmd_apply(flags: HashMap<String, String>) {
     let ops: Vec<AtomicOp> = serde_json::from_str(&data)
         .unwrap_or_else(|e| fail(FailClass::Parse, &format!("cannot parse {ops_path}: {e}")));
     println!("applying {} atomic operation(s)", ops.len());
-    let outcome = match IncrementalPlanner.try_apply_batch(&instance, &plan, &ops) {
-        Ok(outcome) => outcome,
-        Err(e) => fail(
-            FailClass::InvalidInstance,
-            &format!("cannot apply operation stream: {}", e.message),
-        ),
-    };
-    println!("step difs      : {:?}", outcome.step_difs);
-    println!("net dif        : {}", outcome.net_dif);
-    summarize(
-        &outcome.instance,
-        &outcome.plan,
-        &certify(&outcome.instance, &outcome.plan),
-    );
+    let (mut cert, mut tally) = certify_tally(&instance, &plan);
+    if !cert.hard_ok() {
+        fail(FailClass::Infeasible, &format!("the input plan fails certification: {cert}"));
+    }
+    // A batch is the certified step run once per op (Section II-B).
+    let (mut instance, mut cur) = (instance, plan.clone());
+    let mut step_difs = Vec::with_capacity(ops.len());
+    for (k, op) in ops.iter().enumerate() {
+        match IncrementalPlanner.try_apply_certified(
+            &mut instance,
+            &mut cur,
+            &mut tally,
+            op,
+            SolveBudget::UNLIMITED,
+        ) {
+            Ok(step) => {
+                step_difs.push(step.dif.unwrap_or(0));
+                cert = step;
+            }
+            Err(RepairError::Failed(e)) => fail(
+                FailClass::InvalidInstance,
+                &format!("cannot apply operation stream: operation {k}: {}", e.message),
+            ),
+            Err(e) => fail(
+                FailClass::Infeasible,
+                &format!("cannot apply operation stream: operation {k}: {e}"),
+            ),
+        }
+    }
+    println!("step difs      : {step_difs:?}");
+    println!("net dif        : {}", epplan::core::plan::dif(&plan, &cur));
+    summarize(&instance, &cur, &cert);
     if let Some(path) = flags.get("out-instance") {
-        write_json(&outcome.instance, path);
+        write_json(&instance, path);
     }
     if let Some(path) = flags.get("out-plan") {
-        write_json(&outcome.plan, path);
+        write_json(&cur, path);
     }
 }
 

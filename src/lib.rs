@@ -42,9 +42,7 @@ pub use epplan_solve as solve;
 
 /// Commonly used items, re-exported for `use epplan::prelude::*`.
 pub mod prelude {
-    pub use epplan_core::incremental::{
-        AtomicOp, BatchOutcome, IncrementalOutcome, IncrementalPlanner,
-    };
+    pub use epplan_core::incremental::{AtomicOp, IncrementalPlanner};
     pub use epplan_core::certify::certify;
     pub use epplan_core::model::{Event, EventId, Instance, TimeInterval, User, UserId};
     pub use epplan_core::plan::Plan;

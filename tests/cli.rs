@@ -338,6 +338,38 @@ fn apply_rejects_a_plan_that_does_not_fit_with_exit_5() {
 }
 
 #[test]
+fn apply_on_a_plan_that_fails_certification_exits_6() {
+    // η cut below an event's attendance: the plan still fits the
+    // instance, but no longer certifies, so no op is applied to it.
+    let dir = tmp_dir("apply-uncertified");
+    let (inst, plan) = solved(&dir, "a", "30", "5", "4");
+    let mut instance = epplan::datagen::load_instance(&inst).unwrap();
+    let solved_plan: epplan::core::plan::Plan =
+        serde_json::from_str(&std::fs::read_to_string(&plan).unwrap()).unwrap();
+    let e = instance
+        .event_ids()
+        .find(|&e| solved_plan.attendance(e) > 0)
+        .expect("the solve fills some event");
+    instance.set_event_bounds(e, 0, solved_plan.attendance(e) - 1);
+    epplan::datagen::save_instance(&instance, &inst).unwrap();
+    let ops = dir.join("ops.json");
+    std::fs::write(&ops, r#"[{"op":"xi_decrease","event":0,"new_lower":0}]"#).unwrap();
+    let plan2 = dir.join("plan2.json");
+    let out = bin()
+        .args(["apply", "--instance", inst.to_str().unwrap()])
+        .args(["--plan", plan.to_str().unwrap()])
+        .args(["--ops", ops.to_str().unwrap()])
+        .args(["--out-plan", plan2.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(6), "{}", String::from_utf8_lossy(&out.stderr));
+    let (class, line) = parse_error_object(&out.stderr);
+    assert_eq!(class, "infeasible");
+    assert!(line.contains("eta-upper-bound"), "{line}");
+    assert!(!plan2.exists(), "nothing is written for a rejected plan");
+}
+
+#[test]
 fn exhausted_solve_budget_exits_7_with_fallback_plan() {
     let dir = tmp_dir("budget");
     let inst = dir.join("inst.json");

@@ -75,14 +75,17 @@ fn statistics_track_incremental_changes() {
         .event_ids()
         .max_by_key(|&e| plan.attendance(e))
         .unwrap();
-    let out = IncrementalPlanner.apply(
-        &inst,
-        &plan,
-        &AtomicOp::EtaDecrease {
-            event: busiest,
-            new_upper: 1,
-        },
-    );
+    let out = IncrementalPlanner
+        .try_apply_budgeted(
+            &inst,
+            &plan,
+            &AtomicOp::EtaDecrease {
+                event: busiest,
+                new_upper: 1,
+            },
+            epplan::core::solver::SolveBudget::UNLIMITED,
+        )
+        .unwrap();
     let after = PlanStatistics::of(&out.instance, &out.plan);
     // The event kept exactly one attendee.
     assert_eq!(out.plan.attendance(busiest), 1);

@@ -1,12 +1,25 @@
 //! End-to-end reproduction of the paper's worked examples (Examples
 //! 1–8) against the reconstructed Example-1 instance.
 
+use epplan::core::certify::certify_tally;
 use epplan::core::incremental::{AtomicOp, IncrementalPlanner};
 use epplan::core::model::TimeInterval;
 use epplan::core::plan::Plan;
 use epplan::core::solver::SolveBudget;
 use epplan::datagen::paper_example;
 use epplan::prelude::*;
+use epplan::solve::Certificate;
+
+/// The certified IEP step on copies of `(inst, plan)`, its tally
+/// seeded by one full certify: the repaired state and its certificate.
+fn step(inst: &Instance, plan: &Plan, op: &AtomicOp) -> (Instance, Plan, Certificate) {
+    let (mut inst2, mut plan2) = (inst.clone(), plan.clone());
+    let mut tally = certify_tally(inst, plan).1;
+    let cert = IncrementalPlanner
+        .try_apply_certified(&mut inst2, &mut plan2, &mut tally, op, SolveBudget::UNLIMITED)
+        .unwrap_or_else(|e| panic!("{op:?}: {e}"));
+    (inst2, plan2, cert)
+}
 
 /// The colored plan of Table I (Example 2).
 fn example_2_plan(inst: &Instance) -> Plan {
@@ -54,7 +67,7 @@ fn example_3_eta_decrease_to_1() {
     // u4's plan … negative impact 1."
     let inst = paper_example();
     let plan = example_2_plan(&inst);
-    let out = IncrementalPlanner.apply(
+    let (out_inst, out_plan, cert) = step(
         &inst,
         &plan,
         &AtomicOp::EtaDecrease {
@@ -62,18 +75,18 @@ fn example_3_eta_decrease_to_1() {
             new_upper: 1,
         },
     );
-    assert_eq!(out.dif, 1);
-    assert!(!out.plan.contains(UserId(3), EventId(3)), "u4 loses e4");
-    assert!(out.plan.contains(UserId(4), EventId(3)), "u5 keeps e4");
-    assert!(out.plan.contains(UserId(3), EventId(1)), "u4 gains e2");
-    assert!(certify(&out.instance, &out.plan).hard_ok());
+    assert_eq!(cert.dif, Some(1));
+    assert!(!out_plan.contains(UserId(3), EventId(3)), "u4 loses e4");
+    assert!(out_plan.contains(UserId(4), EventId(3)), "u5 keeps e4");
+    assert!(out_plan.contains(UserId(3), EventId(1)), "u4 gains e2");
+    assert!(certify(&out_inst, &out_plan).hard_ok());
 }
 
 #[test]
 fn example_6_eta_decrease_to_4_is_noop() {
     let inst = paper_example();
     let plan = example_2_plan(&inst);
-    let out = IncrementalPlanner.apply(
+    let (_, out_plan, cert) = step(
         &inst,
         &plan,
         &AtomicOp::EtaDecrease {
@@ -81,8 +94,8 @@ fn example_6_eta_decrease_to_4_is_noop() {
             new_upper: 4,
         },
     );
-    assert_eq!(out.dif, 0);
-    assert_eq!(out.plan, plan);
+    assert_eq!(cert.dif, Some(0));
+    assert_eq!(out_plan, plan);
 }
 
 #[test]
@@ -91,7 +104,7 @@ fn example_7_xi_increase_noop_when_satisfied() {
     // attendees in the Example-2 plan).
     let inst = paper_example();
     let plan = example_2_plan(&inst);
-    let out = IncrementalPlanner.apply(
+    let (_, out_plan, cert) = step(
         &inst,
         &plan,
         &AtomicOp::XiIncrease {
@@ -99,8 +112,8 @@ fn example_7_xi_increase_noop_when_satisfied() {
             new_lower: 2,
         },
     );
-    assert_eq!(out.dif, 0);
-    assert_eq!(out.plan, plan);
+    assert_eq!(cert.dif, Some(0));
+    assert_eq!(out_plan, plan);
 }
 
 #[test]
@@ -111,7 +124,7 @@ fn example_7_xi_increase_transfers_best_delta() {
     // constraints and achieve dif = 1.
     let inst = paper_example();
     let plan = example_2_plan(&inst);
-    let out = IncrementalPlanner.apply(
+    let (out_inst, out_plan, cert) = step(
         &inst,
         &plan,
         &AtomicOp::XiIncrease {
@@ -119,9 +132,9 @@ fn example_7_xi_increase_transfers_best_delta() {
             new_lower: 3,
         },
     );
-    assert!(out.plan.attendance(EventId(3)) >= 3, "lower bound met");
-    assert!(certify(&out.instance, &out.plan).hard_ok());
-    assert_eq!(out.dif, 1, "exactly one user loses one event");
+    assert!(out_plan.attendance(EventId(3)) >= 3, "lower bound met");
+    assert!(certify(&out_inst, &out_plan).hard_ok());
+    assert_eq!(cert.dif, Some(1), "exactly one user loses one event");
 }
 
 #[test]
@@ -131,7 +144,7 @@ fn example_8_time_change_removes_conflicted_and_refills() {
     let inst = paper_example();
     let plan = example_2_plan(&inst);
     let pm = |h: u32, m: u32| (12 + h) * 60 + m;
-    let out = IncrementalPlanner.apply(
+    let (out_inst, out_plan, _) = step(
         &inst,
         &plan,
         &AtomicOp::TimeChange {
@@ -140,15 +153,15 @@ fn example_8_time_change_removes_conflicted_and_refills() {
         },
     );
     assert!(
-        !out.plan.contains(UserId(0), EventId(0)),
+        !out_plan.contains(UserId(0), EventId(0)),
         "u1 loses e1 (conflicts its e2)"
     );
     // e1's lower bound (1) must be restored by another user; the paper
     // finds u4 — but u4's plan has e3 (1:30–3:00), which does NOT
     // conflict with the new slot, and e4 (6:00–8:00) which doesn't
     // either, so u4 is indeed eligible.
-    assert!(out.plan.attendance(EventId(0)) >= 1, "ξ1 restored");
-    assert!(certify(&out.instance, &out.plan).hard_ok());
+    assert!(out_plan.attendance(EventId(0)) >= 1, "ξ1 restored");
+    assert!(certify(&out_inst, &out_plan).hard_ok());
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! and the bookkeeping (attendance counts, utilities, dif) stays
 //! consistent.
 
-use epplan::core::incremental::{AtomicOp, IncrementalPlanner};
+use epplan::core::incremental::{AtomicOp, IncrementalPlanner, RepairError};
 use epplan::core::model::TimeInterval;
 use epplan::core::plan::dif;
 use epplan::core::solver::SolveBudget;
@@ -124,7 +124,7 @@ proptest! {
         val in 0u32..8,
     ) {
         let inst = generate(&cfg);
-        let plan = GreedySolver::seeded(1).solve(&inst).plan;
+        let Solution { plan, tally, .. } = GreedySolver::seeded(1).solve(&inst);
         let e = EventId((ev % inst.n_events()) as u32);
         let op = match op_kind {
             0 => AtomicOp::EtaDecrease { event: e, new_upper: val.max(1) },
@@ -149,11 +149,21 @@ proptest! {
                 new_budget: val as f64 * 20.0,
             },
         };
-        let out = IncrementalPlanner.apply(&inst, &plan, &op);
-        let v = certify(&out.instance, &out.plan);
+        let (mut out_inst, mut out_plan, mut out_tally) = (inst.clone(), plan.clone(), tally);
+        let step = IncrementalPlanner.try_apply_certified(
+            &mut out_inst,
+            &mut out_plan,
+            &mut out_tally,
+            &op,
+            SolveBudget::UNLIMITED,
+        );
+        // A malformed op is rejected and leaves the state; a repair
+        // never fails certification.
+        prop_assert!(!matches!(step, Err(RepairError::Uncertified(_))), "op {:?}: {:?}", op, step);
+        let v = certify(&out_inst, &out_plan);
         prop_assert!(v.hard_ok(), "op {:?}: {:?}", op, v.hard_violations);
         // dif is consistent with the plans.
-        prop_assert_eq!(out.dif, dif(&plan, &out.plan));
+        prop_assert_eq!(step.map_or(0, |c| c.dif.unwrap_or(0)), dif(&plan, &out_plan));
     }
 
     #[test]
